@@ -451,21 +451,51 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args):
+def _config_value(action: argparse.Action, key: str, val):
+    """A config value converted and checked as its flag's action would
+    treat it on the command line: `type`, `choices` and `nargs`."""
+    if action.nargs == 0:  # store_true flags
+        if not isinstance(val, bool):
+            raise ValueError(f"config key {key}: expected true or false, got {val!r}")
+        return val
+    many = action.nargs in ("*", "+")
+    if many != isinstance(val, list):
+        raise ValueError(f"config key {key}: expected "
+                         f"{'a list' if many else 'one value'}, got {val!r}")
+    out = []
+    for item in (val if many else [val]):
+        try:
+            if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+                raise ValueError
+            item = (action.type or str)(str(item))
+        except ValueError:
+            raise ValueError(f"config key {key}: invalid value {item!r}") from None
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"config key {key}: {item!r} is not one of "
+                             f"{', '.join(map(str, action.choices))}")
+        out.append(item)
+    return out if many else out[0]
+
+
+def _apply_config(args, parser: argparse.ArgumentParser):
     if getattr(args, "config", None):
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in sub.choices[args.command]._actions}
         data = json.loads(Path(args.config).read_text())
         for key, val in data.items():
             key = key.replace("-", "_")
-            if not hasattr(args, key):
+            if not hasattr(args, key) or key not in actions:
                 raise SystemExit(f"unknown config key: {key}")
-            setattr(args, key, val)
+            setattr(args, key, _config_value(actions[key], key, val))
     return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _apply_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        _apply_config(args, parser)
         return args.func(args)
     except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -222,12 +222,9 @@ def stack_channels(fields) -> SpectralField:
 
 # -- dealiased pointwise algebra --------------------------------------
 
-def _mirror(n: int, dim: int):
-    """Index of -k on the last `dim` axes, the last axis halved to 0..n/2."""
-    last = _conj_index(n)[: n // 2 + 1]
-    if dim == 1:
-        return (Ellipsis, last)
-    return (Ellipsis, _conj_index(n)[:, None], last[None, :])
+def _negate_rows(x: np.ndarray) -> np.ndarray:
+    """x at row -i mod n for each row i, on the second-to-last axis."""
+    return np.concatenate((x[..., :1, :], x[..., :0:-1, :]), axis=-2)
 
 
 def oversampled_values(f: SpectralField, factor: int = 2) -> np.ndarray:
@@ -245,9 +242,13 @@ def oversampled_values(f: SpectralField, factor: int = 2) -> np.ndarray:
     n, d = f.grid.n, f.grid.dim
     m, h = factor * n, n // 2
     c = f.coeffs
-    # Hermitian part on the half spectrum of the last axis; its Nyquist
-    # column is split, the -n/2 half being implied by the real transform
-    half = 0.5 * (c[..., : h + 1] + np.conj(c[_mirror(n, d)]))
+    # Hermitian part on the half spectrum of the last axis, c(-k) read by
+    # reversed slices; its Nyquist column is split, the -n/2 half being
+    # implied by the real transform
+    mirror = np.concatenate((c[..., :1], c[..., :h - 1:-1]), axis=-1)
+    if d == 2:
+        mirror = _negate_rows(mirror)
+    half = 0.5 * (c[..., : h + 1] + np.conj(mirror))
     half[..., h] *= 0.5
     out = np.zeros(c.shape[:-d] + (m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
     if d == 1:
@@ -274,19 +275,19 @@ def field_from_oversampled(grid: TorusGrid, values: np.ndarray, factor: int = 2)
     v = np.fft.rfftn(values, axes=tuple(range(-d, 0))) / m**d
     if d == 1:
         t = v[..., : h + 1]
-        c = np.empty(v.shape[:-1] + (n,), dtype=np.complex128)
-        flip = (Ellipsis,)
     else:
         t = np.empty(v.shape[:-2] + (n, h + 1), dtype=np.complex128)
         t[..., :h, :] = v[..., :h, : h + 1]
         t[..., h, :] = v[..., h, : h + 1] + v[..., m - h, : h + 1]
         t[..., h + 1:, :] = v[..., m - h + 1:, : h + 1]
-        c = np.empty(v.shape[:-2] + (n, n), dtype=np.complex128)
-        flip = (Ellipsis, _conj_index(n), slice(None))
-    mirrored = np.conj(t[flip])
+    # conj t(-k) for the last axis' columns n/2, n/2 + 1, ..., n - 1
+    mirrored = np.conj(t[..., h:0:-1])
+    if d == 2:
+        mirrored = _negate_rows(mirrored)
+    c = np.empty(t.shape[:-1] + (n,), dtype=np.complex128)
     c[..., :h] = t[..., :h]
-    c[..., h] = t[..., h] + mirrored[..., h]
-    c[..., h + 1:] = mirrored[..., h - 1:0:-1]
+    c[..., h] = t[..., h] + mirrored[..., 0]
+    c[..., h + 1:] = mirrored[..., 1:]
     return SpectralField(grid, c)
 
 

@@ -9,6 +9,7 @@ relate to stored ones by F u(k) = period^d c_k.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,6 +20,8 @@ from .grid import (FieldPath, SpectralField, TorusGrid, hermitian_conjugate,
                    TWO_PI)
 from .partition import radial_cutoff
 from .spectral import derivative, remove_mean
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,8 @@ def fbm_path(hurst: float, n: int, T: float, channels: int = 1, seed=0):
 
     Increments are exact-in-law fractional Gaussian noise via circulant
     embedding; if the embedding spectrum dips negative the sampler falls
-    back to a dense Cholesky factorization (announced, n <= 1024 only).
+    back to a dense Cholesky factorization (n <= 1024 only) and logs a
+    warning saying so.
     Returns (times, values) with values of shape (channels, n+1).
     """
     if not 0 < hurst < 1:
@@ -225,8 +229,8 @@ def fbm_path(hurst: float, n: int, T: float, channels: int = 1, seed=0):
     else:
         if n > 1024:
             raise ValueError("circulant embedding failed and n too large for Cholesky")
-        print(f"fbm_path: embedding not PSD (min eig {np.min(lam):.2e}), "
-              "using Cholesky fallback")
+        log.warning("fbm_path: embedding not PSD (min eig %.2e), "
+                    "using Cholesky fallback", np.min(lam))
         full = np.empty((n, n))
         for r in range(n):
             full[r] = cov[np.abs(np.arange(n) - r)]

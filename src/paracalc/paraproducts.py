@@ -57,14 +57,16 @@ class NonlinearFunction:
             if np.max(np.abs(fd - deriv(x))) > 1e-4 * scale:
                 raise ValueError(f"derivative of {self.name} inconsistent with finite differences")
 
-    def __call__(self, u: SpectralField) -> SpectralField:
-        return apply_pointwise(self.f, u)
+    def __call__(self, u) -> SpectralField:
+        """F(u) for a field u or its `Blocks`; a holder lends its held
+        values, so F(u) and F'(u) share one transform of u."""
+        return _pointwise(self.f, u)
 
-    def deriv(self, u: SpectralField, order: int = 1) -> SpectralField:
+    def deriv(self, u, order: int = 1) -> SpectralField:
         fn = (self.d1, self.d2, self.d3)[order - 1]
         if fn is None:
             raise ValueError(f"{self.name}: derivative of order {order} not registered")
-        return apply_pointwise(fn, u)
+        return _pointwise(fn, u)
 
     def shifted(self, base: SpectralField) -> "NonlinearFunction":
         """The map w -> F(base + w), with derivatives, base a fixed field.
@@ -76,6 +78,12 @@ class NonlinearFunction:
         mk = lambda g: (None if g is None else (lambda x, g=g: g(bv + x)))
         return NonlinearFunction(mk(self.f), mk(self.d1), mk(self.d2), mk(self.d3),
                                  name=f"{self.name}(base+.)", validate=False)
+
+
+def _pointwise(fn, u) -> SpectralField:
+    if isinstance(u, Blocks):
+        return field_from_oversampled(u.grid, fn(u.values()))
+    return apply_pointwise(fn, u)
 
 
 def poly_function(coeffs, name="poly") -> NonlinearFunction:
@@ -94,7 +102,8 @@ class Blocks:
     serves every later product with that field without a transform.  Low
     sums S_j f are running sums of the block values, exact by linearity.
     `para_lt`, `para_gt`, `resonant`, `commutator_C` and `pi_F` take a
-    holder in place of any field argument and build one for a plain field.
+    holder in place of any field argument and build one for a plain field;
+    a `NonlinearFunction` evaluated on a holder uses its held values.
     """
 
     __slots__ = ("field", "part", "_blocks", "_values")
@@ -206,8 +215,7 @@ def pi_F(F: NonlinearFunction, f, g, part: DyadicPartition | None = None) -> Spe
     """Nonlinear resonant remainder F(f)@g - F'(f)*(f@g); f and g are
     fields or their `Blocks`."""
     fb, gb = _holders(part, f, g)
-    u = fb.field
-    return resonant(F(u), gb) - dealiased_product(F.deriv(u), resonant(fb, gb))
+    return resonant(F(fb), gb) - dealiased_product(F.deriv(fb), resonant(fb, gb))
 
 
 def pi_times(f, u, g, part: DyadicPartition | None = None) -> SpectralField:
@@ -255,7 +263,7 @@ def controlled_product(P: ParacontrolledField, w: SpectralField,
     pointwise product; for rough w it is the definition of the product.
     """
     part = part or default_partition(P.u.grid)
-    u, up = P.u, P.uprime
+    u, up = Blocks(P.u, part), P.uprime
     Fu = Blocks(F(u), part)
     wb = Blocks(w, part)
     dFu = F.deriv(u)

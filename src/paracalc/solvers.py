@@ -127,8 +127,9 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
     residual = math.inf
     it = 0
     for it in range(1, cfg.fp_max + 1):
-        Fu = Blocks(F(u), part)
-        dFu = F.deriv(u)
+        ub = Blocks(u, part)
+        Fu = Blocks(F(ub), part)
+        dFu = F.deriv(ub)
         para = para_lt(Fu, theta_b, part)
         phi_para = phi_b.times(para)
         usharp = u - phi_para
@@ -183,6 +184,7 @@ def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
     grid = u.grid
     part = part or default_partition(grid)
     xi, theta = Blocks(E.xi, part), Blocks(E.theta, part)
+    u = Blocks(u, part)
     Fu = Blocks(F(u), part)
     dFu = Blocks(F.deriv(u), part)
     Phi = derivative(resonant(u, theta, part), 0)
@@ -277,7 +279,7 @@ def burgers_drift(w: SpectralField, theta: Blocks, dtheta: Blocks, eta: Blocks,
     resonant part routed through the supplied area eta = theta @ d_x theta.
     theta, its derivative dtheta and eta at the node come as `Blocks`
     holders, so the inner iteration transforms them once."""
-    v = theta.field + w
+    v = Blocks(theta.field + w, part)
     Gv = Blocks(G(v), part)
     dGv = Blocks(G.deriv(v), part)
     drift = para_lt(Gv, dtheta, part) + para_gt(Gv, dtheta, part)
@@ -438,8 +440,9 @@ def pam_drift_sharp(machine: _MollifiedParaMachine, n: int, u: SpectralField,
     only genuinely singular piece is carried by the supplied area eta.
     The fixed theta, xi and eta come as `Blocks` holders, transformed once
     per solve.  Returns (drift, para_tt_theta) so the caller can rebuild u."""
-    Fu = F(u)
-    dFu = F.deriv(u)
+    ub = Blocks(u, part)
+    Fu = F(ub)
+    dFu = F.deriv(ub)
     machine.set_f(n, Fu)
     ptt, ptt_xi, defect = machine.terms(n)
     fb, db, pb = Blocks(Fu, part), Blocks(dFu, part), Blocks(ptt, part)
@@ -534,13 +537,20 @@ def solve_pam_regularized(u0: SpectralField, xi_eps: SpectralField, c_eps: float
                           blowup: float = 1e6) -> FieldPath:
     """Classical reference solve of the renormalized regularized equation
     L u = F(u) xi_eps - c_eps F'(u) F(u), by the implicit
-    trapezoid-exponential rule (each step iterated to convergence)."""
+    trapezoid-exponential rule (each step iterated to convergence).
+
+    xi_eps is held for the whole solve, and each drift evaluation holds u
+    and F(u): 3 oversampled inverse and 4 forward transforms (2 and 2 for
+    c_eps = 0)."""
     grid = xi_eps.grid
+    xi_b = Blocks(xi_eps)
 
     def drift(u: SpectralField) -> SpectralField:
-        out = dealiased_product(F(u), xi_eps)
+        ub = Blocks(u)
+        Fu = Blocks(F(ub))
+        out = Fu.times(xi_b)
         if c_eps != 0.0:
-            out = out - dealiased_product(F.deriv(u), F(u)) * c_eps
+            out = out - Blocks(F.deriv(ub)).times(Fu) * c_eps
         return out
 
     return trapezoid_exponential_path(grid, cfg.sigma, u0, drift, cfg.T, cfg.M,

@@ -44,6 +44,30 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["noise", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
 
+    def test_config_values_convert_like_flags(self, tmp_path):
+        # a JSON string goes through the flag's type, as on the command line
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": "32", "eps": [0.25]}))
+        out = tmp_path / "o"
+        rc = main(["noise", "--kind", "pam", "--config", str(cfgfile),
+                   "--out", str(out)])
+        assert rc == 0
+        meta = json.loads((out / "noise.json").read_text())
+        assert meta["n"] == 32 and meta["eps"] == [0.25]
+        assert load_field(out / "noise.field").grid.n == 32
+
+    @pytest.mark.parametrize("bad", [{"seed": 1.5}, {"n": True}, {"eps": 0.25},
+                                     {"mollifier": "box"}])
+    def test_bad_config_value_exits_one(self, tmp_path, capsys, bad):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(bad))
+        out = tmp_path / "o"
+        rc = main(["noise", "--kind", "pam", "--config", str(cfgfile),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "noise.field").exists()
+
     def test_runtime_errors_exit_one(self, tmp_path):
         # 48 is not a power of two, so grid construction fails cleanly
         rc = main(["noise", "--kind", "pam", "--n", "48",

@@ -1,10 +1,12 @@
 """Gaussian drivers: white noise, stochastic convolutions, fBm, mollifiers."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from paracalc import noise
 from paracalc import (BUMP_MOLLIFIER, DIRAC_MOLLIFIER, GAUSS_MOLLIFIER,
                       Mollifier, NoiseSeed, SpectralField, TorusGrid,
                       burgers_theta_path, default_time_cutoff, derivative,
@@ -121,6 +123,18 @@ class TestFbm:
     def test_starts_at_zero(self):
         _, x = fbm_path(0.6, 16, 2.0, channels=3, seed=8)
         assert np.all(x[:, 0] == 0.0)
+
+    def test_cholesky_fallback_is_logged_not_printed(self, monkeypatch, capsys,
+                                                     caplog):
+        # this autocovariance is positive definite, but its circulant
+        # embedding has the eigenvalue -0.2
+        monkeypatch.setattr(noise, "_fgn_autocov",
+                            lambda n, hurst: np.array([1.0, 0.8, 0.5, 0.3]))
+        with caplog.at_level(logging.WARNING, logger="paracalc.noise"):
+            _, x = fbm_path(0.7, 4, 1.0, seed=9)
+        assert x.shape == (1, 5)
+        assert capsys.readouterr().out == ""
+        assert "Cholesky fallback" in caplog.text
 
 
 class TestMollifier:

@@ -241,3 +241,9 @@ def test_prebuilt_blocks_match_plain_calls(grid_name, request):
     for held, plain in pairs:
         scale = np.max(np.abs(plain.coeffs))
         assert np.max(np.abs(held.coeffs - plain.coeffs)) <= 1e-13 * scale
+    # a nonlinearity evaluated on a holder reads its held values: no
+    # arithmetic changes, so the result is exact
+    F, fb = tanh_fn(0.7), Blocks(f, part)
+    assert np.array_equal(F(fb).coeffs, F(f).coeffs)
+    assert np.array_equal(F.deriv(fb).coeffs, F.deriv(f).coeffs)
+    assert np.array_equal(F.deriv(fb, 2).coeffs, F.deriv(f, 2).coeffs)

@@ -1,6 +1,7 @@
 """Paracontrolled solvers checked against classical reference integrators."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from paracalc import (BUMP_MOLLIFIER, Blocks, EnhancedNoise, NonlinearFunction,
                       solve_burgers, solve_pam, solve_pam_regularized,
                       solve_rde, spatial_white_noise,
                       trapezoid_exponential_path)
+import paracalc.grid
+import paracalc.solvers
 from paracalc.grid import FieldPath
 from paracalc.solvers import _MollifiedParaMachine, solve_rde_resonant_fp
 from paracalc.spectral import antiderivative, block_sups, default_partition
@@ -237,6 +240,61 @@ class TestPam:
                 out = machine._low_avg(n, i)
                 assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
             machine.freeze(n)
+
+    @pytest.mark.parametrize("c_eps", [0.7, 0.0])
+    def test_regularized_solve_matches_the_plain_product_drift(self, c_eps):
+        # holding xi_eps, u and F(u) changes no arithmetic, so the solve
+        # equals the same march with its drift written as plain products
+        grid = TorusGrid(2, 32)
+        xi = mollify(spatial_white_noise(grid, 3), 0.25, BUMP_MOLLIFIER)
+        F = tanh_fn(0.4)
+        u0 = SpectralField.constant(grid, 0.3)
+        cfg = SolverConfig(alpha=0.45, T=0.05, M=8, fp_tol=1e-10, damping=1.0)
+
+        def drift(u):
+            out = dealiased_product(F(u), xi)
+            if c_eps != 0.0:
+                out = out - dealiased_product(F.deriv(u), F(u)) * c_eps
+            return out
+
+        ref = trapezoid_exponential_path(grid, 1.0, u0, drift, cfg.T, cfg.M,
+                                         fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
+                                         damping=cfg.damping, blowup=1e6)
+        out = solve_pam_regularized(u0, xi, c_eps, F, cfg)
+        assert np.array_equal(out.coeff_array(), ref.coeff_array())
+
+    @pytest.mark.parametrize("c_eps, counts", [(0.7, (3, 4)), (0.0, (2, 2))])
+    def test_regularized_drift_transform_counts(self, monkeypatch, c_eps, counts):
+        # xi_eps is transformed on the first drift evaluation only; each
+        # evaluation transforms u, F(u) and, for c_eps != 0, F'(u) once
+        calls = {"oversampled_values": 0, "field_from_oversampled": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            orig = getattr(paracalc.grid, name)
+            wrapped = counted(name, orig)
+            for modname, mod in list(sys.modules.items()):
+                if modname.split(".")[0] == "paracalc" and getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, wrapped)
+        drifts = []
+        monkeypatch.setattr(paracalc.solvers, "trapezoid_exponential_path",
+                            lambda grid, sigma, u0, drift, *a, **k: drifts.append(drift))
+        grid = TorusGrid(2, 32)
+        xi = mollify(spatial_white_noise(grid, 3), 0.25, BUMP_MOLLIFIER)
+        u = SpectralField.from_values(grid, np.random.default_rng(2).standard_normal(grid.shape))
+        solve_pam_regularized(u, xi, c_eps, tanh_fn(0.4),
+                              SolverConfig(alpha=0.45, T=0.05, M=8))
+        (drift,) = drifts
+        for first in (True, False):
+            calls.update(dict.fromkeys(calls, 0))
+            drift(u)
+            assert (calls["oversampled_values"], calls["field_from_oversampled"]) \
+                == (counts[0] + first, counts[1])
 
     def test_requires_the_laplacian(self):
         grid = TorusGrid(2, 32)
