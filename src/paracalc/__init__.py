@@ -1,7 +1,7 @@
 """paracalc: pseudo-spectral paracontrolled calculus on discrete tori."""
 
 from .grid import (FieldPath, SpectralField, TorusGrid, dealiased_product,
-                   apply_pointwise, load_field, save_field, stack_channels)
+                   apply_pointwise, load_field, save_field)
 from .partition import DyadicPartition, make_dyadic_partition, radial_cutoff, smoothstep
 from .spectral import (antiderivative, besov_norm, block_sups, default_partition,
                        derivative, fourier_multiplier, fractional_laplacian,
@@ -20,8 +20,8 @@ from .enhanced import (EnhancedNoise, RenormConstants, burgers_area,
                        pam_gt, pam_mean_adjusted_area, pam_renormalized_area,
                        pair_resonant, rde_area, rough_area_check, sym_antisym_split)
 from .evolution import SemigroupSpec, apply_L, duhamel, heat_apply
-from .solvers import (SolverConfig, SolverReport, etd2_solve, scaled_function,
-                      solve_burgers, solve_pam, solve_pam_regularized, solve_rde,
+from .solvers import (SolverConfig, SolverReport, scaled_function, solve_burgers,
+                      solve_pam, solve_pam_regularized, solve_rde,
                       solve_rde_resonant_fp, trapezoid_exponential_path)
 
 __version__ = "0.1.0"

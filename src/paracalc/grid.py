@@ -214,12 +214,6 @@ def _check_same_grid(f: SpectralField, g: SpectralField):
         raise ValueError("fields live on different grids")
 
 
-def stack_channels(fields) -> SpectralField:
-    fields = list(fields)
-    _ = [_check_same_grid(fields[0], f) for f in fields[1:]]
-    return SpectralField(fields[0].grid, np.concatenate([f.coeffs for f in fields], axis=0))
-
-
 # -- dealiased pointwise algebra --------------------------------------
 
 def _negate_rows(x: np.ndarray) -> np.ndarray:

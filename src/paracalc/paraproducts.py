@@ -75,9 +75,14 @@ class NonlinearFunction:
         base's grid (it closes over base's oversampled values).
         """
         bv = oversampled_values(base)
-        mk = lambda g: (None if g is None else (lambda x, g=g: g(bv + x)))
+        return self._wrapped(lambda g: lambda x: g(bv + x), f"{self.name}(base+.)")
+
+    def _wrapped(self, wrap, name: str) -> "NonlinearFunction":
+        """F with each registered callable g (F and its derivatives)
+        replaced by wrap(g)."""
+        mk = lambda g: None if g is None else wrap(g)
         return NonlinearFunction(mk(self.f), mk(self.d1), mk(self.d2), mk(self.d3),
-                                 name=f"{self.name}(base+.)", validate=False)
+                                 name=name, validate=False)
 
 
 def _pointwise(fn, u) -> SpectralField:

@@ -9,6 +9,7 @@ renormalized one.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,9 +65,7 @@ class SolverReport:
 
 
 def scaled_function(F: NonlinearFunction, s: float) -> NonlinearFunction:
-    mk = lambda g: (None if g is None else (lambda x, g=g: s * g(x)))
-    return NonlinearFunction(mk(F.f), mk(F.d1), mk(F.d2), mk(F.d3),
-                             name=f"{s}*{F.name}", validate=False)
+    return F._wrapped(lambda g: lambda x: s * g(x), f"{s}*{F.name}")
 
 
 # -- rough ODE --------------------------------------------------------
@@ -118,12 +117,9 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
     xi_b, theta_b, phi_b = (Blocks(f, part) for f in (xi, theta, phi))
     phi_res_xi = resonant(phi_b, xi_b, part)
 
-    sh = lambda g: (None if g is None else (lambda x, g=g: g(u0 + x)))
-    F_shift = NonlinearFunction(sh(F.f), sh(F.d1), sh(F.d2), sh(F.d3),
-                                name=f"{F.name}(u0+.)", validate=False)
-
     u = SpectralField.constant(grid, u0)
     u0f = SpectralField.constant(grid, u0)
+    F_shift = F.shifted(u0f)
     residual = math.inf
     it = 0
     for it in range(1, cfg.fp_max + 1):
@@ -208,67 +204,58 @@ def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
                        f"theta norm at alpha: {besov_norm(E.theta, cfg.alpha, part):.3g}")
 
 
-# -- generic exponential-integrator stepping --------------------------
+# -- the exponential march --------------------------------------------
 
-def etd2_solve(grid: TorusGrid, sigma: float, u0: SpectralField, nonlinearity,
-               T: float, M: int, blowup: float = 1e8) -> FieldPath:
-    """Second-order exponential time differencing (predictor-corrector)
-    for L u = N(u) with L = d/dt + (-Laplacian)^sigma.
+_ADVICE = "halve lambda (dilate the data) or refine the time grid"
 
-    `nonlinearity` maps a SpectralField to a SpectralField.  Used as the
-    classical reference solver and for the regularized equations.
+
+def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
+                               drift, T: float, M: int,
+                               fp_tol: float = 1e-12, fp_max: int = 50,
+                               damping: float = 1.0, blowup: float = 1e8):
+    """Mild-form march of L u = N(u), L = d/dt + (-Laplacian)^sigma, by the
+    trapezoid-exponential rule, exact per Fourier mode in the linear part.
+
+    `drift(n, u)` is N at time node n for the field u there.  Each step
+    starts from the explicit predictor and runs a damped fixed point on the
+    implicit endpoint until its residual is at most
+    fp_tol * (1 + sup|coeffs|).  fp_tol = math.inf keeps the first
+    corrector, which is explicit ETD2 (Cox & Matthews 2002).
+
+    Returns (path, worst inner iteration count, worst final residual).
+    Raises RuntimeError when a step stalls or leaves the blow-up bound; a
+    non-finite residual ends the inner iteration at once.
     """
     spec = SemigroupSpec(sigma, grid)
     dt = T / M
     z = spec.symbol() * dt
     decay = np.exp(-z)
     A, B = _duhamel_weights(z, dt)
-    times = np.arange(M + 1) * dt
     fields = [u0]
     c = u0.coeffs
-    for _ in range(M):
-        n0 = nonlinearity(SpectralField(grid, c)).coeffs
-        pred = c * decay + n0 * A
-        n1 = nonlinearity(SpectralField(grid, pred)).coeffs
-        c = c * decay + n0 * (A - B) + n1 * B
-        f = SpectralField(grid, c)
-        if not np.isfinite(c).all() or np.max(np.abs(c)) > blowup:
-            raise RuntimeError("reference solve blew up")
-        fields.append(f)
-    return FieldPath(times, fields)
-
-
-def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
-                               nonlinearity, T: float, M: int,
-                               fp_tol: float = 1e-12, fp_max: int = 50,
-                               damping: float = 1.0, blowup: float = 1e8) -> FieldPath:
-    """Like etd2_solve but with the implicit trapezoid-exponential rule,
-    iterating each step to convergence.  Slightly more work per step, used
-    where the implicit endpoint matters."""
-    spec = SemigroupSpec(sigma, grid)
-    dt = T / M
-    z = spec.symbol() * dt
-    decay = np.exp(-z)
-    A, B = _duhamel_weights(z, dt)
-    times = np.arange(M + 1) * dt
-    fields = [u0]
-    c = u0.coeffs
-    for _ in range(M):
-        n0 = nonlinearity(SpectralField(grid, c)).coeffs
-        base = c * decay + n0 * (A - B)
-        nxt = c * decay + n0 * A
-        for _ in range(fp_max):
-            n1 = nonlinearity(SpectralField(grid, nxt)).coeffs
-            cand = base + n1 * B
-            res = np.max(np.abs(cand - nxt))
+    worst_it, worst_res = 0, 0.0
+    for n in range(M):
+        d0 = drift(n, SpectralField(grid, c)).coeffs
+        base = c * decay + d0 * (A - B)
+        nxt = c * decay + d0 * A
+        res = math.inf
+        for k in range(1, fp_max + 1):
+            d1 = drift(n + 1, SpectralField(grid, nxt)).coeffs
+            cand = base + d1 * B
+            res = float(np.max(np.abs(cand - nxt)))
             nxt = nxt + (cand - nxt) * damping
-            if res <= fp_tol * (1.0 + np.max(np.abs(nxt))):
+            if res <= fp_tol * (1.0 + np.max(np.abs(nxt))) or not math.isfinite(res):
                 break
+        else:
+            raise RuntimeError(f"step {n}: inner fixed point stalled at "
+                               f"residual {res:.3g}; {_ADVICE}")
         c = nxt
         if not np.isfinite(c).all() or np.max(np.abs(c)) > blowup:
-            raise RuntimeError("solution exceeded the blow-up bound")
+            raise RuntimeError(f"step {n}: solution exceeded the blow-up bound "
+                               f"{blowup:.3g}; {_ADVICE}")
+        worst_it, worst_res = max(worst_it, k), max(worst_res, res)
         fields.append(SpectralField(grid, c))
-    return FieldPath(times, fields)
+    return FieldPath(np.arange(M + 1) * dt, fields), worst_it, worst_res
 
 
 # -- fractional Burgers -----------------------------------------------
@@ -305,49 +292,23 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
     part = part or default_partition(grid)
     if not (cfg.sigma > 5.0 / 6.0):
         raise ValueError("need sigma > 5/6")
-    spec = SemigroupSpec(cfg.sigma, grid)
     M = len(theta_path) - 1
-    dt = theta_path.dt
-    z = spec.symbol() * dt
-    decay = np.exp(-z)
-    A, B = _duhamel_weights(z, dt)
-
     theta = [f.channel(0) for f in theta_path.fields]
     eta = [f.channel(0) for f in eta_path.fields]
-    held = lambda n: [Blocks(f, part) for f in (theta[n], derivative(theta[n], 0), eta[n])]
 
-    w = u0
-    fields = [w]
-    worst_res = 0.0
-    worst_it = 0
-    held_next = held(0)
-    for n in range(M):
-        held_now, held_next = held_next, held(n + 1)
-        d0 = burgers_drift(w, *held_now, G, part).coeffs
-        base = w.coeffs * decay + d0 * (A - B)
-        nxt = w.coeffs * decay + d0 * A
-        res = math.inf
-        for k in range(1, cfg.fp_max + 1):
-            d1 = burgers_drift(SpectralField(grid, nxt), *held_next, G, part).coeffs
-            cand = base + d1 * B
-            res = float(np.max(np.abs(cand - nxt)))
-            nxt = nxt + (cand - nxt) * cfg.damping
-            if res <= cfg.fp_tol * (1.0 + np.max(np.abs(nxt))):
-                break
-        if res > cfg.fp_tol * (1.0 + np.max(np.abs(nxt))):
-            raise RuntimeError(
-                f"step {n}: inner fixed point stalled at residual {res:.3g}; "
-                "halve lambda (dilate the data) or refine the time grid")
-        worst_res = max(worst_res, res)
-        worst_it = max(worst_it, k)
-        w = SpectralField(grid, nxt)
-        fields.append(w)
+    # the march asks for nodes n and n + 1 in turn; keep only their holders
+    @functools.lru_cache(maxsize=2)
+    def held(n):
+        return [Blocks(f, part) for f in (theta[n], derivative(theta[n], 0), eta[n])]
 
-    w_path = FieldPath(theta_path.times, fields)
-    u_path = FieldPath(theta_path.times, [a + b for a, b in zip(theta, fields)])
+    w_path, worst_it, worst_res = trapezoid_exponential_path(
+        grid, cfg.sigma, u0, lambda n, w: burgers_drift(w, *held(n), G, part),
+        M * theta_path.dt, M, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
+        damping=cfg.damping)
+    u_path = FieldPath(theta_path.times, [a + b for a, b in zip(theta, w_path.fields)])
     norms = {
         "theta_alpha_final": besov_norm(theta[-1], cfg.alpha, part),
-        "w_final_sup": fields[-1].sup_norm(),
+        "w_final_sup": w_path[-1].sup_norm(),
         "eta_final_2alpha_minus_1": besov_norm(eta[-1], 2 * cfg.alpha - 1, part),
     }
     return w_path, u_path, SolverReport(True, worst_it, worst_res, norms)
@@ -506,10 +467,9 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
             u_next = u_next + (cand - u_next) * cfg.damping
             if res <= cfg.fp_tol * (1.0 + u_next.sup_norm()):
                 break
-        if not np.isfinite(res) or res > cfg.fp_tol * (1.0 + u_next.sup_norm()) * 10:
+        if not np.isfinite(res) or res > cfg.fp_tol * (1.0 + u_next.sup_norm()):
             raise RuntimeError(
-                f"node {n + 1}: fixed point stalled at residual {res:.3g}; "
-                "dilate the data (halve lambda) or refine the time grid")
+                f"node {n + 1}: fixed point stalled at residual {res:.3g}; {_ADVICE}")
         drift1, ptt1 = pam_drift_sharp(machine, n + 1, u_next, *held, F, part)
         machine.freeze(n + 1)
         usharp = SpectralField(grid, usharp.coeffs * decay
@@ -545,7 +505,7 @@ def solve_pam_regularized(u0: SpectralField, xi_eps: SpectralField, c_eps: float
     grid = xi_eps.grid
     xi_b = Blocks(xi_eps)
 
-    def drift(u: SpectralField) -> SpectralField:
+    def drift(n: int, u: SpectralField) -> SpectralField:
         ub = Blocks(u)
         Fu = Blocks(F(ub))
         out = Fu.times(xi_b)
@@ -555,4 +515,4 @@ def solve_pam_regularized(u0: SpectralField, xi_eps: SpectralField, c_eps: float
 
     return trapezoid_exponential_path(grid, cfg.sigma, u0, drift, cfg.T, cfg.M,
                                       fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
-                                      damping=cfg.damping, blowup=blowup)
+                                      damping=cfg.damping, blowup=blowup)[0]

@@ -74,6 +74,17 @@ class TestParsing:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [["noise", "--n", "abc"], ["study"],
+                                      ["noise", "--no-such-flag"]])
+    def test_usage_errors_exit_one(self, tmp_path, argv):
+        # argparse exits 2, which the CLI keeps for failed checks
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_help_exits_zero(self):
+        assert main(["noise", "--help"]) == 0
+
 
 class TestNoise:
     def test_pam_snapshot_roundtrip(self, tmp_path):

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from paracalc import (BUMP_MOLLIFIER, Blocks, EnhancedNoise, NonlinearFunction,
                       SemigroupSpec, SolverConfig, SpectralField, TorusGrid,
-                      dealiased_product, derivative, etd2_solve, heat_apply,
+                      dealiased_product, derivative, heat_apply,
                       mollify, pam_theta, poly_function, rde_area, rde_driver,
                       remove_mean, resonant, sample_line_path, scaled_function,
                       solve_burgers, solve_pam, solve_pam_regularized,
@@ -153,9 +153,9 @@ class TestBurgers:
         cfg = SolverConfig(alpha=0.45, sigma=sigma, T=T, M=M, fp_tol=1e-12,
                            damping=1.0)
         w_path, u_path, rep = solve_burgers(w0, E, G, cfg, part=part)
-        drift = lambda u: dealiased_product(G(u), derivative(u, 0))
-        ref = trapezoid_exponential_path(grid, sigma, w0, drift, T, M,
-                                         fp_tol=1e-12)
+        drift = lambda n, u: dealiased_product(G(u), derivative(u, 0))
+        ref, _, _ = trapezoid_exponential_path(grid, sigma, w0, drift, T, M,
+                                               fp_tol=1e-12)
         assert max((w_path[n] - ref[n]).sup_norm() for n in range(M + 1)) < 1e-13
         assert max((u_path[n] - w_path[n]).sup_norm() for n in range(M + 1)) < 1e-14
 
@@ -251,15 +251,15 @@ class TestPam:
         u0 = SpectralField.constant(grid, 0.3)
         cfg = SolverConfig(alpha=0.45, T=0.05, M=8, fp_tol=1e-10, damping=1.0)
 
-        def drift(u):
+        def drift(n, u):
             out = dealiased_product(F(u), xi)
             if c_eps != 0.0:
                 out = out - dealiased_product(F.deriv(u), F(u)) * c_eps
             return out
 
-        ref = trapezoid_exponential_path(grid, 1.0, u0, drift, cfg.T, cfg.M,
-                                         fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
-                                         damping=cfg.damping, blowup=1e6)
+        ref, _, _ = trapezoid_exponential_path(grid, 1.0, u0, drift, cfg.T, cfg.M,
+                                               fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
+                                               damping=cfg.damping, blowup=1e6)
         out = solve_pam_regularized(u0, xi, c_eps, F, cfg)
         assert np.array_equal(out.coeff_array(), ref.coeff_array())
 
@@ -283,7 +283,8 @@ class TestPam:
                     monkeypatch.setattr(mod, name, wrapped)
         drifts = []
         monkeypatch.setattr(paracalc.solvers, "trapezoid_exponential_path",
-                            lambda grid, sigma, u0, drift, *a, **k: drifts.append(drift))
+                            lambda grid, sigma, u0, drift, *a, **k:
+                            (drifts.append(drift), 0, 0.0))
         grid = TorusGrid(2, 32)
         xi = mollify(spatial_white_noise(grid, 3), 0.25, BUMP_MOLLIFIER)
         u = SpectralField.from_values(grid, np.random.default_rng(2).standard_normal(grid.shape))
@@ -292,7 +293,7 @@ class TestPam:
         (drift,) = drifts
         for first in (True, False):
             calls.update(dict.fromkeys(calls, 0))
-            drift(u)
+            drift(0, u)
             assert (calls["oversampled_values"], calls["field_from_oversampled"]) \
                 == (counts[0] + first, counts[1])
 
@@ -303,6 +304,15 @@ class TestPam:
         cfg = SolverConfig(alpha=0.45, sigma=0.9, T=0.1, M=8)
         with pytest.raises(ValueError):
             solve_pam(SpectralField.zero(grid), E, tanh_fn(), cfg)
+
+    def test_regularized_solver_raises_on_a_stalled_step(self):
+        grid = TorusGrid(2, 32)
+        xi = mollify(spatial_white_noise(grid, 3), 0.25, BUMP_MOLLIFIER)
+        cfg = SolverConfig(alpha=0.45, T=0.05, M=4, fp_tol=1e-15, fp_max=1,
+                           damping=1.0)
+        with pytest.raises(RuntimeError, match="halve lambda"):
+            solve_pam_regularized(SpectralField.constant(grid, 0.3), xi, 0.7,
+                                  tanh_fn(0.4), cfg)
 
     def test_regularized_solver_reports_blowup(self):
         grid = TorusGrid(2, 32)
@@ -318,8 +328,9 @@ class TestReferenceIntegrators:
         grid = TorusGrid(1, 128)
         w0 = SpectralField.from_function(
             grid, lambda x: 0.5 * np.sin(x) + 0.2 * np.cos(3 * x))
-        path = etd2_solve(grid, 1.0, w0, lambda u: SpectralField.zero(grid),
-                          0.5, 8)
+        path, _, _ = trapezoid_exponential_path(
+            grid, 1.0, w0, lambda n, u: SpectralField.zero(grid), 0.5, 8,
+            fp_tol=math.inf)
         spec = SemigroupSpec(1.0, grid)
         for n, t in enumerate(path.times):
             assert (path[n] - heat_apply(w0, t, spec)).sup_norm() < 1e-14
@@ -329,12 +340,40 @@ class TestReferenceIntegrators:
         # the endpoint error by about four
         grid = TorusGrid(1, 32)
         u0 = SpectralField.constant(grid, 0.1)
-        source = lambda u: u * 1.0 - poly_function([0.0, 0.0, 1.0])(u)
+        source = lambda n, u: u * 1.0 - poly_function([0.0, 0.0, 1.0])(u)
         ref = solve_ivp(lambda t, y: y - y ** 2, (0.0, 1.0), [0.1],
                         rtol=1e-12, atol=1e-14).y[0, -1]
         errs = []
         for M in (8, 16, 32):
-            path = etd2_solve(grid, 1.0, u0, source, 1.0, M)
+            path, _, _ = trapezoid_exponential_path(grid, 1.0, u0, source, 1.0, M,
+                                                    fp_tol=math.inf)
             errs.append(abs(path[-1].mean()[0] - ref))
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0
+
+    def test_explicit_etd2_evaluates_the_drift_at_both_ends_of_each_step(self):
+        grid = TorusGrid(1, 32)
+        nodes = []
+
+        def drift(n, u):
+            nodes.append(n)
+            return u * -1.0
+
+        path, iterations, _ = trapezoid_exponential_path(
+            grid, 1.0, SpectralField.constant(grid, 1.0), drift, 1.0, 4,
+            fp_tol=math.inf)
+        assert nodes == [0, 1, 1, 2, 2, 3, 3, 4]
+        assert iterations == 1 and len(path) == 5
+
+    def test_non_finite_drift_raises_at_once(self):
+        grid = TorusGrid(1, 32)
+        nodes = []
+
+        def drift(n, u):
+            nodes.append(n)
+            return u * math.nan
+
+        with pytest.raises(RuntimeError, match="blow-up bound"):
+            trapezoid_exponential_path(grid, 1.0, SpectralField.constant(grid, 1.0),
+                                       drift, 1.0, 4)
+        assert nodes == [0, 1]
