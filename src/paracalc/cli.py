@@ -187,7 +187,7 @@ def cmd_solve_rde(args) -> int:
                                     args.mollifier, args.embedding, args.support)
     F = scaled_function(_tanh_function(args.amplitude), args.lam ** args.alpha)
     cfg = SolverConfig(alpha=args.alpha, T=args.horizon, M=args.time_steps,
-                       lam=args.lam, damping=args.damping)
+                       damping=args.damping)
     u, usharp, rep = solve_rde(args.u0, E, F, cfg, cutoff, part)
     save_field(out / "solution.field", u)
     save_field(out / "remainder.field", usharp)
@@ -208,7 +208,7 @@ def cmd_solve_burgers(args) -> int:
     G = scaled_function(_cos_function(args.amplitude), args.lam ** args.alpha)
     u0 = SpectralField.zero(grid)
     cfg = SolverConfig(alpha=args.alpha, sigma=args.sigma, T=args.horizon,
-                       M=args.time_steps, lam=args.lam, fp_tol=1e-10,
+                       M=args.time_steps, fp_tol=1e-10,
                        damping=args.damping)
     w, u, rep = solve_burgers(u0, E, G, cfg, part)
     save_field(out / "solution.field", u)
@@ -246,7 +246,7 @@ def cmd_solve_pam(args) -> int:
     eta = pam_renormalized_area(spatial_white_noise(grid, args.seed), eps, psi, part)
     E = EnhancedNoise("pam", xi, theta, eta, c)
     cfg = SolverConfig(alpha=args.alpha, T=args.horizon, M=args.time_steps,
-                       lam=args.lam, fp_tol=1e-9, damping=args.damping)
+                       fp_tol=1e-9, damping=args.damping)
     u, usharp, rep = solve_pam(u0, E, F, cfg, part)
     save_field(out / "solution.field", u)
     (out / "report.json").write_text(rep.to_json())
@@ -263,7 +263,7 @@ def _study_rde(args, lam: float, seed: int, eps_list):
         E, part, cutoff = _rde_enhanced(args.n, args.hurst, seed, eps,
                                         args.mollifier, args.embedding,
                                         args.support)
-        cfg = SolverConfig(alpha=args.alpha, lam=lam, fp_tol=1e-8, fp_max=120,
+        cfg = SolverConfig(alpha=args.alpha, fp_tol=1e-8, fp_max=120,
                            damping=args.damping)
         u, _, rep = solve_rde(args.u0, E, F, cfg, cutoff, part)
         if not rep.converged:

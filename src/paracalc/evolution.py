@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import FieldPath, SpectralField, TorusGrid
-from .paraproducts import path_time_derivative
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,17 @@ def duhamel(v_path: FieldPath, spec: SemigroupSpec) -> FieldPath:
     for n in range(len(arr) - 1):
         out[n + 1] = out[n] * decay + arr[n] * (A - B) + arr[n + 1] * B
     return FieldPath.from_coeff_array(v_path.times, v_path.grid, out)
+
+
+def path_time_derivative(path: FieldPath) -> FieldPath:
+    """Second-order finite-difference time derivative along a path."""
+    arr = path.coeff_array()
+    dt = path.dt
+    out = np.empty_like(arr)
+    out[1:-1] = (arr[2:] - arr[:-2]) / (2 * dt)
+    out[0] = (-3 * arr[0] + 4 * arr[1] - arr[2]) / (2 * dt)
+    out[-1] = (3 * arr[-1] - 4 * arr[-2] + arr[-3]) / (2 * dt)
+    return FieldPath.from_coeff_array(path.times, path.grid, out)
 
 
 def apply_L(path: FieldPath, spec: SemigroupSpec) -> FieldPath:

@@ -14,7 +14,7 @@ the covariance formulas is F u(k) = period^d * c_k.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,8 +221,8 @@ def _negate_rows(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[..., :1, :], x[..., :0:-1, :]), axis=-2)
 
 
-def oversampled_values(f: SpectralField, factor: int = 2) -> np.ndarray:
-    """Real-space samples on a `factor` times finer grid (exact interpolation).
+def oversampled_values(f: SpectralField) -> np.ndarray:
+    """Real-space samples on a twice finer grid (exact interpolation).
 
     The coefficients are first projected onto their Hermitian part
     (c(k) + conj c(-k)) / 2, which is what the real part of the complex
@@ -231,10 +231,10 @@ def oversampled_values(f: SpectralField, factor: int = 2) -> np.ndarray:
     such as the Nyquist modes left by `derivative`.  The Nyquist
     coefficient (index n/2, frequency -n/2) of each axis is then split
     evenly between the +n/2 and -n/2 slots of the fine lattice, the exact
-    interpolation for real fields.  `factor` must be at least 2.
+    interpolation for real fields.
     """
     n, d = f.grid.n, f.grid.dim
-    m, h = factor * n, n // 2
+    m, h = 2 * n, n // 2
     c = f.coeffs
     # Hermitian part on the half spectrum of the last axis, c(-k) read by
     # reversed slices; its Nyquist column is split, the -n/2 half being
@@ -255,7 +255,7 @@ def oversampled_values(f: SpectralField, factor: int = 2) -> np.ndarray:
     return np.fft.irfftn(out, s=(m,) * d, axes=tuple(range(-d, 0))) * m**d
 
 
-def field_from_oversampled(grid: TorusGrid, values: np.ndarray, factor: int = 2) -> SpectralField:
+def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField:
     """Project real fine-grid samples back onto the grid's spectrum.
 
     The adjoint of the padding in `oversampled_values`: the fine +n/2 and
@@ -263,7 +263,7 @@ def field_from_oversampled(grid: TorusGrid, values: np.ndarray, factor: int = 2)
     the negative half of the last axis is rebuilt by Hermitian symmetry.
     """
     n, d = grid.n, grid.dim
-    m, h = factor * n, n // 2
+    m, h = 2 * n, n // 2
     if values.ndim == d:
         values = values[None]
     v = np.fft.rfftn(values, axes=tuple(range(-d, 0))) / m**d
@@ -366,10 +366,6 @@ class FieldPath:
     @classmethod
     def from_coeff_array(cls, times, grid: TorusGrid, arr: np.ndarray) -> "FieldPath":
         return cls(times, [SpectralField(grid, a) for a in arr])
-
-    def sup_distance(self, other: "FieldPath") -> float:
-        return max(np.max(np.abs(a.values() - b.values()))
-                   for a, b in zip(self.fields, other.fields))
 
 
 # -- snapshot format --------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolution import SemigroupSpec, apply_L
 from .grid import (FieldPath, SpectralField, apply_pointwise, dealiased_product,
                    field_from_oversampled, oversampled_values)
 from .partition import DyadicPartition, smoothstep
@@ -337,9 +338,48 @@ def _qi_weights(times: np.ndarray, i: int, phi) -> np.ndarray:
     return w
 
 
+class CausalAverage:
+    """The low-passed causal time averages S_(i-1) Q_i f, i = 1 .. j_max, of a
+    path f recorded node by node on the uniform grid `times`.
+
+    `at(n, f)` records f at node n and returns the averages there: the
+    earlier nodes' share, contracted once per node, plus the weight times
+    node n.  Node n may be recorded again (a solver revises it inside its
+    fixed point); moving on to node n + 1 freezes node n and keeps its
+    averages as `prev`, for backward time differences.
+    """
+
+    def __init__(self, part: DyadicPartition, times: np.ndarray):
+        self.times = times
+        scales = range(1, part.j_max + 1)
+        self.weights = [_qi_weights(times, i, causal_bump) for i in scales]
+        self.lows = [part.low_mask(i - 1) for i in scales]
+        self.hist = None
+        self.node = None
+        self.share = []     # the earlier nodes' share of each average at `node`
+        self.prev = None    # the averages at the node before `node`
+
+    def at(self, n: int, f: SpectralField) -> list[np.ndarray]:
+        if self.hist is None:
+            self.hist = np.zeros((len(self.times),) + f.coeffs.shape, dtype=np.complex128)
+        if n != self.node:
+            if self.node is not None:
+                self.prev = self._averages(self.node)
+            self.node = n
+            self.share = []
+            for w in self.weights:
+                nz = np.nonzero(w[n, :n])[0]
+                self.share.append(np.tensordot(w[n, nz], self.hist[nz], axes=(0, 0)))
+        self.hist[n] = f.coeffs
+        return self._averages(n)
+
+    def _averages(self, n: int) -> list[np.ndarray]:
+        return [(s + w[n, n] * self.hist[n]) * low
+                for s, w, low in zip(self.share, self.weights, self.lows)]
+
+
 def para_lt_time(fpath: FieldPath, gpath: FieldPath,
-                 part: DyadicPartition | None = None,
-                 phi=causal_bump) -> FieldPath:
+                 part: DyadicPartition | None = None) -> FieldPath:
     """Time-mollified paraproduct of paths: at each node,
     sum over i of S_{i-1}(Q_i f)(t) * Delta_i g(t), where Q_i averages f
     over a causal window of width 4^-i.
@@ -348,45 +388,29 @@ def para_lt_time(fpath: FieldPath, gpath: FieldPath,
     if not np.allclose(fpath.times, gpath.times):
         raise ValueError("paths live on different time grids")
     part = part or default_partition(grid)
-    times = fpath.times
     dt = fpath.dt
     if 4.0 ** (-part.j_max) < dt:
         i_star = int(math.floor(-math.log(dt) / math.log(4.0)))
         log.warning("time step %.3g cannot resolve mollification below block %d; "
                     "using unmollified values there", dt, i_star + 1)
-    fcoef = fpath.coeff_array()
-    out = [np.zeros_like(fcoef[0]) for _ in times]
-    for i in range(1, part.j_max + 1):
-        w = _qi_weights(times, i, phi)
-        qif = np.tensordot(w, fcoef, axes=(1, 0))
-        lowmask = part.low_mask(i - 1)
-        ring = part.mask(i)
-        for n in range(len(times)):
-            a = SpectralField(grid, qif[n] * lowmask)
-            b = SpectralField(grid, gpath[n].coeffs * ring)
-            out[n] += dealiased_product(a, b).coeffs
-    return FieldPath(times, [SpectralField(grid, c) for c in out])
+    avg = CausalAverage(part, fpath.times)
+    out = []
+    for n, (f, g) in enumerate(zip(fpath.fields, gpath.fields)):
+        gb = Blocks(g, part)
+        acc = 0.0
+        for i, q in enumerate(avg.at(n, f), start=1):
+            acc = acc + oversampled_values(SpectralField(grid, q)) * gb.block(i)
+        out.append(field_from_oversampled(grid, acc))
+    return FieldPath(fpath.times, out)
 
 
 def paraproduct_switch(fpath: FieldPath, gpath: FieldPath,
-                       part: DyadicPartition | None = None,
-                       phi=causal_bump) -> FieldPath:
+                       part: DyadicPartition | None = None) -> FieldPath:
     """Difference between the plain and time-mollified paraproducts."""
     part = part or default_partition(fpath.grid)
     plain = FieldPath(fpath.times, [para_lt(a, b, part)
                                     for a, b in zip(fpath.fields, gpath.fields)])
-    return plain - para_lt_time(fpath, gpath, part, phi)
-
-
-def path_time_derivative(path: FieldPath) -> FieldPath:
-    """Second-order finite-difference time derivative along a path."""
-    arr = path.coeff_array()
-    dt = path.dt
-    out = np.empty_like(arr)
-    out[1:-1] = (arr[2:] - arr[:-2]) / (2 * dt)
-    out[0] = (-3 * arr[0] + 4 * arr[1] - arr[2]) / (2 * dt)
-    out[-1] = (3 * arr[-1] - 4 * arr[-2] + arr[-3]) / (2 * dt)
-    return FieldPath.from_coeff_array(path.times, path.grid, out)
+    return plain - para_lt_time(fpath, gpath, part)
 
 
 def heat_para_commutator(upath: FieldPath, vpath: FieldPath, sigma: float = 1.0,
@@ -403,24 +427,9 @@ def heat_para_commutator(upath: FieldPath, vpath: FieldPath, sigma: float = 1.0,
         raise ValueError("heat_para_commutator requires sigma = 1")
     grid = upath.grid
     part = part or default_partition(grid)
-
-    def L(path: FieldPath) -> FieldPath:
-        ddt = path_time_derivative(path)
-        lap = path.map(lambda f: SpectralField(grid, f.coeffs * _lap_symbol(grid)))
-        return ddt + lap
-
-    acc = para_lt_time(L(upath), vpath, part)
+    acc = para_lt_time(apply_L(upath, SemigroupSpec(1.0, grid)), vpath, part)
     for ax in range(grid.dim):
         du = upath.map(lambda f, ax=ax: derivative(f, ax))
         dv = vpath.map(lambda f, ax=ax: derivative(f, ax))
-        acc = acc - _scale_path(para_lt_time(du, dv, part), 2.0)
+        acc = acc - para_lt_time(du, dv, part).map(lambda f: f * 2.0)
     return acc
-
-
-def _scale_path(path: FieldPath, s: float) -> FieldPath:
-    return path.map(lambda f: f * s)
-
-
-def _lap_symbol(grid) -> np.ndarray:
-    r = grid.k_abs()
-    return r * r

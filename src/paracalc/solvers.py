@@ -21,12 +21,10 @@ from .evolution import SemigroupSpec, _duhamel_weights
 from .grid import (FieldPath, SpectralField, TorusGrid, dealiased_product,
                    field_from_oversampled, oversampled_values)
 from .noise import default_time_cutoff
-from .paraproducts import (Blocks, NonlinearFunction, commutator_C, para_gt,
-                           para_lt, pi_F, pi_times, resonant, _qi_weights,
-                           causal_bump)
+from .paraproducts import (Blocks, CausalAverage, NonlinearFunction, commutator_C,
+                           para_gt, para_lt, pi_F, pi_times, resonant)
 from .partition import DyadicPartition, radial_cutoff
-from .spectral import (antiderivative, besov_norm, default_partition,
-                       derivative, lp_block, remove_mean)
+from .spectral import antiderivative, besov_norm, default_partition, derivative, lp_block
 
 
 @dataclass
@@ -35,7 +33,6 @@ class SolverConfig:
     sigma: float = 1.0
     T: float = 1.0
     M: int = 64
-    lam: float = 1.0
     fp_tol: float = 1e-9
     fp_max: int = 80
     damping: float = 0.5
@@ -316,96 +313,42 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
 
 # -- 2-d multiplicative heat equation ---------------------------------
 
-class _MollifiedParaMachine:
-    """Book-keeping for the time-mollified paraproduct terms of the 2-d
-    solver, marching causally in time.
-
-    Keeps the history of f = F(u) coefficients, the quadrature rows of the
-    scale-dependent time averages, the share of each average that the
-    frozen nodes contribute, the last frozen node's averages (for
-    backward-difference time derivatives), and the oversampled values of
-    the fixed blocks of theta, xi and grad theta.
-    """
-
-    def __init__(self, part: DyadicPartition, theta: Blocks, xi: Blocks,
-                 times: np.ndarray):
-        grid = part.grid
-        self.grid = grid
-        self.times = times
-        self.blocks = list(range(1, part.j_max + 1))
-        self.weights = {i: _qi_weights(times, i, causal_bump) for i in self.blocks}
-        self.low_masks = {i: part.low_mask(i - 1) for i in self.blocks}
-        self.theta_blocks = {i: theta.block(i) for i in self.blocks}
-        self.xi_blocks = {i: xi.block(i) for i in self.blocks}
-        self.grad_theta_blocks = {
-            i: [oversampled_values(derivative(lp_block(theta.field, i, part), ax))
-                for ax in range(grid.dim)]
-            for i in self.blocks}
-        self.hist = np.zeros((len(times),) + (1,) + grid.shape, dtype=np.complex128)
-        self.lap = grid.k_abs() ** 2
-        self.ik = [1j * np.broadcast_to(k, grid.shape) for k in grid.freq_mesh()]
-        self.frozen_node = None
-        self.frozen = {}    # i -> the frozen nodes' share of the average at frozen_node
-        self.prev = {}      # i -> averages at the last frozen node
-
-    def set_f(self, n: int, f: SpectralField):
-        self.hist[n] = f.coeffs
-
-    def _low_avg(self, n: int, i: int) -> np.ndarray:
-        """S_(i-1)-filtered causal time average of f at node n: the share of
-        the earlier nodes, which are frozen, plus the weight times node n."""
-        if self.frozen_node != n:
-            self.frozen_node = n
-            self.frozen = {}
-            for j in self.blocks:
-                row = self.weights[j][n, :n]
-                nz = np.nonzero(row)[0]
-                self.frozen[j] = np.tensordot(row[nz], self.hist[nz], axes=(0, 0))
-        q = self.frozen[i] + self.weights[i][n, n] * self.hist[n]
-        return q * self.low_masks[i]
-
-    def freeze(self, n: int):
-        """Keep the node's averages once its value is final."""
-        self.prev = {i: self._low_avg(n, i) for i in self.blocks}
-
-    def terms(self, n: int):
-        """f << theta, f << xi and the heat defect -[L(f << theta) - f << xi]
-        at node n, node n - 1 being the last frozen one.
-
-        The defect follows the product rule: each scale contributes
-        -(L S Q f) Delta theta + 2 grad(S Q f) . grad(Delta theta), using
-        that L theta = xi kills the remaining term.  The time part of
-        L S Q f is a backward difference of the averages (zero at the
-        initial node, where the clamped history is constant)."""
-        dt = self.times[1] - self.times[0]
-        values = lambda c: oversampled_values(SpectralField(self.grid, c))
-        ptt = pxi = defect = 0.0
-        for i in self.blocks:
-            lq = self._low_avg(n, i)
-            v = values(lq)
-            ptt = ptt + v * self.theta_blocks[i]
-            pxi = pxi + v * self.xi_blocks[i]
-            dt_lq = (lq - self.prev[i]) / dt if n > 0 else 0.0
-            defect = defect - values(dt_lq + lq * self.lap) * self.theta_blocks[i]
-            for ax, ik in enumerate(self.ik):
-                defect = defect + 2.0 * values(lq * ik) * self.grad_theta_blocks[i][ax]
-        return tuple(field_from_oversampled(self.grid, v) for v in (ptt, pxi, defect))
-
-
-def pam_drift_sharp(machine: _MollifiedParaMachine, n: int, u: SpectralField,
-                    theta: Blocks, xi: Blocks, eta: Blocks,
+def pam_drift_sharp(avg: CausalAverage, n: int, u: SpectralField,
+                    theta: Blocks, xi: Blocks, eta: Blocks, heat,
                     F: NonlinearFunction, part: DyadicPartition):
     """Driving term of the remainder at node n, given u at that node.
 
-    The resonant product of F(u) with the rough xi is expanded so that the
-    only genuinely singular piece is carried by the supplied area eta.
-    The fixed theta, xi and eta come as `Blocks` holders, transformed once
-    per solve.  Returns (drift, para_tt_theta) so the caller can rebuild u."""
+    `avg` holds the causal averages of F(u) along the solve, node n - 1
+    being the last frozen one.  The resonant product of F(u) with the rough
+    xi is expanded so that the only genuinely singular piece is carried by
+    the supplied area eta.  The fixed theta, xi and eta come as `Blocks`
+    holders, and `heat` = (|k|^2, [i k per axis], {i: grad Delta_i theta
+    values}), all built once per solve.  Returns (drift, F(u) << theta) so
+    the caller can rebuild u.
+
+    The heat defect -[L(F(u) << theta) - F(u) << xi] follows the product
+    rule: each scale contributes -(L S Q f) Delta theta
+    + 2 grad(S Q f) . grad(Delta theta), using that L theta = xi kills the
+    remaining term.  The time part of L S Q f is a backward difference of
+    the averages (zero at the initial node, where the clamped history is
+    constant)."""
+    grid = u.grid
     ub = Blocks(u, part)
     Fu = F(ub)
     dFu = F.deriv(ub)
-    machine.set_f(n, Fu)
-    ptt, ptt_xi, defect = machine.terms(n)
+    lap, ik, grad_theta = heat
+    dt = avg.times[1] - avg.times[0]
+    values = lambda c: oversampled_values(SpectralField(grid, c))
+    ptt = pxi = defect = 0.0
+    for i, lq in enumerate(avg.at(n, Fu), start=1):
+        v = values(lq)
+        ptt = ptt + v * theta.block(i)
+        pxi = pxi + v * xi.block(i)
+        dt_lq = (lq - avg.prev[i - 1]) / dt if n > 0 else 0.0
+        defect = defect - values(dt_lq + lq * lap) * theta.block(i)
+        for k, g in zip(ik, grad_theta[i]):
+            defect = defect + 2.0 * values(lq * k) * g
+    ptt, ptt_xi, defect = (field_from_oversampled(grid, v) for v in (ptt, pxi, defect))
     fb, db, pb = Blocks(Fu, part), Blocks(dFu, part), Blocks(ptt, part)
 
     drift = defect
@@ -436,19 +379,21 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     xi, theta, eta = E.xi, E.theta, E.eta
     grid = xi.grid
     part = part or default_partition(grid)
-    spec = SemigroupSpec(1.0, grid)
+    lap = SemigroupSpec(1.0, grid).symbol()
     dt = cfg.T / cfg.M
     times = np.arange(cfg.M + 1) * dt
-    z = spec.symbol() * dt
+    z = lap * dt
     decay = np.exp(-z)
     A, B = _duhamel_weights(z, dt)
 
     held = [Blocks(f, part) for f in (theta, xi, eta)]
-    machine = _MollifiedParaMachine(part, held[0], held[1], times)
+    heat = (lap, [1j * np.broadcast_to(k, grid.shape) for k in grid.freq_mesh()],
+            {i: [oversampled_values(derivative(lp_block(theta, i, part), ax))
+                 for ax in range(grid.dim)] for i in range(1, part.j_max + 1)})
+    avg = CausalAverage(part, times)
 
     u = u0
-    drift0, ptt0 = pam_drift_sharp(machine, 0, u, *held, F, part)
-    machine.freeze(0)
+    drift0, ptt0 = pam_drift_sharp(avg, 0, u, *held, heat, F, part)
     usharp = u0 - ptt0
     u_fields = [u]
     sharp_fields = [usharp]
@@ -458,7 +403,7 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
         u_next = u
         res = math.inf
         for k in range(1, cfg.fp_max + 1):
-            drift1, ptt1 = pam_drift_sharp(machine, n + 1, u_next, *held, F, part)
+            drift1, ptt1 = pam_drift_sharp(avg, n + 1, u_next, *held, heat, F, part)
             sharp_next = SpectralField(
                 grid, usharp.coeffs * decay + drift0.coeffs * (A - B)
                 + drift1.coeffs * B)
@@ -470,8 +415,7 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
         if not np.isfinite(res) or res > cfg.fp_tol * (1.0 + u_next.sup_norm()):
             raise RuntimeError(
                 f"node {n + 1}: fixed point stalled at residual {res:.3g}; {_ADVICE}")
-        drift1, ptt1 = pam_drift_sharp(machine, n + 1, u_next, *held, F, part)
-        machine.freeze(n + 1)
+        drift1, ptt1 = pam_drift_sharp(avg, n + 1, u_next, *held, heat, F, part)
         usharp = SpectralField(grid, usharp.coeffs * decay
                                + drift0.coeffs * (A - B) + drift1.coeffs * B)
         u = ptt1 + usharp

@@ -14,7 +14,8 @@ from paracalc import (Blocks, NonlinearFunction, ParacontrolledField, SpectralFi
                       paralin_remainder, paraproduct_switch, pi_F, pi_times,
                       poly_function, resonant)
 from paracalc.grid import FieldPath
-from paracalc.paraproducts import _qi_weights, path_time_derivative
+from paracalc.evolution import path_time_derivative
+from paracalc.paraproducts import _qi_weights
 from paracalc.spectral import block_sups, default_partition, make_dyadic_partition
 
 from conftest import rough_field
@@ -178,6 +179,23 @@ class TestTimeMollified:
         ref = para_lt(f, g, part2d)
         assert max((h - ref).sup_norm() for h in out.fields) < 1e-12
 
+    def test_matches_the_direct_definition(self, grid2d, part2d):
+        # full quadrature rows and one dealiased product per block
+        times = np.linspace(0.0, 0.5, 9)
+        fpath = FieldPath(times, [rough_field(grid2d, 0.5, 40 + n) for n in range(9)])
+        gpath = FieldPath(times, [rough_field(grid2d, -0.5, 60 + n) for n in range(9)])
+        out = para_lt_time(fpath, gpath, part2d)
+        fc = fpath.coeff_array()
+        ref = [SpectralField.zero(grid2d) for _ in times]
+        for i in range(1, part2d.j_max + 1):
+            q = np.tensordot(_qi_weights(times, i, causal_bump), fc, axes=(1, 0))
+            for n, g in enumerate(gpath.fields):
+                ref[n] = ref[n] + dealiased_product(
+                    SpectralField(grid2d, q[n] * part2d.low_mask(i - 1)),
+                    SpectralField(grid2d, g.coeffs * part2d.mask(i)))
+        scale = max(r.sup_norm() for r in ref)
+        assert max((h - r).sup_norm() for h, r in zip(out.fields, ref)) <= 1e-13 * scale
+
     def test_switch_vanishes_for_constant_paths(self, grid2d, part2d):
         f = rough_field(grid2d, 1.0, 29)
         g = rough_field(grid2d, -0.5, 30)
@@ -199,6 +217,23 @@ class TestTimeMollified:
         g = FieldPath(times, [rough_field(grid2d, -0.5, 32)] * 5)
         out = heat_para_commutator(z, g, 1.0, part2d)
         assert max(h.sup_norm() for h in out.fields) == 0.0
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (1, 64)])
+    def test_heat_commutator_of_constant_paths(self, dim, n):
+        # for time-constant paths L = -Laplacian = |k|^2 and the mollified
+        # paraproduct is the plain one; band-limited fields keep every
+        # product exact on the grid
+        grid = TorusGrid(dim, n)
+        part = default_partition(grid)
+        band = grid.k_abs() <= n / 4
+        lap = lambda f: SpectralField(grid, f.coeffs * grid.k_abs() ** 2)
+        u, v = (SpectralField(grid, rough_field(grid, a, s).coeffs * band)
+                for a, s in ((0.5, 33), (-0.5, 34)))
+        times = np.linspace(0.0, 0.25, 5)
+        out = heat_para_commutator(FieldPath(times, [u] * 5), FieldPath(times, [v] * 5),
+                                   1.0, part)
+        ref = lap(para_lt(u, v, part)) - para_lt(u, lap(v), part)
+        assert max((h - ref).sup_norm() for h in out.fields) <= 1e-12 * ref.sup_norm()
 
     def test_heat_commutator_requires_laplacian(self, grid2d):
         times = np.linspace(0.0, 0.25, 5)

@@ -18,7 +18,8 @@ from paracalc import (BUMP_MOLLIFIER, Blocks, EnhancedNoise, NonlinearFunction,
 import paracalc.grid
 import paracalc.solvers
 from paracalc.grid import FieldPath
-from paracalc.solvers import _MollifiedParaMachine, solve_rde_resonant_fp
+from paracalc.paraproducts import CausalAverage
+from paracalc.solvers import solve_rde_resonant_fp
 from paracalc.spectral import antiderivative, block_sups, default_partition
 from paracalc.partition import radial_cutoff
 
@@ -221,25 +222,27 @@ class TestPam:
 
     def test_causal_average_is_frozen_share_plus_current_node(self):
         # the solver revises node n's value inside its fixed point; the
-        # average must follow the final value and the frozen earlier nodes
+        # average must follow the final value and the frozen earlier nodes,
+        # and moving on must keep the previous node's final averages
         grid = TorusGrid(2, 32)
         part = default_partition(grid)
-        E = self._enhanced(grid, part)
         times = np.arange(9) / 64.0
-        machine = _MollifiedParaMachine(part, Blocks(E.theta, part),
-                                        Blocks(E.xi, part), times)
+        avg = CausalAverage(part, times)
         rng = np.random.default_rng(3)
         final = rng.standard_normal((9, 1) + grid.shape) + 0j
+
+        def full(n):
+            return [np.tensordot(w[n], final, axes=(0, 0)) * part.low_mask(i - 1)
+                    for i, w in enumerate(avg.weights, start=1)]
+
         for n in range(9):
-            machine.set_f(n, SpectralField(grid, 2.0 * final[n]))
-            machine._low_avg(n, 1)
-            machine.set_f(n, SpectralField(grid, final[n]))
-            for i in machine.blocks:
-                ref = np.tensordot(machine.weights[i][n], final, axes=(0, 0)) \
-                    * part.low_mask(i - 1)
-                out = machine._low_avg(n, i)
-                assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-            machine.freeze(n)
+            avg.at(n, SpectralField(grid, 2.0 * final[n]))
+            out = avg.at(n, SpectralField(grid, final[n]))
+            if n > 0:
+                for p, ref in zip(avg.prev, full(n - 1)):
+                    assert np.max(np.abs(p - ref)) <= 1e-13 * np.max(np.abs(ref))
+            for q, ref in zip(out, full(n)):
+                assert np.max(np.abs(q - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("c_eps", [0.7, 0.0])
     def test_regularized_solve_matches_the_plain_product_drift(self, c_eps):
