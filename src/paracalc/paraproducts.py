@@ -69,15 +69,6 @@ class NonlinearFunction:
             raise ValueError(f"{self.name}: derivative of order {order} not registered")
         return _pointwise(fn, u)
 
-    def shifted(self, base: SpectralField) -> "NonlinearFunction":
-        """The map w -> F(base + w), with derivatives, base a fixed field.
-
-        Returned object only supports evaluation through fields sharing
-        base's grid (it closes over base's oversampled values).
-        """
-        bv = oversampled_values(base)
-        return self._wrapped(lambda g: lambda x: g(bv + x), f"{self.name}(base+.)")
-
     def _wrapped(self, wrap, name: str) -> "NonlinearFunction":
         """F with each registered callable g (F and its derivatives)
         replaced by wrap(g)."""

@@ -22,7 +22,7 @@ from .grid import (FieldPath, SpectralField, TorusGrid, dealiased_product,
                    field_from_oversampled, oversampled_values)
 from .noise import default_time_cutoff
 from .paraproducts import (Blocks, CausalAverage, NonlinearFunction, commutator_C,
-                           para_gt, para_lt, pi_F, pi_times, resonant)
+                           para_gt, para_lt, pi_F, resonant)
 from .partition import DyadicPartition, radial_cutoff
 from .spectral import antiderivative, besov_norm, default_partition, derivative, lp_block
 
@@ -112,31 +112,22 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
     dphi = derivative(phi, 0)
     bump, bump_mean = _seam_bump(grid)
     xi_b, theta_b, phi_b = (Blocks(f, part) for f in (xi, theta, phi))
-    phi_res_xi = resonant(phi_b, xi_b, part)
+    area = eta - resonant(theta_b, xi_b, part)
 
     u = SpectralField.constant(grid, u0)
-    u0f = SpectralField.constant(grid, u0)
-    F_shift = F.shifted(u0f)
     residual = math.inf
     it = 0
     for it in range(1, cfg.fp_max + 1):
         ub = Blocks(u, part)
         Fu = Blocks(F(ub), part)
-        dFu = F.deriv(ub)
         para = para_lt(Fu, theta_b, part)
         phi_para = phi_b.times(para)
-        usharp = u - phi_para
 
-        # chain-rule expansion of the resonant part; the derivative factor
-        # multiplies every piece coming from (u - u0) @ xi
-        terms = para_gt(Fu, xi_b, part)
-        terms = terms + pi_F(F_shift, u - u0f, xi_b, part)
-        inner = resonant(usharp - u0f, xi_b, part)
-        inner = inner + dealiased_product(para, phi_res_xi)
-        inner = inner + pi_times(phi_b, para, xi_b, part)
-        inner = inner + phi_b.times(commutator_C(Fu, theta_b, xi_b, part))
-        inner = inner + phi_b.times(Fu.times(eta))
-        terms = terms + dealiased_product(dFu, inner)
+        # the chain-rule expansion of the resonant part telescopes: every
+        # piece coming from (u - u0) @ xi cancels, and the area enters only
+        # through eta - theta @ xi
+        terms = para_gt(Fu, xi_b, part) + resonant(Fu, xi_b, part)
+        terms = terms + dealiased_product(F.deriv(ub), phi_b.times(Fu.times(area)))
         terms = terms - para_lt(derivative(Fu.field, 0), theta_b, part)
 
         rhs = phi_b.times(terms) - dealiased_product(dphi, para)
@@ -257,20 +248,19 @@ def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
 
 # -- fractional Burgers -----------------------------------------------
 
-def burgers_drift(w: SpectralField, theta: Blocks, dtheta: Blocks, eta: Blocks,
+def burgers_drift(w: SpectralField, theta: SpectralField, area: Blocks,
                   G: NonlinearFunction, part: DyadicPartition) -> SpectralField:
-    """Paracontrolled drift G(theta + w) d_x(theta + w), with the singular
-    resonant part routed through the supplied area eta = theta @ d_x theta.
-    theta, its derivative dtheta and eta at the node come as `Blocks`
-    holders, so the inner iteration transforms them once."""
-    v = Blocks(theta.field + w, part)
-    Gv = Blocks(G(v), part)
-    dGv = Blocks(G.deriv(v), part)
-    drift = para_lt(Gv, dtheta, part) + para_gt(Gv, dtheta, part)
-    drift = drift + resonant(Gv.field - para_lt(dGv, theta, part), dtheta, part)
-    drift = drift + commutator_C(dGv, theta, dtheta, part)
-    drift = drift + dGv.times(eta)
-    return drift + Gv.times(derivative(w, 0))
+    """Paracontrolled drift G(v) d_x v at one node, v = theta + w.
+
+    Its Bony expansion, with the singular resonant part routed through the
+    supplied area eta = theta @ d_x theta, telescopes to the renormalized
+    product G(v) d_x v + G'(v) (eta - theta @ d_x theta); `area` holds
+    eta - theta @ d_x theta at the node."""
+    v = theta + w
+    vb = Blocks(v, part)
+    out = Blocks(G(vb), part).values() * oversampled_values(derivative(v, 0))
+    out = out + oversampled_values(G.deriv(vb)) * area.values()
+    return field_from_oversampled(v.grid, out)
 
 
 def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
@@ -293,13 +283,13 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
     theta = [f.channel(0) for f in theta_path.fields]
     eta = [f.channel(0) for f in eta_path.fields]
 
-    # the march asks for nodes n and n + 1 in turn; keep only their holders
+    # the march asks for nodes n and n + 1 in turn; keep only their areas
     @functools.lru_cache(maxsize=2)
     def held(n):
-        return [Blocks(f, part) for f in (theta[n], derivative(theta[n], 0), eta[n])]
+        return Blocks(eta[n] - resonant(theta[n], derivative(theta[n], 0), part), part)
 
     w_path, worst_it, worst_res = trapezoid_exponential_path(
-        grid, cfg.sigma, u0, lambda n, w: burgers_drift(w, *held(n), G, part),
+        grid, cfg.sigma, u0, lambda n, w: burgers_drift(w, theta[n], held(n), G, part),
         M * theta_path.dt, M, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
         damping=cfg.damping)
     u_path = FieldPath(theta_path.times, [a + b for a, b in zip(theta, w_path.fields)])
@@ -314,53 +304,47 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
 # -- 2-d multiplicative heat equation ---------------------------------
 
 def pam_drift_sharp(avg: CausalAverage, n: int, u: SpectralField,
-                    theta: Blocks, xi: Blocks, eta: Blocks, heat,
+                    theta: Blocks, xi: Blocks, eta: Blocks, theta_xi: Blocks, heat,
                     F: NonlinearFunction, part: DyadicPartition):
     """Driving term of the remainder at node n, given u at that node.
 
     `avg` holds the causal averages of F(u) along the solve, node n - 1
-    being the last frozen one.  The resonant product of F(u) with the rough
-    xi is expanded so that the only genuinely singular piece is carried by
-    the supplied area eta.  The fixed theta, xi and eta come as `Blocks`
-    holders, and `heat` = (|k|^2, [i k per axis], {i: grad Delta_i theta
-    values}), all built once per solve.  Returns (drift, F(u) << theta) so
-    the caller can rebuild u.
+    being the last frozen one.  The fixed theta, xi, eta and theta @ xi
+    come as `Blocks` holders, and `heat` = (|k|^2, [i k per axis],
+    {i: grad Delta_i theta values}), all built once per solve.  Returns
+    (drift, F(u) << theta) so the caller can rebuild u.
 
-    The heat defect -[L(F(u) << theta) - F(u) << xi] follows the product
-    rule: each scale contributes -(L S Q f) Delta theta
-    + 2 grad(S Q f) . grad(Delta theta), using that L theta = xi kills the
-    remaining term.  The time part of L S Q f is a backward difference of
-    the averages (zero at the initial node, where the clamped history is
-    constant)."""
+    The drift is the heat defect -[L(F(u) << theta) - F(u) << xi] plus
+    the renormalized product F(u) xi - F(u) << xi.  The paracontrolled
+    expansion of that product into paraproducts, commutators and the area
+    telescopes on the grid to
+    F(u) xi - F'(u) (F(u) (theta @ xi)) + eta (F'(u) F(u)),
+    associated as written, since truncated products are not associative.
+
+    The heat defect follows the product rule: each scale contributes
+    -(L S Q f) Delta theta + 2 grad(S Q f) . grad(Delta theta), using that
+    L theta = xi kills the remaining term.  The time part of L S Q f is a
+    backward difference of the averages (zero at the initial node, where
+    the clamped history is constant).  Every term is summed in real space
+    before one forward transform."""
     grid = u.grid
     ub = Blocks(u, part)
-    Fu = F(ub)
-    dFu = F.deriv(ub)
+    fb, db = Blocks(F(ub), part), Blocks(F.deriv(ub), part)
     lap, ik, grad_theta = heat
     dt = avg.times[1] - avg.times[0]
     values = lambda c: oversampled_values(SpectralField(grid, c))
-    ptt = pxi = defect = 0.0
-    for i, lq in enumerate(avg.at(n, Fu), start=1):
+    ptt = drift = 0.0
+    for i, lq in enumerate(avg.at(n, fb.field), start=1):
         v = values(lq)
         ptt = ptt + v * theta.block(i)
-        pxi = pxi + v * xi.block(i)
         dt_lq = (lq - avg.prev[i - 1]) / dt if n > 0 else 0.0
-        defect = defect - values(dt_lq + lq * lap) * theta.block(i)
+        drift = drift - v * xi.block(i) - values(dt_lq + lq * lap) * theta.block(i)
         for k, g in zip(ik, grad_theta[i]):
-            defect = defect + 2.0 * values(lq * k) * g
-    ptt, ptt_xi, defect = (field_from_oversampled(grid, v) for v in (ptt, pxi, defect))
-    fb, db, pb = Blocks(Fu, part), Blocks(dFu, part), Blocks(ptt, part)
-
-    drift = defect
-    drift = drift + para_lt(fb, xi, part) - ptt_xi
-    drift = drift + para_gt(fb, xi, part)
-    # the resonant product, term by term
-    drift = drift + resonant(Fu - para_lt(db, pb, part), xi, part)
-    drift = drift + commutator_C(db, pb, xi, part)
-    drift = drift + db.times(resonant(ptt - para_lt(fb, theta, part), xi, part))
-    drift = drift + db.times(commutator_C(fb, theta, xi, part))
-    drift = drift + eta.times(db.times(fb))
-    return drift, ptt
+            drift = drift + 2.0 * values(lq * k) * g
+    drift = drift + fb.values() * xi.values()
+    drift = drift - db.values() * oversampled_values(fb.times(theta_xi))
+    drift = drift + eta.values() * oversampled_values(db.times(fb))
+    return field_from_oversampled(grid, drift), field_from_oversampled(grid, ptt)
 
 
 def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
@@ -387,6 +371,7 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     A, B = _duhamel_weights(z, dt)
 
     held = [Blocks(f, part) for f in (theta, xi, eta)]
+    held.append(Blocks(resonant(held[0], held[1], part), part))
     heat = (lap, [1j * np.broadcast_to(k, grid.shape) for k in grid.freq_mesh()],
             {i: [oversampled_values(derivative(lp_block(theta, i, part), ax))
                  for ax in range(grid.dim)] for i in range(1, part.j_max + 1)})
@@ -410,7 +395,7 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
             cand = ptt1 + sharp_next
             res = float(np.max(np.abs(cand.coeffs - u_next.coeffs)))
             u_next = u_next + (cand - u_next) * cfg.damping
-            if res <= cfg.fp_tol * (1.0 + u_next.sup_norm()):
+            if res <= cfg.fp_tol * (1.0 + u_next.sup_norm()) or not math.isfinite(res):
                 break
         if not np.isfinite(res) or res > cfg.fp_tol * (1.0 + u_next.sup_norm()):
             raise RuntimeError(

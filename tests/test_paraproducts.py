@@ -83,14 +83,6 @@ class TestNonlinearFunction:
         ref = SpectralField.from_function(grid1d, lambda x: np.cos(3 * x) ** 2)
         assert (F(f) - ref).sup_norm() < 1e-12
 
-    def test_shifted_composition(self, grid1d):
-        F = tanh_fn(0.5)
-        base = SpectralField.constant(grid1d, 0.3)
-        G = F.shifted(base)
-        f = SpectralField.from_function(grid1d, lambda x: 0.1 * np.sin(x))
-        ref = np.tanh(0.3 + 0.1 * np.sin(grid1d.points()[0])) * 0.5
-        assert np.max(np.abs(G(f).values()[0] - ref)) < 1e-9
-
     def test_paralinearization_remainder_is_smoother(self, grid1d, part1d):
         # F(f) - F'(f) < f gains regularity: fitted block slope roughly
         # doubles that of f itself
