@@ -337,7 +337,8 @@ class CausalAverage:
     earlier nodes' share, contracted once per node, plus the weight times
     node n.  Node n may be recorded again (a solver revises it inside its
     fixed point); moving on to node n + 1 freezes node n and keeps its
-    averages as `prev`, for backward time differences.
+    averages as `prev`, and those of node n - 1 as `prev2`, for backward
+    time differences.
     """
 
     def __init__(self, part: DyadicPartition, times: np.ndarray):
@@ -349,13 +350,14 @@ class CausalAverage:
         self.node = None
         self.share = []     # the earlier nodes' share of each average at `node`
         self.prev = None    # the averages at the node before `node`
+        self.prev2 = None   # ... and at the node before that
 
     def at(self, n: int, f: SpectralField) -> list[np.ndarray]:
         if self.hist is None:
             self.hist = np.zeros((len(self.times),) + f.coeffs.shape, dtype=np.complex128)
         if n != self.node:
             if self.node is not None:
-                self.prev = self._averages(self.node)
+                self.prev2, self.prev = self.prev, self._averages(self.node)
             self.node = n
             self.share = []
             for w in self.weights:

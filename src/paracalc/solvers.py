@@ -323,10 +323,11 @@ def pam_drift_sharp(avg: CausalAverage, n: int, u: SpectralField,
 
     The heat defect follows the product rule: each scale contributes
     -(L S Q f) Delta theta + 2 grad(S Q f) . grad(Delta theta), using that
-    L theta = xi kills the remaining term.  The time part of L S Q f is a
-    backward difference of the averages (zero at the initial node, where
-    the clamped history is constant).  Every term is summed in real space
-    before one forward transform."""
+    L theta = xi kills the remaining term.  The time part of L S Q f is
+    the second-order backward difference (BDF2) of the averages from node
+    2 on, the first-order one at node 1, and zero at the initial node,
+    where the clamped history is constant.  Every term is summed in real
+    space before one forward transform."""
     grid = u.grid
     ub = Blocks(u, part)
     fb, db = Blocks(F(ub), part), Blocks(F.deriv(ub), part)
@@ -337,7 +338,12 @@ def pam_drift_sharp(avg: CausalAverage, n: int, u: SpectralField,
     for i, lq in enumerate(avg.at(n, fb.field), start=1):
         v = values(lq)
         ptt = ptt + v * theta.block(i)
-        dt_lq = (lq - avg.prev[i - 1]) / dt if n > 0 else 0.0
+        if n == 0:
+            dt_lq = 0.0
+        elif n == 1:
+            dt_lq = (lq - avg.prev[i - 1]) / dt
+        else:
+            dt_lq = (3.0 * lq - 4.0 * avg.prev[i - 1] + avg.prev2[i - 1]) / (2.0 * dt)
         drift = drift - v * xi.block(i) - values(dt_lq + lq * lap) * theta.block(i)
         for k, g in zip(ik, grad_theta[i]):
             drift = drift + 2.0 * values(lq * k) * g
