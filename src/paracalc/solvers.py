@@ -258,7 +258,7 @@ def burgers_drift(w: SpectralField, theta: SpectralField, area: Blocks,
     eta - theta @ d_x theta at the node."""
     v = theta + w
     vb = Blocks(v, part)
-    out = Blocks(G(vb), part).values() * oversampled_values(derivative(v, 0))
+    out = oversampled_values(G(vb)) * oversampled_values(derivative(v, 0))
     out = out + oversampled_values(G.deriv(vb)) * area.values()
     return field_from_oversampled(v.grid, out)
 
