@@ -15,13 +15,13 @@ from .noise import (BUMP_MOLLIFIER, DIRAC_MOLLIFIER, GAUSS_MOLLIFIER, MOLLIFIERS
                     Mollifier, NoiseSeed, burgers_theta_path, default_time_cutoff,
                     fbm_path, mollify, pam_theta, rde_driver, sample_line_path,
                     spatial_white_noise)
-from .enhanced import (EnhancedNoise, RenormConstants, burgers_area,
-                       enhanced_translate, pam_area_by_time_integral, pam_c_eps,
-                       pam_gt, pam_mean_adjusted_area, pam_renormalized_area,
-                       pair_resonant, rde_area, rough_area_check, sym_antisym_split)
-from .evolution import SemigroupSpec, apply_L, duhamel, heat_apply
-from .solvers import (SolverConfig, SolverReport, scaled_function, solve_burgers,
-                      solve_pam, solve_pam_regularized, solve_rde,
-                      solve_rde_resonant_fp, trapezoid_exponential_path)
+from .enhanced import (EnhancedNoise, burgers_area, enhanced_translate,
+                       pam_area_by_time_integral, pam_c_eps, pam_gt, pam_mean_adjusted_area,
+                       pam_renormalized_area, pair_resonant, rde_area, rough_area_check,
+                       sym_antisym_split)
+from .evolution import (SemigroupSpec, apply_L, duhamel, heat_apply,
+                        trapezoid_exponential_path)
+from .solvers import (SolverConfig, SolverReport, solve_burgers, solve_pam,
+                      solve_pam_regularized, solve_rde, solve_rde_resonant_fp)
 
 __version__ = "0.1.0"

@@ -21,15 +21,14 @@ import numpy as np
 
 from .enhanced import (EnhancedNoise, burgers_area, pam_c_eps,
                        pam_renormalized_area, rde_area)
-from .grid import SpectralField, TorusGrid, save_field
+from .evolution import trapezoid_exponential_path
+from .grid import SpectralField, TorusGrid, apply_pointwise, dealiased_product, save_field
 from .noise import (MOLLIFIERS, burgers_theta_path, mollify, pam_theta,
                     rde_driver, sample_line_path, spatial_white_noise)
 from .paraproducts import NonlinearFunction, resonant, poly_function
 from .partition import radial_cutoff
-from .solvers import (SolverConfig, scaled_function, solve_burgers, solve_pam,
-                      solve_pam_regularized, solve_rde, trapezoid_exponential_path)
+from .solvers import SolverConfig, solve_burgers, solve_pam, solve_pam_regularized, solve_rde
 from .spectral import besov_norm, block_sups, default_partition, derivative
-from .grid import apply_pointwise, dealiased_product
 
 
 def _tanh_function(a: float) -> NonlinearFunction:
@@ -74,32 +73,55 @@ def _meta(args, extra=None) -> dict:
     return d
 
 
+def _burgers_theta(args):
+    """The Burgers driver path of --seed, mollified at the first --eps if given."""
+    theta = burgers_theta_path(TorusGrid(1, args.n), args.sigma, args.horizon,
+                               args.time_steps, 1, args.seed)
+    if args.eps:
+        theta = mollify(theta, args.eps[0], MOLLIFIERS[args.mollifier])
+    return theta
+
+
+def _rde_theta(args, seed: int, eps: float | None):
+    """The localized line driver on the time-line torus, mollified at eps
+    if given, and its time cutoff."""
+    grid = TorusGrid(1, args.n, 2 * math.pi * args.embedding)
+    cutoff = lambda t: radial_cutoff(t, args.support / 2.0, args.support)
+    ts, xs = sample_line_path(grid, args.hurst, seed, support=args.support)
+    theta = rde_driver(ts, xs, grid, cutoff).theta
+    if eps:
+        theta = mollify(theta, eps, MOLLIFIERS[args.mollifier])
+    return theta, cutoff
+
+
+def _rde_enhanced(args, seed: int, eps: float | None):
+    theta, cutoff = _rde_theta(args, seed, eps)
+    part = default_partition(theta.grid)
+    xi = derivative(theta, 0)
+    return EnhancedNoise("rde", xi, theta, rde_area(theta, xi, part)), part, cutoff
+
+
 # -- subcommands ------------------------------------------------------
 
 def cmd_noise(args) -> int:
     out = _outdir(args)
     if args.kind == "pam":
-        grid = TorusGrid(2, args.n)
-        f = spatial_white_noise(grid, args.seed)
+        f = spatial_white_noise(TorusGrid(2, args.n), args.seed)
         if args.eps:
             f = mollify(f, args.eps[0], MOLLIFIERS[args.mollifier])
-        save_field(out / "noise.field", f)
     elif args.kind == "burgers":
-        grid = TorusGrid(1, args.n)
-        path = burgers_theta_path(grid, args.sigma, args.horizon,
-                                  args.time_steps, 1, args.seed)
-        save_field(out / "noise.field", path)
+        f = _burgers_theta(args)
     else:  # rde
-        grid = TorusGrid(1, args.n, 2 * math.pi * args.embedding)
-        ts, xs = sample_line_path(grid, args.hurst, args.seed)
-        drv = rde_driver(ts, xs, grid)
-        save_field(out / "noise.field", drv.theta)
+        f = _rde_theta(args, args.seed, args.eps[0] if args.eps else None)[0]
+    save_field(out / "noise.field", f)
     (out / "noise.json").write_text(json.dumps(_meta(args), indent=2, sort_keys=True))
     print(f"wrote {out / 'noise.field'}")
     return 0
 
 
 def cmd_renorm(args) -> int:
+    if not args.eps:
+        raise ValueError("renorm needs --eps values")
     grid = TorusGrid(2, args.n)
     psi = MOLLIFIERS[args.mollifier]
     part = default_partition(grid)
@@ -139,12 +161,8 @@ def cmd_renorm(args) -> int:
 def cmd_area(args) -> int:
     out = _outdir(args)
     if args.kind == "burgers":
-        grid = TorusGrid(1, args.n)
-        part = default_partition(grid)
-        theta = burgers_theta_path(grid, args.sigma, args.horizon,
-                                   args.time_steps, 1, args.seed)
-        if args.eps:
-            theta = mollify(theta, args.eps[0], MOLLIFIERS[args.mollifier])
+        theta = _burgers_theta(args)
+        part = default_partition(theta.grid)
         area = burgers_area(theta, part)
         save_field(out / "area.field", area)
         sups = block_sups(area[-1], part)
@@ -165,27 +183,10 @@ def cmd_area(args) -> int:
     return 0
 
 
-def _rde_enhanced(n: int, hurst: float, seed: int, eps: float | None,
-                  mollifier: str, embedding: float, support: float):
-    grid = TorusGrid(1, n, 2 * math.pi * embedding)
-    part = default_partition(grid)
-    cutoff = lambda t: radial_cutoff(t, support / 2.0, support)
-    ts, xs = sample_line_path(grid, hurst, seed, support=support)
-    drv = rde_driver(ts, xs, grid, cutoff)
-    theta = drv.theta
-    if eps:
-        theta = mollify(theta, eps, MOLLIFIERS[mollifier])
-    xi = derivative(theta, 0)
-    E = EnhancedNoise("rde", xi, theta, rde_area(theta, xi, part))
-    return E, part, cutoff
-
-
 def cmd_solve_rde(args) -> int:
     out = _outdir(args)
-    E, part, cutoff = _rde_enhanced(args.n, args.hurst, args.seed,
-                                    args.eps[0] if args.eps else None,
-                                    args.mollifier, args.embedding, args.support)
-    F = scaled_function(_tanh_function(args.amplitude), args.lam ** args.alpha)
+    E, part, cutoff = _rde_enhanced(args, args.seed, args.eps[0] if args.eps else None)
+    F = _tanh_function(args.amplitude * args.lam ** args.alpha)
     cfg = SolverConfig(alpha=args.alpha, T=args.horizon, M=args.time_steps,
                        damping=args.damping)
     u, usharp, rep = solve_rde(args.u0, E, F, cfg, cutoff, part)
@@ -198,15 +199,11 @@ def cmd_solve_rde(args) -> int:
 
 def cmd_solve_burgers(args) -> int:
     out = _outdir(args)
-    grid = TorusGrid(1, args.n)
-    part = default_partition(grid)
-    theta = burgers_theta_path(grid, args.sigma, args.horizon,
-                               args.time_steps, 1, args.seed)
-    if args.eps:
-        theta = mollify(theta, args.eps[0], MOLLIFIERS[args.mollifier])
+    theta = _burgers_theta(args)
+    part = default_partition(theta.grid)
     E = EnhancedNoise("burgers", None, theta, burgers_area(theta, part))
-    G = scaled_function(_cos_function(args.amplitude), args.lam ** args.alpha)
-    u0 = SpectralField.zero(grid)
+    G = _cos_function(args.amplitude * args.lam ** args.alpha)
+    u0 = SpectralField.zero(theta.grid)
     cfg = SolverConfig(alpha=args.alpha, sigma=args.sigma, T=args.horizon,
                        M=args.time_steps, fp_tol=1e-10,
                        damping=args.damping)
@@ -241,7 +238,7 @@ def cmd_solve_pam(args) -> int:
         print(f"gauge identity relative defect: {rel:.3e}")
         return 0 if rel <= 1e-6 else 2
 
-    F = scaled_function(_tanh_function(args.amplitude), args.lam ** args.alpha)
+    F = _tanh_function(args.amplitude * args.lam ** args.alpha)
     theta = pam_theta(xi)
     eta = pam_renormalized_area(spatial_white_noise(grid, args.seed), eps, psi, part)
     E = EnhancedNoise("pam", xi, theta, eta, c)
@@ -258,11 +255,9 @@ def cmd_solve_pam(args) -> int:
 
 def _study_rde(args, lam: float, seed: int, eps_list):
     sols = []
-    F = scaled_function(_tanh_function(args.amplitude), lam ** args.alpha)
+    F = _tanh_function(args.amplitude * lam ** args.alpha)
     for eps in eps_list:
-        E, part, cutoff = _rde_enhanced(args.n, args.hurst, seed, eps,
-                                        args.mollifier, args.embedding,
-                                        args.support)
+        E, part, cutoff = _rde_enhanced(args, seed, eps)
         cfg = SolverConfig(alpha=args.alpha, fp_tol=1e-8, fp_max=120,
                            damping=args.damping)
         u, _, rep = solve_rde(args.u0, E, F, cfg, cutoff, part)
@@ -279,7 +274,7 @@ def _study_burgers(args, lam: float, seed: int, eps_list):
     theta = burgers_theta_path(grid, args.sigma, args.horizon,
                                args.time_steps, 1, seed)
     psi = MOLLIFIERS[args.mollifier]
-    G = scaled_function(_cos_function(args.amplitude), lam ** args.alpha)
+    G = _cos_function(args.amplitude * lam ** args.alpha)
     u0 = SpectralField.zero(grid)
     sols = []
     for eps in eps_list:
@@ -301,7 +296,7 @@ def _study_pam(args, lam: float, seed: int, eps_list):
     part = default_partition(grid)
     psi = MOLLIFIERS[args.mollifier]
     xi = spatial_white_noise(grid, seed)
-    F = scaled_function(_tanh_function(args.amplitude), lam ** args.alpha)
+    F = _tanh_function(args.amplitude * lam ** args.alpha)
     u0 = SpectralField.constant(grid, args.u0)
     sols = []
     for eps in eps_list:
@@ -316,14 +311,14 @@ def _study_pam(args, lam: float, seed: int, eps_list):
 
 
 def cmd_study(args) -> int:
-    out = _outdir(args)
-    eps_list = list(args.eps)
+    eps_list = list(args.eps or [])
     if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        print("study needs a strictly decreasing eps ladder", file=sys.stderr)
-        return 1
+        raise ValueError("study needs a strictly decreasing --eps ladder")
     if args.seeds < 1:
-        print("study needs at least one seed", file=sys.stderr)
-        return 1
+        raise ValueError("study needs at least one seed")
+    if args.n is None:
+        args.n = _RDE_N if args.equation == "rde" else 64
+    out = _outdir(args)
     runner = {"rde": _study_rde, "burgers": _study_burgers, "pam": _study_pam}[args.equation]
     rows = []
     dists_by_pair = [[] for _ in range(len(eps_list) - 1)]
@@ -361,10 +356,14 @@ def cmd_study(args) -> int:
 
 # -- argument plumbing ------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
+_RDE_N = 256  # 64 points leave one dyadic block on the --embedding times longer torus
+
+
+def _add_common(p: argparse.ArgumentParser, n: int | None = 64):
     p.add_argument("--config", type=str, default=None,
                    help="JSON file whose keys mirror the flags")
-    p.add_argument("--n", type=int, default=64, help="grid points per axis")
+    p.add_argument("--n", type=int, default=n,
+                   help=f"grid points per axis (default 64; {_RDE_N} for the rough ODE)")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.45)
     p.add_argument("--hurst", type=float, default=0.75)
@@ -407,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_area)
 
     p = sub.add_parser("solve-rde", help="paracontrolled rough ODE solve")
-    _add_common(p)
+    _add_common(p, _RDE_N)
     p.set_defaults(func=cmd_solve_rde)
 
     p = sub.add_parser("solve-burgers", help="paracontrolled conservation-law solve")
@@ -422,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="eps-ladder convergence study")
     p.add_argument("--equation", choices=["rde", "burgers", "pam"], required=True)
-    _add_common(p)
+    _add_common(p, None)
     p.set_defaults(func=cmd_study)
     return ap
 

@@ -10,7 +10,7 @@ averages match the constants exactly in expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import simpson
@@ -100,22 +100,6 @@ def pam_c_eps(eps: float, psi: Mollifier, grid: TorusGrid) -> float:
     nz = r > 0
     w = np.asarray(psi(eps * r[nz]), dtype=np.float64)
     return float(np.sum(w * w / r[nz] ** 2) / TWO_PI**2)
-
-
-@dataclass(frozen=True)
-class RenormConstants:
-    """Tabulated renormalization data for one grid and mollifier."""
-
-    grid: TorusGrid
-    psi: Mollifier
-    eps: float
-    c_eps: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "c_eps", pam_c_eps(self.eps, self.psi, self.grid))
-
-    def g(self, t: float) -> float:
-        return pam_gt(t, self.grid)
 
 
 def pam_renormalized_area(xi: SpectralField, eps: float, psi: Mollifier,

@@ -4,11 +4,14 @@ The generator is -(-Laplacian)^sigma, so the parabolic operator in the
 mild formulations is L = d/dt + (-Laplacian)^sigma.  Everything acts
 mode-by-mode, which makes the semigroup exact and lets the Duhamel map
 use an exponential integrator whose only error is the piecewise-linear
-interpolation of the integrand in time.
+interpolation of the integrand in time.  `trapezoid_exponential_path` is
+the one exponential march; `duhamel` is its case of a drift that does not
+depend on the solution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,18 +61,66 @@ def _duhamel_weights(z: np.ndarray, dt: float):
     return np.where(small, A_series, A), np.where(small, B_series, B)
 
 
-def duhamel(v_path: FieldPath, spec: SemigroupSpec) -> FieldPath:
-    """V(t) = int_0^t P_(t-s) v(s) ds along the path's time grid."""
-    dt = v_path.dt
-    mu = spec.symbol()
-    z = mu * dt
+_ADVICE = "halve lambda (dilate the data) or refine the time grid"
+
+
+def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
+                               drift, T: float, M: int,
+                               fp_tol: float = 1e-12, fp_max: int = 50,
+                               damping: float = 1.0, blowup: float = 1e8):
+    """Mild-form march of L u = N(u), L = d/dt + (-Laplacian)^sigma, by the
+    trapezoid-exponential rule, exact per Fourier mode in the linear part.
+
+    `drift(n, u)` is N at time node n for the field u there.  Each step
+    starts from the explicit predictor and runs a damped fixed point on the
+    implicit endpoint until its residual is at most
+    fp_tol * (1 + sup|coeffs|).  fp_tol = math.inf keeps the first
+    corrector, which is explicit ETD2 (Cox & Matthews 2002).
+
+    Returns (path, worst inner iteration count, worst final residual).
+    Raises RuntimeError when a step stalls or leaves the blow-up bound; a
+    non-finite residual ends the inner iteration at once.
+    """
+    spec = SemigroupSpec(sigma, grid)
+    dt = T / M
+    z = spec.symbol() * dt
     decay = np.exp(-z)
     A, B = _duhamel_weights(z, dt)
-    arr = v_path.coeff_array()
-    out = np.zeros_like(arr)
-    for n in range(len(arr) - 1):
-        out[n + 1] = out[n] * decay + arr[n] * (A - B) + arr[n + 1] * B
-    return FieldPath.from_coeff_array(v_path.times, v_path.grid, out)
+    fields = [u0]
+    c = u0.coeffs
+    worst_it, worst_res = 0, 0.0
+    for n in range(M):
+        d0 = drift(n, SpectralField(grid, c)).coeffs
+        base = c * decay + d0 * (A - B)
+        nxt = c * decay + d0 * A
+        res = math.inf
+        for k in range(1, fp_max + 1):
+            d1 = drift(n + 1, SpectralField(grid, nxt)).coeffs
+            cand = base + d1 * B
+            res = float(np.max(np.abs(cand - nxt)))
+            nxt = nxt + (cand - nxt) * damping
+            if res <= fp_tol * (1.0 + np.max(np.abs(nxt))) or not math.isfinite(res):
+                break
+        else:
+            raise RuntimeError(f"step {n}: inner fixed point stalled at "
+                               f"residual {res:.3g}; {_ADVICE}")
+        c = nxt
+        if not np.isfinite(c).all() or np.max(np.abs(c)) > blowup:
+            raise RuntimeError(f"step {n}: solution exceeded the blow-up bound "
+                               f"{blowup:.3g}; {_ADVICE}")
+        worst_it, worst_res = max(worst_it, k), max(worst_res, res)
+        fields.append(SpectralField(grid, c))
+    return FieldPath(np.arange(M + 1) * dt, fields), worst_it, worst_res
+
+
+def duhamel(v_path: FieldPath, spec: SemigroupSpec) -> FieldPath:
+    """V(t) = int_0^t P_(t-s) v(s) ds along the path's time grid: the march
+    from zero with the drift v, which ignores its field."""
+    M = len(v_path) - 1
+    path, _, _ = trapezoid_exponential_path(
+        spec.grid, spec.sigma, SpectralField.zero(spec.grid, v_path.channels),
+        lambda n, _: v_path[n], M * v_path.dt, M, fp_tol=math.inf, blowup=math.inf)
+    return FieldPath(v_path.times, path.fields)
 
 
 def path_time_derivative(path: FieldPath) -> FieldPath:

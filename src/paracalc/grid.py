@@ -71,9 +71,6 @@ class TorusGrid:
             return (x,)
         return (x[:, None], x[None, :])
 
-    def scaled(self, factor: float) -> "TorusGrid":
-        return TorusGrid(self.dim, self.n, self.period * factor)
-
 
 def _conj_index(n: int) -> np.ndarray:
     """Index map i -> (-i) mod n along one FFT axis."""
@@ -97,7 +94,7 @@ class SpectralField:
 
     __slots__ = ("grid", "coeffs")
 
-    def __init__(self, grid: TorusGrid, coeffs: np.ndarray, check: bool = False):
+    def __init__(self, grid: TorusGrid, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.ndim == grid.dim:
             coeffs = coeffs[None]
@@ -105,8 +102,6 @@ class SpectralField:
             raise ValueError(f"coefficient shape {coeffs.shape} does not match grid {grid.shape}")
         self.grid = grid
         self.coeffs = coeffs
-        if check and not self.is_hermitian():
-            raise ValueError("coefficients are not Hermitian-symmetric")
 
     # -- constructors -------------------------------------------------
 
@@ -205,9 +200,6 @@ class SpectralField:
     def channel(self, i: int) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs[i:i + 1])
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
 
 def _check_same_grid(f: SpectralField, g: SpectralField):
     if f.grid != g.grid:
@@ -285,21 +277,26 @@ def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField
     return SpectralField(grid, c)
 
 
-def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
+def _oversampled(f) -> np.ndarray:
+    """Oversampled values of a field, or those its `Blocks` holder keeps."""
+    return oversampled_values(f) if isinstance(f, SpectralField) else f.values()
+
+
+def dealiased_product(f, g) -> SpectralField:
     """Pointwise product evaluated on a 2x-oversampled grid and truncated.
 
     Exact (no aliasing) on the retained modes for band-limited inputs.
-    Channel counts must match, or one factor must be single-channel.
+    Channel counts must match, or one factor must be single-channel.  Each
+    factor is a field or its `Blocks` holder, whose held values are used.
     """
     _check_same_grid(f, g)
-    fv = oversampled_values(f)
-    gv = oversampled_values(g)
-    return field_from_oversampled(f.grid, fv * gv)
+    return field_from_oversampled(f.grid, _oversampled(f) * _oversampled(g))
 
 
-def apply_pointwise(fn, f: SpectralField) -> SpectralField:
-    """Apply a scalar function pointwise on the oversampled grid, then truncate."""
-    return field_from_oversampled(f.grid, fn(oversampled_values(f)))
+def apply_pointwise(fn, f) -> SpectralField:
+    """Apply a scalar function pointwise on the oversampled grid, then
+    truncate; f is a field or its `Blocks` holder."""
+    return field_from_oversampled(f.grid, fn(_oversampled(f)))
 
 
 # -- time-indexed paths -----------------------------------------------

@@ -34,13 +34,13 @@ class NonlinearFunction:
     of `f` at registration, so a mistyped derivative fails fast.
     """
 
-    def __init__(self, f, d1=None, d2=None, d3=None, name="F", validate=True):
+    def __init__(self, f, d1=None, d2=None, d3=None, name="F"):
         self.f = f
         self.d1 = d1
         self.d2 = d2
         self.d3 = d3
         self.name = name
-        if validate and d1 is not None:
+        if d1 is not None:
             self._validate()
 
     def _validate(self):
@@ -61,26 +61,13 @@ class NonlinearFunction:
     def __call__(self, u) -> SpectralField:
         """F(u) for a field u or its `Blocks`; a holder lends its held
         values, so F(u) and F'(u) share one transform of u."""
-        return _pointwise(self.f, u)
+        return apply_pointwise(self.f, u)
 
     def deriv(self, u, order: int = 1) -> SpectralField:
         fn = (self.d1, self.d2, self.d3)[order - 1]
         if fn is None:
             raise ValueError(f"{self.name}: derivative of order {order} not registered")
-        return _pointwise(fn, u)
-
-    def _wrapped(self, wrap, name: str) -> "NonlinearFunction":
-        """F with each registered callable g (F and its derivatives)
-        replaced by wrap(g)."""
-        mk = lambda g: None if g is None else wrap(g)
-        return NonlinearFunction(mk(self.f), mk(self.d1), mk(self.d2), mk(self.d3),
-                                 name=name, validate=False)
-
-
-def _pointwise(fn, u) -> SpectralField:
-    if isinstance(u, Blocks):
-        return field_from_oversampled(u.grid, fn(u.values()))
-    return apply_pointwise(fn, u)
+        return apply_pointwise(fn, u)
 
 
 def poly_function(coeffs, name="poly") -> NonlinearFunction:
@@ -100,7 +87,8 @@ class Blocks:
     sums S_j f are running sums of the block values, exact by linearity.
     `para_lt`, `para_gt`, `resonant`, `commutator_C` and `pi_F` take a
     holder in place of any field argument and build one for a plain field;
-    a `NonlinearFunction` evaluated on a holder uses its held values.
+    `dealiased_product`, `apply_pointwise` and so a `NonlinearFunction` use
+    a holder's held values.
     """
 
     __slots__ = ("field", "part", "_blocks", "_values")
@@ -139,11 +127,6 @@ class Blocks:
         if self._values is None:
             self._values = oversampled_values(self.field)
         return self._values
-
-    def times(self, g) -> SpectralField:
-        """Dealiased product of f with g, a field or its holder."""
-        gv = g.values() if isinstance(g, Blocks) else oversampled_values(g)
-        return field_from_oversampled(self.grid, self.values() * gv)
 
 
 def _holders(part: DyadicPartition | None, *args) -> list[Blocks]:
@@ -200,7 +183,7 @@ def bony_remainder(f: SpectralField, g: SpectralField,
 def commutator_C(f, g, h, part: DyadicPartition | None = None) -> SpectralField:
     """Resonant commutator (f<g)@h - f*(g@h); arguments as for `para_lt`."""
     fb, gb, hb = _holders(part, f, g, h)
-    return resonant(para_lt(fb, gb), hb) - fb.times(resonant(gb, hb))
+    return resonant(para_lt(fb, gb), hb) - dealiased_product(fb, resonant(gb, hb))
 
 
 def paralin_remainder(F: NonlinearFunction, f: SpectralField) -> SpectralField:
@@ -258,17 +241,16 @@ def controlled_product(P: ParacontrolledField, w: SpectralField,
 
     For smooth w and eta = reference@w this reproduces the dealiased
     pointwise product; for rough w it is the definition of the product.
+    The paracontrolled expansion (Bony trio, Pi_F, commutator, area)
+    telescopes on the grid to
+    F(u) w - F'(u) (u' (reference @ w)) + (F'(u) u') eta,
+    associated as written, since truncated products are not associative.
     """
-    part = part or default_partition(P.u.grid)
-    u, up = Blocks(P.u, part), P.uprime
-    Fu = Blocks(F(u), part)
-    wb = Blocks(w, part)
-    dFu = F.deriv(u)
-    out = para_lt(Fu, wb, part) + para_gt(Fu, wb, part) + pi_F(F, u, wb, part)
-    out = out + dealiased_product(dFu, resonant(P.usharp, wb, part))
-    out = out + dealiased_product(dFu, commutator_C(up, P.reference, wb, part))
-    out = out + dealiased_product(dealiased_product(dFu, up), eta)
-    return out
+    u = Blocks(P.u, part)
+    dFu = Blocks(F.deriv(u), u.part)
+    up_ref_w = dealiased_product(P.uprime, resonant(P.reference, w, u.part))
+    out = dealiased_product(F(u), w) - dealiased_product(dFu, up_ref_w)
+    return out + dealiased_product(dealiased_product(dFu, P.uprime), eta)
 
 
 # -- time-mollified paraproduct ---------------------------------------

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .enhanced import EnhancedNoise
-from .evolution import SemigroupSpec, _duhamel_weights
+from .evolution import _ADVICE, SemigroupSpec, _duhamel_weights, trapezoid_exponential_path
 from .grid import (FieldPath, SpectralField, TorusGrid, dealiased_product,
                    field_from_oversampled, oversampled_values)
 from .noise import default_time_cutoff
-from .paraproducts import (Blocks, CausalAverage, NonlinearFunction, commutator_C,
-                           para_gt, para_lt, pi_F, resonant)
+from .paraproducts import Blocks, CausalAverage, NonlinearFunction, para_gt, para_lt, resonant
 from .partition import DyadicPartition, radial_cutoff
 from .spectral import antiderivative, besov_norm, default_partition, derivative, lp_block
 
@@ -36,13 +35,10 @@ class SolverConfig:
     fp_tol: float = 1e-9
     fp_max: int = 80
     damping: float = 0.5
-    beta: float | None = None  # second parabolic exponent; defaults to alpha
 
     def __post_init__(self):
         if self.fp_tol <= 0 or not 0 < self.damping <= 1:
             raise ValueError("bad fixed-point configuration")
-        if self.beta is None:
-            self.beta = self.alpha
 
 
 @dataclass
@@ -59,10 +55,6 @@ class SolverReport:
                            "residual": float(self.residual),
                            "norms": {k: float(v) for k, v in self.norms.items()},
                            "advice": self.advice}, indent=2, sort_keys=True)
-
-
-def scaled_function(F: NonlinearFunction, s: float) -> NonlinearFunction:
-    return F._wrapped(lambda g: lambda x: s * g(x), f"{s}*{F.name}")
 
 
 # -- rough ODE --------------------------------------------------------
@@ -121,16 +113,17 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
         ub = Blocks(u, part)
         Fu = Blocks(F(ub), part)
         para = para_lt(Fu, theta_b, part)
-        phi_para = phi_b.times(para)
+        phi_para = dealiased_product(phi_b, para)
 
         # the chain-rule expansion of the resonant part telescopes: every
         # piece coming from (u - u0) @ xi cancels, and the area enters only
         # through eta - theta @ xi
         terms = para_gt(Fu, xi_b, part) + resonant(Fu, xi_b, part)
-        terms = terms + dealiased_product(F.deriv(ub), phi_b.times(Fu.times(area)))
+        terms = terms + dealiased_product(F.deriv(ub),
+                                          dealiased_product(phi_b, dealiased_product(Fu, area)))
         terms = terms - para_lt(derivative(Fu.field, 0), theta_b, part)
 
-        rhs = phi_b.times(terms) - dealiased_product(dphi, para)
+        rhs = dealiased_product(phi_b, terms) - dealiased_product(dphi, para)
         U = _closed_antiderivative(rhs, bump, bump_mean)
         sharp0 = u0 - float(phi_para.eval_at(np.zeros(1))[0, 0])
         candidate = phi_para + U + SpectralField.constant(grid, sharp0)
@@ -140,7 +133,7 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
         if residual <= cfg.fp_tol * (1.0 + u.sup_norm()):
             break
 
-    phi_para = phi_b.times(para_lt(F(u), theta_b, part))
+    phi_para = dealiased_product(phi_b, para_lt(F(u), theta_b, part))
     usharp = u - phi_para
     converged = residual <= cfg.fp_tol * (1.0 + u.sup_norm())
     norms = {
@@ -162,25 +155,24 @@ def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
     relation it satisfies along solutions, by damped fixed point:
 
         y = Phi - (F'(u) y) @ theta,
-        Phi = d/dt(u @ theta) - F(u)(xi @ theta) - C(F(u), xi, theta)
-              - Pi_F(u, xi) @ theta - (F(u) above xi) @ theta.
+        Phi = d/dt(u @ theta) - (F(u) xi - F'(u) (u @ xi)) @ theta.
+
+    Phi is the telescoped form of the expansion
+    d/dt(u @ theta) - F(u)(xi @ theta) - C(F(u), xi, theta)
+    - Pi_F(u, xi) @ theta - (F(u) above xi) @ theta.
     """
-    grid = u.grid
-    part = part or default_partition(grid)
+    part = part or default_partition(u.grid)
     xi, theta = Blocks(E.xi, part), Blocks(E.theta, part)
     u = Blocks(u, part)
-    Fu = Blocks(F(u), part)
     dFu = Blocks(F.deriv(u), part)
     Phi = derivative(resonant(u, theta, part), 0)
-    Phi = Phi - Fu.times(resonant(xi, theta, part))
-    Phi = Phi - commutator_C(Fu, xi, theta, part)
-    Phi = Phi - resonant(pi_F(F, u, xi, part), theta, part)
-    Phi = Phi - resonant(para_gt(Fu, xi, part), theta, part)
+    Phi = Phi - resonant(dealiased_product(F(u), xi)
+                         - dealiased_product(dFu, resonant(u, xi, part)), theta, part)
 
     y = Phi
     prev = math.inf
     for _ in range(cfg.fp_max):
-        cand = Phi - resonant(dFu.times(y), theta, part)
+        cand = Phi - resonant(dealiased_product(dFu, y), theta, part)
         res = float(np.max(np.abs(cand.values() - y.values())))
         y = y + (cand - y) * cfg.damping
         if res <= cfg.fp_tol * (1.0 + y.sup_norm()):
@@ -190,60 +182,6 @@ def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
         prev = res
     raise RuntimeError("resonant fixed point did not contract; "
                        f"theta norm at alpha: {besov_norm(E.theta, cfg.alpha, part):.3g}")
-
-
-# -- the exponential march --------------------------------------------
-
-_ADVICE = "halve lambda (dilate the data) or refine the time grid"
-
-
-def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
-                               drift, T: float, M: int,
-                               fp_tol: float = 1e-12, fp_max: int = 50,
-                               damping: float = 1.0, blowup: float = 1e8):
-    """Mild-form march of L u = N(u), L = d/dt + (-Laplacian)^sigma, by the
-    trapezoid-exponential rule, exact per Fourier mode in the linear part.
-
-    `drift(n, u)` is N at time node n for the field u there.  Each step
-    starts from the explicit predictor and runs a damped fixed point on the
-    implicit endpoint until its residual is at most
-    fp_tol * (1 + sup|coeffs|).  fp_tol = math.inf keeps the first
-    corrector, which is explicit ETD2 (Cox & Matthews 2002).
-
-    Returns (path, worst inner iteration count, worst final residual).
-    Raises RuntimeError when a step stalls or leaves the blow-up bound; a
-    non-finite residual ends the inner iteration at once.
-    """
-    spec = SemigroupSpec(sigma, grid)
-    dt = T / M
-    z = spec.symbol() * dt
-    decay = np.exp(-z)
-    A, B = _duhamel_weights(z, dt)
-    fields = [u0]
-    c = u0.coeffs
-    worst_it, worst_res = 0, 0.0
-    for n in range(M):
-        d0 = drift(n, SpectralField(grid, c)).coeffs
-        base = c * decay + d0 * (A - B)
-        nxt = c * decay + d0 * A
-        res = math.inf
-        for k in range(1, fp_max + 1):
-            d1 = drift(n + 1, SpectralField(grid, nxt)).coeffs
-            cand = base + d1 * B
-            res = float(np.max(np.abs(cand - nxt)))
-            nxt = nxt + (cand - nxt) * damping
-            if res <= fp_tol * (1.0 + np.max(np.abs(nxt))) or not math.isfinite(res):
-                break
-        else:
-            raise RuntimeError(f"step {n}: inner fixed point stalled at "
-                               f"residual {res:.3g}; {_ADVICE}")
-        c = nxt
-        if not np.isfinite(c).all() or np.max(np.abs(c)) > blowup:
-            raise RuntimeError(f"step {n}: solution exceeded the blow-up bound "
-                               f"{blowup:.3g}; {_ADVICE}")
-        worst_it, worst_res = max(worst_it, k), max(worst_res, res)
-        fields.append(SpectralField(grid, c))
-    return FieldPath(np.arange(M + 1) * dt, fields), worst_it, worst_res
 
 
 # -- fractional Burgers -----------------------------------------------
@@ -348,8 +286,8 @@ def pam_drift_sharp(avg: CausalAverage, n: int, u: SpectralField,
         for k, g in zip(ik, grad_theta[i]):
             drift = drift + 2.0 * values(lq * k) * g
     drift = drift + fb.values() * xi.values()
-    drift = drift - db.values() * oversampled_values(fb.times(theta_xi))
-    drift = drift + eta.values() * oversampled_values(db.times(fb))
+    drift = drift - db.values() * oversampled_values(dealiased_product(fb, theta_xi))
+    drift = drift + eta.values() * oversampled_values(dealiased_product(db, fb))
     return field_from_oversampled(grid, drift), field_from_oversampled(grid, ptt)
 
 
@@ -420,7 +358,7 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     sharp_path = FieldPath(times, sharp_fields)
     norms = {
         "u_final_alpha": besov_norm(u, cfg.alpha, part),
-        "usharp_final_alpha_plus_beta": besov_norm(usharp, cfg.alpha + cfg.beta, part),
+        "usharp_final_2alpha": besov_norm(usharp, 2 * cfg.alpha, part),
         "xi_alpha_minus_2": besov_norm(xi, cfg.alpha - 2, part),
         "theta_alpha": besov_norm(theta, cfg.alpha, part),
     }
@@ -443,9 +381,9 @@ def solve_pam_regularized(u0: SpectralField, xi_eps: SpectralField, c_eps: float
     def drift(n: int, u: SpectralField) -> SpectralField:
         ub = Blocks(u)
         Fu = Blocks(F(ub))
-        out = Fu.times(xi_b)
+        out = dealiased_product(Fu, xi_b)
         if c_eps != 0.0:
-            out = out - Blocks(F.deriv(ub)).times(Fu) * c_eps
+            out = out - dealiased_product(F.deriv(ub), Fu) * c_eps
         return out
 
     return trapezoid_exponential_path(grid, cfg.sigma, u0, drift, cfg.T, cfg.M,

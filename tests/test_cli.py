@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from paracalc import (GAUSS_MOLLIFIER, TorusGrid, load_field, mollify,
-                      pam_c_eps, spatial_white_noise)
+from paracalc import (GAUSS_MOLLIFIER, TorusGrid, burgers_theta_path, load_field, mollify,
+                      pam_c_eps, radial_cutoff, rde_driver, sample_line_path,
+                      spatial_white_noise)
 from paracalc.cli import build_parser, main
 
 
@@ -27,6 +28,19 @@ class TestParsing:
     def test_defaults(self):
         args = build_parser().parse_args(["renorm"])
         assert args.n == 64 and args.alpha == 0.45 and args.lam == 1.0
+
+    def test_rough_ode_default_grid(self):
+        # the time-line torus is --embedding times longer, so 64 points
+        # would leave a single dyadic block
+        assert build_parser().parse_args(["solve-rde"]).n == 256
+        assert build_parser().parse_args(["noise", "--kind", "rde"]).n == 64
+
+    @pytest.mark.parametrize("argv", [["renorm"], ["study", "--equation", "pam"]])
+    def test_missing_eps_exits_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_config_file_overrides_flags(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -108,6 +122,29 @@ class TestNoise:
         assert len(p.times) == 9
         assert p[0].sup_norm() == 0.0
 
+    def test_burgers_noise_honours_eps(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["noise", "--kind", "burgers", "--n", "32", "--sigma", "0.9",
+                   "--time-steps", "8", "--seed", "2", "--eps", "0.25", "--out", str(out)])
+        assert rc == 0
+        ref = mollify(burgers_theta_path(TorusGrid(1, 32), 0.9, 0.25, 8, 1, 2), 0.25,
+                      GAUSS_MOLLIFIER)
+        assert np.array_equal(load_field(out / "noise.field").coeff_array(),
+                              ref.coeff_array())
+
+    @pytest.mark.parametrize("extra, support, eps", [([], 2.0, None),
+                                                     (["--support", "1.5", "--eps", "0.1"],
+                                                      1.5, 0.1)])
+    def test_rde_noise_honours_support_and_eps(self, tmp_path, extra, support, eps):
+        out = tmp_path / "o"
+        assert main(["noise", "--kind", "rde", "--seed", "4", "--out", str(out)] + extra) == 0
+        grid = TorusGrid(1, 64, 8 * np.pi)
+        ts, xs = sample_line_path(grid, 0.75, 4, support=support)
+        ref = rde_driver(ts, xs, grid, lambda t: radial_cutoff(t, support / 2, support)).theta
+        if eps:
+            ref = mollify(ref, eps, GAUSS_MOLLIFIER)
+        assert np.array_equal(load_field(out / "noise.field").coeffs, ref.coeffs)
+
 
 class TestRenorm:
     def test_table_and_checks(self, tmp_path):
@@ -169,6 +206,11 @@ class TestSolves:
         r = load_field(out / "remainder.field")
         assert u.grid.n == 256 and r.grid.n == 256
 
+    def test_rde_solve_runs_at_its_defaults(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["solve-rde", "--out", str(out)]) == 0
+        assert load_field(out / "solution.field").grid.n == 256
+
 
 class TestStudy:
     def test_rejects_increasing_ladder(self, tmp_path):
@@ -180,6 +222,14 @@ class TestStudy:
         rc = main(["study", "--equation", "pam", "--eps", "0.5", "0.25",
                    "--seeds", "0", "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_rde_study_runs_at_its_default_grid(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["study", "--equation", "rde", "--eps", "0.5", "0.25", "--seeds", "1",
+                   "--out", str(out)])
+        assert rc in (0, 2)
+        _, rows = read_csv(out / "study.csv")
+        assert len(rows) == 1 and rows[0][5] == "1"
 
     def test_small_burgers_study_schema(self, tmp_path):
         out = tmp_path / "o"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from paracalc import (DIRAC_MOLLIFIER, GAUSS_MOLLIFIER, EnhancedNoise,
-                      RenormConstants, SpectralField, TorusGrid, burgers_area,
+                      SpectralField, TorusGrid, burgers_area,
                       burgers_theta_path, derivative, enhanced_translate,
                       mollify, pam_area_by_time_integral, pam_c_eps, pam_gt,
                       pam_renormalized_area, pair_resonant, pam_theta,
@@ -56,11 +56,6 @@ class TestConstants:
     def test_divergence_constant_grows_as_eps_shrinks(self, grid2d):
         cs = [pam_c_eps(e, GAUSS_MOLLIFIER, grid2d) for e in (0.5, 0.25, 0.125)]
         assert cs[0] < cs[1] < cs[2]
-
-    def test_renorm_constants_table(self, grid2d):
-        rc = RenormConstants(grid2d, GAUSS_MOLLIFIER, 0.25)
-        assert rc.c_eps == pam_c_eps(0.25, GAUSS_MOLLIFIER, grid2d)
-        assert rc.g(0.3) == pam_gt(0.3, grid2d)
 
 
 class TestPamArea:

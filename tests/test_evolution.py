@@ -107,6 +107,22 @@ class TestDuhamel:
         out = duhamel(path, spec)
         assert out[0].sup_norm() == 0.0
 
+    def test_equals_the_per_mode_recurrence(self, grid2d):
+        # duhamel is the march with a drift that ignores its field, so it is
+        # V_(n+1) = e^(-z) V_n + (A - B) v_n + B v_(n+1) up to rounding
+        spec = SemigroupSpec(0.8, grid2d)
+        times = np.linspace(0.0, 0.3, 13)
+        arr = np.stack([rough_field(grid2d, -0.5, s, channels=2).coeffs for s in range(13)])
+        dt = times[1] - times[0]
+        z = spec.symbol() * dt
+        A, B = _duhamel_weights(z, dt)
+        ref = np.zeros_like(arr)
+        for n in range(12):
+            ref[n + 1] = ref[n] * np.exp(-z) + arr[n] * (A - B) + arr[n + 1] * B
+        out = duhamel(FieldPath.from_coeff_array(times, grid2d, arr), spec)
+        assert np.array_equal(out.times, times)
+        assert np.max(np.abs(out.coeff_array() - ref)) <= 1e-15 * np.max(np.abs(ref))
+
 
 class TestApplyL:
     def test_needs_three_nodes(self, grid1d):

@@ -121,6 +121,19 @@ class TestTrilinear:
         assert pi_F(F, f, g, part1d).sup_norm() < 1e-11
 
 
+def controlled_product_by_terms(P, w, eta, F, part):
+    """`controlled_product` through the paracontrolled expansion:
+    F(u)<w + F(u)>w + Pi_F(u, w) + F'(u)(u# @ w) + F'(u) C(u', ref, w)
+    + (F'(u) u') eta."""
+    u, wb = Blocks(P.u, part), Blocks(w, part)
+    Fu = Blocks(F(u), part)
+    dFu = F.deriv(u)
+    out = para_lt(Fu, wb, part) + para_gt(Fu, wb, part) + pi_F(F, u, wb, part)
+    out = out + dealiased_product(dFu, resonant(P.usharp, wb, part))
+    out = out + dealiased_product(dFu, commutator_C(P.uprime, P.reference, wb, part))
+    return out + dealiased_product(dealiased_product(dFu, P.uprime), eta)
+
+
 class TestControlled:
     def test_ansatz_validation(self, grid1d):
         up = rough_field(grid1d, 1.0, 20)
@@ -144,6 +157,22 @@ class TestControlled:
         lhs = controlled_product(P, w, eta, F, part1d)
         rhs = dealiased_product(F(P.u), w)
         assert (lhs - rhs).sup_norm() < 1e-7 * max(rhs.sup_norm(), 1.0)
+
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 32)])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 10_000), a=st.floats(0.1, 2.0))
+    def test_controlled_product_equals_the_term_by_term_expansion(self, dim, n, seed, a):
+        # rough data and an area unrelated to reference @ w: the telescoped
+        # product is the expansion, to rounding
+        grid = TorusGrid(dim, n)
+        part = default_partition(grid)
+        up, ref, sharp, w, eta = (rough_field(grid, al, seed + k) for k, al
+                                  in enumerate((0.45, 0.9, 1.8, -0.6, -0.2)))
+        P = ParacontrolledField.build(up, ref, sharp)
+        F = tanh_fn(a)
+        want = controlled_product_by_terms(P, w, eta, F, part)
+        got = controlled_product(P, w, eta, F, part)
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
 
 
 class TestTimeMollified:

@@ -14,7 +14,7 @@ from paracalc import (BUMP_MOLLIFIER, Blocks, EnhancedNoise, NonlinearFunction,
                       commutator_C, dealiased_product, derivative, heat_apply,
                       lp_block, mollify, pam_theta, para_gt, para_lt,
                       poly_function, rde_area, rde_driver,
-                      remove_mean, resonant, sample_line_path, scaled_function,
+                      pi_F, remove_mean, resonant, sample_line_path,
                       solve_burgers, solve_pam, solve_pam_regularized,
                       solve_rde, spatial_white_noise,
                       trapezoid_exponential_path)
@@ -86,9 +86,9 @@ def pam_drift_by_terms(avg, n, u, theta, xi, eta, heat, F, part):
     drift = drift + para_gt(fb, xi, part)
     drift = drift + resonant(Fu - para_lt(db, pb, part), xi, part)
     drift = drift + commutator_C(db, pb, xi, part)
-    drift = drift + db.times(resonant(ptt - para_lt(fb, theta, part), xi, part))
-    drift = drift + db.times(commutator_C(fb, theta, xi, part))
-    drift = drift + eta.times(db.times(fb))
+    drift = drift + dealiased_product(db, resonant(ptt - para_lt(fb, theta, part), xi, part))
+    drift = drift + dealiased_product(db, commutator_C(fb, theta, xi, part))
+    drift = drift + dealiased_product(eta, dealiased_product(db, fb))
     return drift, ptt
 
 
@@ -101,8 +101,30 @@ def burgers_drift_by_terms(w, theta, dtheta, eta, G, part):
     drift = para_lt(Gv, dtheta, part) + para_gt(Gv, dtheta, part)
     drift = drift + resonant(Gv.field - para_lt(dGv, theta, part), dtheta, part)
     drift = drift + commutator_C(dGv, theta, dtheta, part)
-    drift = drift + dGv.times(eta)
-    return drift + Gv.times(derivative(w, 0))
+    drift = drift + dealiased_product(dGv, eta)
+    return drift + dealiased_product(Gv, derivative(w, 0))
+
+
+def resonant_fp_by_terms(u, E, F, cfg, part):
+    """`solve_rde_resonant_fp` with Phi expanded term by term:
+    d/dt(u @ theta) - F(u)(xi @ theta) - C(F(u), xi, theta)
+    - Pi_F(u, xi) @ theta - (F(u) above xi) @ theta."""
+    xi, theta, u = (Blocks(f, part) for f in (E.xi, E.theta, u))
+    Fu = Blocks(F(u), part)
+    dFu = Blocks(F.deriv(u), part)
+    Phi = derivative(resonant(u, theta, part), 0)
+    Phi = Phi - dealiased_product(Fu, resonant(xi, theta, part))
+    Phi = Phi - commutator_C(Fu, xi, theta, part)
+    Phi = Phi - resonant(pi_F(F, u, xi, part), theta, part)
+    Phi = Phi - resonant(para_gt(Fu, xi, part), theta, part)
+    y = Phi
+    for _ in range(cfg.fp_max):
+        cand = Phi - resonant(dealiased_product(dFu, y), theta, part)
+        res = float(np.max(np.abs(cand.values() - y.values())))
+        y = y + (cand - y) * cfg.damping
+        if res <= cfg.fp_tol * (1.0 + y.sup_norm()):
+            return y
+    raise AssertionError("reference fixed point did not converge")
 
 
 def assert_close(got, want, rtol=1e-13):
@@ -167,16 +189,6 @@ class TestConfig:
             SolverConfig(alpha=0.5, fp_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(alpha=0.5, damping=0.0)
-
-    def test_beta_defaults_to_alpha(self):
-        cfg = SolverConfig(alpha=0.45)
-        assert cfg.beta == 0.45
-
-    def test_scaled_function(self):
-        F = scaled_function(tanh_fn(), 2.0)
-        x = np.array([0.3])
-        assert F.f(x)[0] == pytest.approx(2.0 * math.tanh(0.3))
-        assert F.d1(x)[0] == pytest.approx(2.0 / math.cosh(0.3) ** 2)
 
 
 class TestRoughOde:
@@ -262,6 +274,17 @@ class TestRoughOde:
         cfg = SolverConfig(alpha=0.45, damping=0.7, fp_tol=1e-12)
         y = solve_rde_resonant_fp(u, E, F, cfg, part=part)
         assert (y - resonant(u, xi, part)).sup_norm() < 1e-11
+
+    @pytest.mark.parametrize("eps", [0.25, None])
+    def test_resonant_fixed_point_equals_the_term_by_term_expansion(self, eps):
+        # Phi is evaluated in its telescoped form; on a rough u and driver it
+        # equals the expansion through C and Pi_F, so the fixed points agree
+        E, part = self._enhanced(eps=eps)
+        u = rough_field(E.xi.grid, 0.45, 7) * 0.3 + 0.3
+        F = tanh_fn(0.4)
+        cfg = SolverConfig(alpha=0.45, damping=0.7, fp_tol=1e-12)
+        assert_close(solve_rde_resonant_fp(u, E, F, cfg, part=part),
+                     resonant_fp_by_terms(u, E, F, cfg, part))
 
 
 class TestBurgers:
@@ -471,8 +494,7 @@ class TestPam:
         grid = TorusGrid(2, 32)
         part = default_partition(grid)
         E = self._enhanced(grid, part)
-        F = NonlinearFunction(lambda x: x * math.nan, lambda x: x * math.nan,
-                              validate=False)
+        F = NonlinearFunction(lambda x: x * math.nan, lambda x: x * math.nan)
         cfg = SolverConfig(alpha=0.45, sigma=1.0, T=0.1, M=4, fp_max=50)
         with pytest.raises(RuntimeError, match="halve lambda"):
             solve_pam(SpectralField.constant(grid, 0.3), E, F, cfg, part=part)
