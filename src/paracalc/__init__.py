@@ -19,8 +19,8 @@ from .enhanced import (EnhancedNoise, burgers_area, enhanced_translate,
                        pam_area_by_time_integral, pam_c_eps, pam_gt, pam_mean_adjusted_area,
                        pam_renormalized_area, pair_resonant, rde_area, rough_area_check,
                        sym_antisym_split)
-from .evolution import (SemigroupSpec, apply_L, duhamel, heat_apply,
-                        trapezoid_exponential_path)
+from .evolution import (NonConvergence, SemigroupSpec, apply_L, damped_fixed_point, duhamel,
+                        heat_apply, trapezoid_exponential_path)
 from .solvers import (SolverConfig, SolverReport, solve_burgers, solve_pam,
                       solve_pam_regularized, solve_rde, solve_rde_resonant_fp)
 

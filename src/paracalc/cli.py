@@ -2,7 +2,8 @@
 studies, equation solves, and multi-eps convergence studies.
 
 All output is CSV/JSON plus the binary field snapshot format.  Exit codes:
-0 on success (and all built-in checks passing), 2 when a check fails,
+0 on success (and all built-in checks passing), 2 when a check fails or a
+solve does not converge (its report.json then says converged: false),
 1 on usage or runtime errors.  Runs are bit-reproducible for a fixed
 configuration and seed list; PARACALC_THREADS is read and recorded but
 execution is sequential, so the value cannot affect results.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .enhanced import (EnhancedNoise, burgers_area, pam_c_eps,
                        pam_renormalized_area, rde_area)
-from .evolution import trapezoid_exponential_path
+from .evolution import NonConvergence, trapezoid_exponential_path
 from .grid import SpectralField, TorusGrid, apply_pointwise, dealiased_product, save_field
 from .noise import (MOLLIFIERS, burgers_theta_path, mollify, pam_theta,
                     rde_driver, sample_line_path, spatial_white_noise)
@@ -194,7 +195,7 @@ def cmd_solve_rde(args) -> int:
     save_field(out / "remainder.field", usharp)
     (out / "report.json").write_text(rep.to_json())
     print(rep.to_json())
-    return 0 if rep.converged else 2
+    return 0
 
 
 def cmd_solve_burgers(args) -> int:
@@ -211,7 +212,7 @@ def cmd_solve_burgers(args) -> int:
     save_field(out / "solution.field", u)
     (out / "report.json").write_text(rep.to_json())
     print(rep.to_json())
-    return 0 if rep.converged else 2
+    return 0
 
 
 def cmd_solve_pam(args) -> int:
@@ -226,8 +227,8 @@ def cmd_solve_pam(args) -> int:
 
     if args.gauge_check:
         F = poly_function([0.0, 1.0], name="id")
-        cfg = SolverConfig(alpha=args.alpha, T=args.horizon, M=args.time_steps,
-                           fp_tol=1e-13, damping=1.0)
+        cfg = SolverConfig(alpha=args.alpha, sigma=args.sigma, T=args.horizon,
+                           M=args.time_steps, fp_tol=1e-13, damping=1.0)
         ur = solve_pam_regularized(u0, xi, c, F, cfg)
         uu = solve_pam_regularized(u0, xi, 0.0, F, cfg)
         rel = 0.0
@@ -242,13 +243,13 @@ def cmd_solve_pam(args) -> int:
     theta = pam_theta(xi)
     eta = pam_renormalized_area(spatial_white_noise(grid, args.seed), eps, psi, part)
     E = EnhancedNoise("pam", xi, theta, eta, c)
-    cfg = SolverConfig(alpha=args.alpha, T=args.horizon, M=args.time_steps,
-                       fp_tol=1e-9, damping=args.damping)
+    cfg = SolverConfig(alpha=args.alpha, sigma=args.sigma, T=args.horizon,
+                       M=args.time_steps, fp_tol=1e-9, damping=args.damping)
     u, usharp, rep = solve_pam(u0, E, F, cfg, part)
     save_field(out / "solution.field", u)
     (out / "report.json").write_text(rep.to_json())
     print(rep.to_json())
-    return 0 if rep.converged else 2
+    return 0
 
 
 # -- convergence studies ----------------------------------------------
@@ -260,10 +261,7 @@ def _study_rde(args, lam: float, seed: int, eps_list):
         E, part, cutoff = _rde_enhanced(args, seed, eps)
         cfg = SolverConfig(alpha=args.alpha, fp_tol=1e-8, fp_max=120,
                            damping=args.damping)
-        u, _, rep = solve_rde(args.u0, E, F, cfg, cutoff, part)
-        if not rep.converged:
-            raise RuntimeError("rde study solve did not converge")
-        sols.append((u, part))
+        sols.append((solve_rde(args.u0, E, F, cfg, cutoff, part)[0], part))
     return [besov_norm(a[0] - b[0], args.alpha, a[1])
             for a, b in zip(sols, sols[1:])]
 
@@ -302,8 +300,8 @@ def _study_pam(args, lam: float, seed: int, eps_list):
     for eps in eps_list:
         xie = mollify(xi, eps, psi)
         c = pam_c_eps(eps, psi, grid)
-        cfg = SolverConfig(alpha=args.alpha, T=args.horizon, M=args.time_steps,
-                           fp_tol=1e-10, damping=1.0)
+        cfg = SolverConfig(alpha=args.alpha, sigma=args.sigma, T=args.horizon,
+                           M=args.time_steps, fp_tol=1e-10, damping=1.0)
         sols.append(solve_pam_regularized(u0, xie, c, F, cfg))
     return [max(besov_norm(x - y, args.alpha, part)
                 for x, y in zip(a.fields, b.fields))
@@ -475,6 +473,10 @@ def main(argv=None) -> int:
     try:
         _apply_config(args, parser)
         return args.func(args)
+    except NonConvergence as exc:
+        (_outdir(args) / "report.json").write_text(exc.report.to_json())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,13 +6,15 @@ mode-by-mode, which makes the semigroup exact and lets the Duhamel map
 use an exponential integrator whose only error is the piecewise-linear
 interpolation of the integrand in time.  `trapezoid_exponential_path` is
 the one exponential march; `duhamel` is its case of a drift that does not
-depend on the solution.
+depend on the solution.  `damped_fixed_point` is the one Picard iteration
+and `NonConvergence` the one way a solve fails.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +66,54 @@ def _duhamel_weights(z: np.ndarray, dt: float):
 _ADVICE = "halve lambda (dilate the data) or refine the time grid"
 
 
+@dataclass
+class SolverReport:
+    converged: bool
+    iterations: int
+    residual: float
+    norms: dict = field(default_factory=dict)
+    advice: str = ""
+
+    def to_json(self) -> str:
+        return json.dumps({"converged": bool(self.converged),
+                           "iterations": int(self.iterations),
+                           "residual": float(self.residual),
+                           "norms": {k: float(v) for k, v in self.norms.items()},
+                           "advice": self.advice}, indent=2, sort_keys=True)
+
+
+class NonConvergence(RuntimeError):
+    """A solve that stalled, diverged or blew up; `report` is its
+    `SolverReport`, with converged=False and the advice."""
+
+    def __init__(self, message: str, iterations: int, residual: float):
+        super().__init__(f"{message}; {_ADVICE}")
+        self.report = SolverReport(False, iterations, residual, advice=_ADVICE)
+
+
+def damped_fixed_point(step, x: SpectralField, fp_tol: float, fp_max: int,
+                       damping: float, where: str):
+    """Iterate x <- x + damping (step(x) - x), the Picard iteration behind
+    every solver, until the residual sup|coeffs of step(x) - x| is at most
+    fp_tol * (1 + sup|coeffs of x|).  fp_tol = math.inf stops after one
+    step.  Returns (x, iterations, residual).
+
+    Raises NonConvergence, naming `where`, after fp_max iterations, at once
+    on a non-finite residual, and when the residual grows fourfold above 1.
+    """
+    prev = math.inf
+    for k in range(1, fp_max + 1):
+        cand = step(x)
+        res = float(np.max(np.abs(cand.coeffs - x.coeffs)))
+        x = x + (cand - x) * damping
+        if math.isfinite(res) and res <= fp_tol * (1.0 + np.max(np.abs(x.coeffs))):
+            return x, k, res
+        if not math.isfinite(res) or res > max(4.0 * prev, 1.0):
+            raise NonConvergence(f"{where}: fixed point diverged at residual {res:.3g}", k, res)
+        prev = res
+    raise NonConvergence(f"{where}: fixed point stalled at residual {res:.3g}", k, res)
+
+
 def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
                                drift, T: float, M: int,
                                fp_tol: float = 1e-12, fp_max: int = 50,
@@ -72,14 +122,13 @@ def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
     trapezoid-exponential rule, exact per Fourier mode in the linear part.
 
     `drift(n, u)` is N at time node n for the field u there.  Each step
-    starts from the explicit predictor and runs a damped fixed point on the
-    implicit endpoint until its residual is at most
-    fp_tol * (1 + sup|coeffs|).  fp_tol = math.inf keeps the first
-    corrector, which is explicit ETD2 (Cox & Matthews 2002).
+    starts from the explicit predictor and solves for the implicit endpoint
+    by `damped_fixed_point`; fp_tol = math.inf keeps the first corrector,
+    which is explicit ETD2 (Cox & Matthews 2002).
 
     Returns (path, worst inner iteration count, worst final residual).
-    Raises RuntimeError when a step stalls or leaves the blow-up bound; a
-    non-finite residual ends the inner iteration at once.
+    Raises NonConvergence when a step's fixed point fails or the solution
+    leaves the blow-up bound.
     """
     spec = SemigroupSpec(sigma, grid)
     dt = T / M
@@ -87,29 +136,20 @@ def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
     decay = np.exp(-z)
     A, B = _duhamel_weights(z, dt)
     fields = [u0]
-    c = u0.coeffs
+    u = u0
     worst_it, worst_res = 0, 0.0
     for n in range(M):
-        d0 = drift(n, SpectralField(grid, c)).coeffs
-        base = c * decay + d0 * (A - B)
-        nxt = c * decay + d0 * A
-        res = math.inf
-        for k in range(1, fp_max + 1):
-            d1 = drift(n + 1, SpectralField(grid, nxt)).coeffs
-            cand = base + d1 * B
-            res = float(np.max(np.abs(cand - nxt)))
-            nxt = nxt + (cand - nxt) * damping
-            if res <= fp_tol * (1.0 + np.max(np.abs(nxt))) or not math.isfinite(res):
-                break
-        else:
-            raise RuntimeError(f"step {n}: inner fixed point stalled at "
-                               f"residual {res:.3g}; {_ADVICE}")
-        c = nxt
-        if not np.isfinite(c).all() or np.max(np.abs(c)) > blowup:
-            raise RuntimeError(f"step {n}: solution exceeded the blow-up bound "
-                               f"{blowup:.3g}; {_ADVICE}")
+        d0 = drift(n, u).coeffs
+        base = u.coeffs * decay + d0 * (A - B)
+        u, k, res = damped_fixed_point(
+            lambda v: SpectralField(grid, base + drift(n + 1, v).coeffs * B),
+            SpectralField(grid, u.coeffs * decay + d0 * A), fp_tol, fp_max, damping,
+            f"step {n}")
+        if not np.max(np.abs(u.coeffs)) <= blowup:
+            raise NonConvergence(f"step {n}: solution exceeded the blow-up bound "
+                                 f"{blowup:.3g}", k, res)
         worst_it, worst_res = max(worst_it, k), max(worst_res, res)
-        fields.append(SpectralField(grid, c))
+        fields.append(u)
     return FieldPath(np.arange(M + 1) * dt, fields), worst_it, worst_res
 
 

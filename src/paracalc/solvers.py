@@ -10,14 +10,13 @@ renormalized one.
 from __future__ import annotations
 
 import functools
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .enhanced import EnhancedNoise
-from .evolution import _ADVICE, SemigroupSpec, _duhamel_weights, trapezoid_exponential_path
+from .evolution import (SemigroupSpec, SolverReport, _duhamel_weights, damped_fixed_point,
+                        trapezoid_exponential_path)
 from .grid import (FieldPath, SpectralField, TorusGrid, dealiased_product,
                    field_from_oversampled, oversampled_values)
 from .noise import default_time_cutoff
@@ -37,24 +36,9 @@ class SolverConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        if self.fp_tol <= 0 or not 0 < self.damping <= 1:
+        # `not >` also rejects a NaN tolerance
+        if not self.fp_tol > 0 or self.fp_max < 1 or not 0 < self.damping <= 1:
             raise ValueError("bad fixed-point configuration")
-
-
-@dataclass
-class SolverReport:
-    converged: bool
-    iterations: int
-    residual: float
-    norms: dict = field(default_factory=dict)
-    advice: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps({"converged": bool(self.converged),
-                           "iterations": int(self.iterations),
-                           "residual": float(self.residual),
-                           "norms": {k: float(v) for k, v in self.norms.items()},
-                           "advice": self.advice}, indent=2, sort_keys=True)
 
 
 # -- rough ODE --------------------------------------------------------
@@ -101,18 +85,15 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
     eta = E.eta.channel(0) if E.eta.channels > 1 else E.eta
     t = _centered_time(grid)
     phi = SpectralField.from_values(grid, cutoff(t))
-    dphi = derivative(phi, 0)
     bump, bump_mean = _seam_bump(grid)
     xi_b, theta_b, phi_b = (Blocks(f, part) for f in (xi, theta, phi))
-    area = eta - resonant(theta_b, xi_b, part)
+    area = Blocks(eta - resonant(theta_b, xi_b, part), part)
+    dphi = Blocks(derivative(phi, 0), part)
 
-    u = SpectralField.constant(grid, u0)
-    residual = math.inf
-    it = 0
-    for it in range(1, cfg.fp_max + 1):
+    def picard(u: SpectralField) -> SpectralField:
         ub = Blocks(u, part)
         Fu = Blocks(F(ub), part)
-        para = para_lt(Fu, theta_b, part)
+        para = Blocks(para_lt(Fu, theta_b, part), part)
         phi_para = dealiased_product(phi_b, para)
 
         # the chain-rule expansion of the resonant part telescopes: every
@@ -126,16 +107,12 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
         rhs = dealiased_product(phi_b, terms) - dealiased_product(dphi, para)
         U = _closed_antiderivative(rhs, bump, bump_mean)
         sharp0 = u0 - float(phi_para.eval_at(np.zeros(1))[0, 0])
-        candidate = phi_para + U + SpectralField.constant(grid, sharp0)
+        return phi_para + U + SpectralField.constant(grid, sharp0)
 
-        residual = float(np.max(np.abs(candidate.values() - u.values())))
-        u = u + (candidate - u) * cfg.damping
-        if residual <= cfg.fp_tol * (1.0 + u.sup_norm()):
-            break
-
+    u, it, residual = damped_fixed_point(picard, SpectralField.constant(grid, u0), cfg.fp_tol,
+                                         cfg.fp_max, cfg.damping, "Picard iteration")
     phi_para = dealiased_product(phi_b, para_lt(F(u), theta_b, part))
     usharp = u - phi_para
-    converged = residual <= cfg.fp_tol * (1.0 + u.sup_norm())
     norms = {
         "u_alpha": besov_norm(u, cfg.alpha, part),
         "usharp_2alpha": besov_norm(usharp, 2 * cfg.alpha, part),
@@ -143,9 +120,7 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
         "theta_alpha": besov_norm(theta, cfg.alpha, part),
         "eta_2alpha_minus_1": besov_norm(eta, 2 * cfg.alpha - 1, part),
     }
-    advice = "" if converged else \
-        "no contraction; retry with dilated data (halve lambda) or smaller F"
-    return u, usharp, SolverReport(converged, it, residual, norms, advice)
+    return u, usharp, SolverReport(True, it, residual, norms)
 
 
 def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
@@ -169,19 +144,8 @@ def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
     Phi = Phi - resonant(dealiased_product(F(u), xi)
                          - dealiased_product(dFu, resonant(u, xi, part)), theta, part)
 
-    y = Phi
-    prev = math.inf
-    for _ in range(cfg.fp_max):
-        cand = Phi - resonant(dealiased_product(dFu, y), theta, part)
-        res = float(np.max(np.abs(cand.values() - y.values())))
-        y = y + (cand - y) * cfg.damping
-        if res <= cfg.fp_tol * (1.0 + y.sup_norm()):
-            return y
-        if res > 4.0 * prev and res > 1.0:
-            break
-        prev = res
-    raise RuntimeError("resonant fixed point did not contract; "
-                       f"theta norm at alpha: {besov_norm(E.theta, cfg.alpha, part):.3g}")
+    return damped_fixed_point(lambda y: Phi - resonant(dealiased_product(dFu, y), theta, part),
+                              Phi, cfg.fp_tol, cfg.fp_max, cfg.damping, "resonant relation")[0]
 
 
 # -- fractional Burgers -----------------------------------------------
@@ -329,21 +293,13 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     worst_res = 0.0
     worst_it = 0
     for n in range(cfg.M):
-        u_next = u
-        res = math.inf
-        for k in range(1, cfg.fp_max + 1):
-            drift1, ptt1 = pam_drift_sharp(avg, n + 1, u_next, *held, heat, F, part)
-            sharp_next = SpectralField(
-                grid, usharp.coeffs * decay + drift0.coeffs * (A - B)
-                + drift1.coeffs * B)
-            cand = ptt1 + sharp_next
-            res = float(np.max(np.abs(cand.coeffs - u_next.coeffs)))
-            u_next = u_next + (cand - u_next) * cfg.damping
-            if res <= cfg.fp_tol * (1.0 + u_next.sup_norm()) or not math.isfinite(res):
-                break
-        if not np.isfinite(res) or res > cfg.fp_tol * (1.0 + u_next.sup_norm()):
-            raise RuntimeError(
-                f"node {n + 1}: fixed point stalled at residual {res:.3g}; {_ADVICE}")
+        def step(v: SpectralField) -> SpectralField:
+            drift1, ptt1 = pam_drift_sharp(avg, n + 1, v, *held, heat, F, part)
+            return ptt1 + SpectralField(grid, usharp.coeffs * decay
+                                        + drift0.coeffs * (A - B) + drift1.coeffs * B)
+
+        u_next, k, res = damped_fixed_point(step, u, cfg.fp_tol, cfg.fp_max, cfg.damping,
+                                            f"node {n + 1}")
         drift1, ptt1 = pam_drift_sharp(avg, n + 1, u_next, *held, heat, F, part)
         usharp = SpectralField(grid, usharp.coeffs * decay
                                + drift0.coeffs * (A - B) + drift1.coeffs * B)

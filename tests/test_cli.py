@@ -8,7 +8,8 @@ import pytest
 
 from paracalc import (GAUSS_MOLLIFIER, TorusGrid, burgers_theta_path, load_field, mollify,
                       pam_c_eps, radial_cutoff, rde_driver, sample_line_path,
-                      spatial_white_noise)
+                      solve_pam_regularized, spatial_white_noise)
+from paracalc import cli
 from paracalc.cli import build_parser, main
 
 
@@ -210,6 +211,47 @@ class TestSolves:
         out = tmp_path / "o"
         assert main(["solve-rde", "--out", str(out)]) == 0
         assert load_field(out / "solution.field").grid.n == 256
+
+    @pytest.mark.parametrize("argv, max_iterations", [
+        (["solve-burgers", "--n", "64", "--sigma", "0.9", "--time-steps", "8",
+          "--amplitude", "200"], 5),
+        (["solve-pam", "--n", "32", "--time-steps", "8", "--amplitude", "50"], 80),
+        (["solve-rde", "--amplitude", "6", "--damping", "0.9"], 80)],
+        ids=["burgers", "pam", "rde"])
+    def test_non_convergence_exits_two_with_a_report(self, tmp_path, capsys, argv,
+                                                     max_iterations):
+        # a stalled or diverging fixed point is a failed check, and the run
+        # still explains itself; the burgers case grows 1e49-fold if iterated on
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["converged"] is False and "halve lambda" in rep["advice"]
+        assert 1 <= rep["iterations"] <= max_iterations
+
+    def test_solve_pam_honours_sigma(self, tmp_path, capsys):
+        # the paracontrolled 2-d solver is for the Laplacian only
+        out = tmp_path / "o"
+        assert main(["solve-pam", "--n", "32", "--time-steps", "4", "--sigma", "0.9",
+                     "--out", str(out)]) == 1
+        assert "specific to sigma = 1" in capsys.readouterr().err
+        assert not (out / "solution.field").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-pam", "--gauge-check"],
+        ["study", "--equation", "pam", "--eps", "0.5", "0.25", "--seeds", "1"]],
+        ids=["gauge-check", "study"])
+    def test_regularized_pam_runs_honour_sigma(self, tmp_path, monkeypatch, argv):
+        sigmas = []
+
+        def recorded(u0, xi, c, F, cfg, **kwargs):
+            sigmas.append(cfg.sigma)
+            return solve_pam_regularized(u0, xi, c, F, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_pam_regularized", recorded)
+        main(argv + ["--n", "32", "--time-steps", "4", "--sigma", "0.9",
+                     "--out", str(tmp_path / "o")])
+        assert sigmas and set(sigmas) == {0.9}
 
 
 class TestStudy:

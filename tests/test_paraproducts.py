@@ -263,10 +263,11 @@ class TestTimeMollified:
             heat_para_commutator(z, z, 0.9)
 
 
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)], ids=["1d", "2d"])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_bony_identity_random_fields(seed):
-    grid = TorusGrid(1, 64)
+def test_bony_identity_random_fields(dim, n, seed):
+    grid = TorusGrid(dim, n)
     part = make_dyadic_partition(grid)
     f = rough_field(grid, 0.5, seed)
     g = rough_field(grid, -0.5, seed + 1)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from paracalc import (BUMP_MOLLIFIER, Blocks, EnhancedNoise, NonlinearFunction,
-                      SemigroupSpec, SolverConfig, SpectralField, TorusGrid,
-                      commutator_C, dealiased_product, derivative, heat_apply,
+from paracalc import (BUMP_MOLLIFIER, Blocks, EnhancedNoise, NonConvergence,
+                      NonlinearFunction, SemigroupSpec, SolverConfig, SpectralField,
+                      TorusGrid, commutator_C, damped_fixed_point, dealiased_product,
+                      derivative, heat_apply,
                       lp_block, mollify, pam_theta, para_gt, para_lt,
                       poly_function, rde_area, rde_driver,
                       pi_F, remove_mean, resonant, sample_line_path,
@@ -117,14 +118,8 @@ def resonant_fp_by_terms(u, E, F, cfg, part):
     Phi = Phi - commutator_C(Fu, xi, theta, part)
     Phi = Phi - resonant(pi_F(F, u, xi, part), theta, part)
     Phi = Phi - resonant(para_gt(Fu, xi, part), theta, part)
-    y = Phi
-    for _ in range(cfg.fp_max):
-        cand = Phi - resonant(dealiased_product(dFu, y), theta, part)
-        res = float(np.max(np.abs(cand.values() - y.values())))
-        y = y + (cand - y) * cfg.damping
-        if res <= cfg.fp_tol * (1.0 + y.sup_norm()):
-            return y
-    raise AssertionError("reference fixed point did not converge")
+    return damped_fixed_point(lambda y: Phi - resonant(dealiased_product(dFu, y), theta, part),
+                              Phi, cfg.fp_tol, cfg.fp_max, cfg.damping, "reference")[0]
 
 
 def assert_close(got, want, rtol=1e-13):
@@ -189,6 +184,13 @@ class TestConfig:
             SolverConfig(alpha=0.5, fp_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(alpha=0.5, damping=0.0)
+
+    @pytest.mark.parametrize("bad", [{"fp_max": 0}, {"fp_max": -3}, {"fp_tol": math.nan}])
+    def test_rejects_no_iteration_and_nan_tolerance(self, bad):
+        # the shared fixed point needs one iteration, and a NaN tolerance
+        # passes `fp_tol <= 0` while no residual can ever meet it
+        with pytest.raises(ValueError):
+            SolverConfig(alpha=0.5, **bad)
 
 
 class TestRoughOde:
@@ -255,9 +257,28 @@ class TestRoughOde:
     def test_report_carries_advice_when_stalled(self):
         E, part = self._enhanced()
         cfg = SolverConfig(alpha=0.45, damping=0.9, fp_tol=1e-12, fp_max=2)
-        _, _, rep = solve_rde(0.3, E, tanh_fn(2.5), cfg, part=part)
-        assert not rep.converged
+        with pytest.raises(NonConvergence, match="Picard iteration") as exc:
+            solve_rde(0.3, E, tanh_fn(2.5), cfg, part=part)
+        rep = exc.value.report
+        assert rep.converged is False and rep.iterations == 2
         assert "halve lambda" in rep.advice
+
+    def test_picard_iteration_transform_count(self, monkeypatch):
+        # criterion 5's data: the area eta - theta @ xi, d/dt cutoff and
+        # F(u) << theta are held, so one more iteration costs at most 18
+        # inverse oversampled transforms (20 when the first two were
+        # transformed on every iteration)
+        E, part = self._enhanced(eps=0.25)
+        calls = count_transforms(monkeypatch)
+        counts = []
+        for fp_max in (1, 2):
+            calls.update(dict.fromkeys(calls, 0))
+            with pytest.raises(NonConvergence):
+                solve_rde(0.3, E, tanh_fn(0.4),
+                          SolverConfig(alpha=0.45, damping=0.7, fp_tol=1e-10, fp_max=fp_max),
+                          part=part)
+            counts.append(calls["oversampled_values"])
+        assert counts[1] - counts[0] <= 18
 
     def test_resonant_fixed_point_on_a_manufactured_solution(self):
         # pick u first, back out the driver xi = u' / F(u); then u solves
@@ -576,7 +597,16 @@ class TestReferenceIntegrators:
             nodes.append(n)
             return u * math.nan
 
-        with pytest.raises(RuntimeError, match="blow-up bound"):
+        with pytest.raises(NonConvergence, match="step 0: fixed point diverged at residual nan"):
             trapezoid_exponential_path(grid, 1.0, SpectralField.constant(grid, 1.0),
                                        drift, 1.0, 4)
         assert nodes == [0, 1]
+
+    def test_blowup_raises_non_convergence(self):
+        grid = TorusGrid(1, 32)
+        # each explicit step multiplies the mean by 18.5, past 100 at step 1
+        with pytest.raises(NonConvergence, match="step 1: solution exceeded the blow-up bound") as exc:
+            trapezoid_exponential_path(grid, 1.0, SpectralField.constant(grid, 1.0),
+                                       lambda n, u: u * 20.0, 1.0, 4, fp_tol=math.inf,
+                                       blowup=100.0)
+        assert exc.value.report.converged is False and exc.value.report.iterations == 1

@@ -190,20 +190,22 @@ class TestCalculus:
         assert np.max(np.abs(g.values()[0] - np.tanh(0.3 * np.cos(2 * x)))) < 1e-8
 
 
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)], ids=["1d", "2d"])
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), alpha=st.floats(-1.0, 1.5))
-def test_block_decomposition_reassembles(seed, alpha):
-    grid = TorusGrid(1, 64)
+def test_block_decomposition_reassembles(dim, n, seed, alpha):
+    grid = TorusGrid(dim, n)
     part = make_dyadic_partition(grid)
     f = rough_field(grid, alpha, seed)
     acc = sum((lp_block(f, j, part).coeffs for j in part.blocks))
     assert np.max(np.abs(acc - f.coeffs)) < 1e-12
 
 
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)], ids=["1d", "2d"])
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_dealiased_product_is_hermitian(seed):
-    grid = TorusGrid(1, 64)
+def test_dealiased_product_is_hermitian(dim, n, seed):
+    grid = TorusGrid(dim, n)
     f = rough_field(grid, 0.4, seed)
     g = rough_field(grid, -0.2, seed + 1)
     assert dealiased_product(f, g).is_hermitian()
