@@ -99,18 +99,22 @@ def damped_fixed_point(step, x: SpectralField, fp_tol: float, fp_max: int,
     step.  Returns (x, iterations, residual).
 
     Raises NonConvergence, naming `where`, after fp_max iterations, at once
-    on a non-finite residual, and when the residual grows fourfold above 1.
+    on a non-finite residual, and when the residual grows above 1 and to
+    four times the smallest residual seen, so a slow divergence stops too.
+    Raises ValueError when fp_max < 1.
     """
-    prev = math.inf
+    if fp_max < 1:
+        raise ValueError(f"fp_max must be at least 1, got {fp_max}")
+    least = math.inf
     for k in range(1, fp_max + 1):
         cand = step(x)
         res = float(np.max(np.abs(cand.coeffs - x.coeffs)))
         x = x + (cand - x) * damping
         if math.isfinite(res) and res <= fp_tol * (1.0 + np.max(np.abs(x.coeffs))):
             return x, k, res
-        if not math.isfinite(res) or res > max(4.0 * prev, 1.0):
+        if not math.isfinite(res) or res > max(4.0 * least, 1.0):
             raise NonConvergence(f"{where}: fixed point diverged at residual {res:.3g}", k, res)
-        prev = res
+        least = min(least, res)
     raise NonConvergence(f"{where}: fixed point stalled at residual {res:.3g}", k, res)
 
 

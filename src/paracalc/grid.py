@@ -224,6 +224,10 @@ def oversampled_values(f: SpectralField) -> np.ndarray:
     coefficient (index n/2, frequency -n/2) of each axis is then split
     evenly between the +n/2 and -n/2 slots of the fine lattice, the exact
     interpolation for real fields.
+
+    Pruned row-column transform: in 2-d only the last axis' columns 0..n/2,
+    the non-zero ones, are transformed along the first axis; the real
+    inverse transform along the last axis zero-pads them to the fine grid.
     """
     n, d = f.grid.n, f.grid.dim
     m, h = 2 * n, n // 2
@@ -236,15 +240,14 @@ def oversampled_values(f: SpectralField) -> np.ndarray:
         mirror = _negate_rows(mirror)
     half = 0.5 * (c[..., : h + 1] + np.conj(mirror))
     half[..., h] *= 0.5
-    out = np.zeros(c.shape[:-d] + (m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
-    if d == 1:
-        out[..., : h + 1] = half
-    else:
-        out[..., :h, : h + 1] = half[..., :h, :]
-        out[..., h, : h + 1] = 0.5 * half[..., h, :]
-        out[..., m - h, : h + 1] = 0.5 * half[..., h, :]
-        out[..., m - h + 1:, : h + 1] = half[..., h + 1:, :]
-    return np.fft.irfftn(out, s=(m,) * d, axes=tuple(range(-d, 0))) * m**d
+    if d == 2:
+        cols = np.zeros(c.shape[:-2] + (m, h + 1), dtype=np.complex128)
+        cols[..., :h, :] = half[..., :h, :]
+        cols[..., h, :] = 0.5 * half[..., h, :]
+        cols[..., m - h, :] = cols[..., h, :]
+        cols[..., m - h + 1:, :] = half[..., h + 1:, :]
+        half = np.fft.ifft(cols, axis=-2, norm="forward")
+    return np.fft.irfft(half, n=m, norm="forward")
 
 
 def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField:
@@ -253,19 +256,21 @@ def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField
     The adjoint of the padding in `oversampled_values`: the fine +n/2 and
     -n/2 slots of each axis fold into the coarse Nyquist coefficient, and
     the negative half of the last axis is rebuilt by Hermitian symmetry.
+
+    Pruned row-column transform: of the real transform along the last axis
+    only columns 0..n/2 are kept, and in 2-d transformed along the first.
     """
     n, d = grid.n, grid.dim
     m, h = 2 * n, n // 2
     if values.ndim == d:
         values = values[None]
-    v = np.fft.rfftn(values, axes=tuple(range(-d, 0))) / m**d
-    if d == 1:
-        t = v[..., : h + 1]
-    else:
+    t = np.fft.rfft(values, norm="forward")[..., : h + 1]
+    if d == 2:
+        v = np.fft.fft(t, axis=-2, norm="forward")
         t = np.empty(v.shape[:-2] + (n, h + 1), dtype=np.complex128)
-        t[..., :h, :] = v[..., :h, : h + 1]
-        t[..., h, :] = v[..., h, : h + 1] + v[..., m - h, : h + 1]
-        t[..., h + 1:, :] = v[..., m - h + 1:, : h + 1]
+        t[..., :h, :] = v[..., :h, :]
+        t[..., h, :] = v[..., h, :] + v[..., m - h, :]
+        t[..., h + 1:, :] = v[..., m - h + 1:, :]
     # conj t(-k) for the last axis' columns n/2, n/2 + 1, ..., n - 1
     mirrored = np.conj(t[..., h:0:-1])
     if d == 2:

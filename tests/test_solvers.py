@@ -602,6 +602,26 @@ class TestReferenceIntegrators:
                                        drift, 1.0, 4)
         assert nodes == [0, 1]
 
+    def test_slow_divergence_raises(self):
+        # the damped residual grows 1.75x per iteration, never fourfold over
+        # the previous one, but passes four times the smallest one at the 4th
+        grid = TorusGrid(1, 32)
+        with pytest.raises(NonConvergence, match="step 0: fixed point diverged") as exc:
+            trapezoid_exponential_path(grid, 1.0, SpectralField.constant(grid, 1.0),
+                                       lambda n, u: u * 20.0, 1.0, 4, fp_max=200,
+                                       damping=0.5)
+        assert exc.value.report.iterations <= 6
+
+    @pytest.mark.parametrize("fp_max", [0, -1])
+    def test_fixed_point_rejects_no_iterations(self, fp_max):
+        grid = TorusGrid(1, 32)
+        u0 = SpectralField.constant(grid, 1.0)
+        with pytest.raises(ValueError, match="fp_max"):
+            damped_fixed_point(lambda u: u, u0, 1e-12, fp_max, 1.0, "test")
+        with pytest.raises(ValueError, match="fp_max"):
+            trapezoid_exponential_path(grid, 1.0, u0, lambda n, u: u * -1.0, 1.0, 4,
+                                       fp_max=fp_max)
+
     def test_blowup_raises_non_convergence(self):
         grid = TorusGrid(1, 32)
         # each explicit step multiplies the mean by 18.5, past 100 at step 1

@@ -12,7 +12,8 @@ from paracalc import (SpectralField, TorusGrid, antiderivative, besov_norm,
                       fourier_multiplier, fractional_laplacian, load_field,
                       lp_block, low_sum, make_dyadic_partition, radial_cutoff,
                       remove_mean, save_field, scale_field, smoothstep)
-from paracalc.grid import FieldPath, apply_pointwise, oversampled_values
+from paracalc.grid import (FieldPath, _negate_rows, apply_pointwise,
+                          field_from_oversampled, oversampled_values)
 
 from conftest import rough_field
 
@@ -272,3 +273,84 @@ def test_real_transforms_match_complex_definition(dim, channels, axis):
     ref = _complex_field(grid, np.tanh(fv))
     out = apply_pointwise(np.tanh, f).coeffs
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# -- pruned transforms against the full-spectrum real transforms ------
+
+def _full_spectrum_values(f):
+    """`oversampled_values` as one irfftn over the whole padded half spectrum."""
+    n, d = f.grid.n, f.grid.dim
+    m, h = 2 * n, n // 2
+    c = f.coeffs
+    mirror = np.concatenate((c[..., :1], c[..., :h - 1:-1]), axis=-1)
+    if d == 2:
+        mirror = _negate_rows(mirror)
+    half = 0.5 * (c[..., : h + 1] + np.conj(mirror))
+    half[..., h] *= 0.5
+    out = np.zeros(c.shape[:-d] + (m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
+    if d == 1:
+        out[..., : h + 1] = half
+    else:
+        out[..., :h, : h + 1] = half[..., :h, :]
+        out[..., h, : h + 1] = 0.5 * half[..., h, :]
+        out[..., m - h, : h + 1] = 0.5 * half[..., h, :]
+        out[..., m - h + 1:, : h + 1] = half[..., h + 1:, :]
+    return np.fft.irfftn(out, s=(m,) * d, axes=tuple(range(-d, 0))) * m**d
+
+
+def _full_spectrum_field(grid, values):
+    """`field_from_oversampled` as one rfftn over every fine column."""
+    n, d = grid.n, grid.dim
+    m, h = 2 * n, n // 2
+    v = np.fft.rfftn(values, axes=tuple(range(-d, 0))) / m**d
+    if d == 1:
+        t = v[..., : h + 1]
+    else:
+        t = np.empty(v.shape[:-2] + (n, h + 1), dtype=np.complex128)
+        t[..., :h, :] = v[..., :h, : h + 1]
+        t[..., h, :] = v[..., h, : h + 1] + v[..., m - h, : h + 1]
+        t[..., h + 1:, :] = v[..., m - h + 1:, : h + 1]
+    mirrored = np.conj(t[..., h:0:-1])
+    if d == 2:
+        mirrored = _negate_rows(mirrored)
+    c = np.empty(t.shape[:-1] + (n,), dtype=np.complex128)
+    c[..., :h] = t[..., :h]
+    c[..., h] = t[..., h] + mirrored[..., 0]
+    c[..., h + 1:] = mirrored[..., 1:]
+    return c
+
+
+_TRANSFORM_SIZES = [(1, 16), (1, 64), (1, 256), (1, 1024),
+                    (2, 16), (2, 32), (2, 64), (2, 128)]
+
+
+@pytest.mark.parametrize("dim, n", _TRANSFORM_SIZES)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000), channels=st.integers(1, 2),
+       alpha=st.floats(-1.0, 1.0))
+def test_pruned_transforms_equal_the_full_spectrum_ones(dim, n, seed, channels, alpha):
+    # the pruned transforms skip only zero columns and discarded outputs,
+    # and every scale is a power of two, so they agree bit for bit
+    grid = TorusGrid(dim, n)
+    rng = np.random.default_rng(seed)
+    shape = (channels,) + grid.shape
+    # derivative's Nyquist content plus a general non-Hermitian part
+    f = derivative(rough_field(grid, alpha, seed, channels), seed % dim) \
+        + SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert not f.is_hermitian()
+    assert np.array_equal(oversampled_values(f), _full_spectrum_values(f))
+
+    values = rng.standard_normal((channels,) + (2 * n,) * dim)
+    assert np.array_equal(field_from_oversampled(grid, values).coeffs,
+                          _full_spectrum_field(grid, values))
+
+
+@pytest.mark.parametrize("dim, n", _TRANSFORM_SIZES)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000), channels=st.integers(1, 2),
+       alpha=st.floats(-1.0, 1.0))
+def test_oversampled_round_trip_is_the_identity(dim, n, seed, channels, alpha):
+    grid = TorusGrid(dim, n)
+    f = rough_field(grid, alpha, seed, channels)
+    back = field_from_oversampled(grid, oversampled_values(f)).coeffs
+    assert np.max(np.abs(back - f.coeffs)) <= 1e-13 * np.max(np.abs(f.coeffs))
