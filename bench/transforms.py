@@ -1,16 +1,23 @@
 #!/usr/bin/env python3
-"""Layer sweep of the oversampled transforms.
+"""Layer sweep of the oversampled transforms and the block layer on them.
 
-Times `grid.oversampled_values`, `grid.field_from_oversampled` and
-`grid.dealiased_product` on one-channel fields at 1-d N = 256, 1024 and
-2-d N = 32, 64, 128, and prints one JSON object: the machine facts and,
-per layer and size, the median and quartiles of the per-call time over
-the repeats.  Run from anywhere:
+Times `grid.oversampled_values`, `grid.field_from_oversampled`,
+`grid.dealiased_product`, a fresh `paraproducts.Blocks` holder with the
+values of all its blocks, and `paraproducts.para_lt` and
+`paraproducts.resonant` on two plain fields, all on one-channel fields at
+1-d N = 256, 1024 and 2-d N = 32, 64, 128.  Prints one JSON object: the
+machine facts and, per layer and size, the median and quartiles of the
+per-call time over the repeats.  Run from anywhere:
 
-    python3 bench/transforms.py
+    python3 bench/transforms.py [--compare BENCH_prev.json]
+
+`--compare` reads the sweep of an earlier record (the `layer_sweep`
+"change" side of a `BENCH_*.json`, or a saved output of this script),
+prints to stderr every row whose median is 10 % or more above that
+record's, and exits 1 if there is one.
 
 Each repeat makes enough calls to last about 0.1 s; the whole sweep takes
-about 15 s.
+about 25 s.
 """
 
 import os
@@ -19,6 +26,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -33,10 +41,13 @@ import scipy  # noqa: E402
 
 from paracalc.grid import (SpectralField, TorusGrid, dealiased_product,  # noqa: E402
                            field_from_oversampled, oversampled_values)
+from paracalc.paraproducts import Blocks, para_lt, resonant  # noqa: E402
+from paracalc.spectral import default_partition  # noqa: E402
 
 SIZES = [(1, 256), (1, 1024), (2, 32), (2, 64), (2, 128)]
 REPEATS = 7
 REPEAT_S = 0.1
+REGRESSION = 0.10  # a row regresses when its median grows by this share or more
 
 
 def machine() -> dict:
@@ -63,11 +74,18 @@ def per_call_us(fn) -> dict:
             "q3_us": round(q3, 2), "calls_per_repeat": number}
 
 
+def all_blocks(f, part) -> list:
+    """A fresh holder of f and the values of every block of it."""
+    fb = Blocks(f, part)
+    return [fb.block(j) for j in part.blocks]
+
+
 def sweep() -> list:
     rng = np.random.default_rng(0)
     rows = []
     for dim, n in SIZES:
         grid = TorusGrid(dim, n)
+        part = default_partition(grid)
         f = SpectralField.from_values(grid, rng.standard_normal(grid.shape))
         g = SpectralField.from_values(grid, rng.standard_normal(grid.shape))
         fine = oversampled_values(f)
@@ -75,16 +93,53 @@ def sweep() -> list:
             "grid.oversampled_values": lambda: oversampled_values(f),
             "grid.field_from_oversampled": lambda: field_from_oversampled(grid, fine),
             "grid.dealiased_product": lambda: dealiased_product(f, g),
+            "paraproducts.Blocks": lambda: all_blocks(f, part),
+            "paraproducts.para_lt": lambda: para_lt(f, g, part),
+            "paraproducts.resonant": lambda: resonant(f, g, part),
         }
         for name, fn in layers.items():
             rows.append({"layer": name, "dim": dim, "n": n, **per_call_us(fn)})
     return rows
 
 
-def main():
-    print(json.dumps({"machine": machine(), "repeats": REPEATS, "results": sweep()},
-                     indent=1))
+def baseline(path) -> dict:
+    """(layer, dim, n) -> median_us of an earlier sweep."""
+    with open(path) as fh:
+        record = json.load(fh)
+    sweep = record.get("layer_sweep", record)
+    sweep = sweep.get("change", sweep)
+    return {(r["layer"], r["dim"], r["n"]): r["median_us"] for r in sweep["results"]}
+
+
+def regressions(rows, base: dict) -> list:
+    """Rows whose median is REGRESSION or more above the baseline's."""
+    out = []
+    for r in rows:
+        was = base.get((r["layer"], r["dim"], r["n"]))
+        if was is not None and r["median_us"] >= (1.0 + REGRESSION) * was:
+            out.append((r, was))
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--compare", metavar="BENCH_prev.json",
+                    help="flag rows 10 %% or more slower than this record's sweep")
+    args = ap.parse_args(argv)
+    base = baseline(args.compare) if args.compare else None
+    rows = sweep()
+    print(json.dumps({"machine": machine(), "repeats": REPEATS, "results": rows}, indent=1))
+    if base is None:
+        return 0
+    worse = regressions(rows, base)
+    for r, was in worse:
+        print(f"regressed: {r['layer']} dim={r['dim']} n={r['n']}: "
+              f"{was:.2f} -> {r['median_us']:.2f} us ({r['median_us'] / was - 1:+.0%})",
+              file=sys.stderr)
+    print(f"{len(worse)} of {len(rows)} rows regressed by {REGRESSION:.0%} or more "
+          f"against {args.compare}", file=sys.stderr)
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -259,9 +259,13 @@ def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField
 
     Pruned row-column transform: of the real transform along the last axis
     only columns 0..n/2 are kept, and in 2-d transformed along the first.
+    Raises ValueError unless `values` has shape (2n,)*d or
+    (channels,) + (2n,)*d.
     """
     n, d = grid.n, grid.dim
     m, h = 2 * n, n // 2
+    if values.shape[-d:] != (m,) * d or not d <= values.ndim <= d + 1:
+        raise ValueError(f"samples of shape {values.shape} are not on the {m}^{d} grid")
     if values.ndim == d:
         values = values[None]
     t = np.fft.rfft(values, norm="forward")[..., : h + 1]

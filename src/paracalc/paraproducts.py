@@ -20,7 +20,7 @@ from .evolution import SemigroupSpec, apply_L
 from .grid import (FieldPath, SpectralField, apply_pointwise, dealiased_product,
                    field_from_oversampled, oversampled_values)
 from .partition import DyadicPartition, smoothstep
-from .spectral import default_partition, derivative, lp_block
+from .spectral import default_partition, derivative
 
 log = logging.getLogger(__name__)
 
@@ -81,10 +81,12 @@ def poly_function(coeffs, name="poly") -> NonlinearFunction:
 class Blocks:
     """Oversampled real-space values of the dyadic blocks of one field.
 
-    Each block is transformed on first use and kept, so a holder built once
-    for a field that stays fixed (the noise and its lift in a solver)
-    serves every later product with that field without a transform.  Low
-    sums S_j f are running sums of the block values, exact by linearity.
+    The first time any block is asked for, all j_max + 2 blocks are
+    transformed in one `oversampled_values` call on the stacked masked
+    coefficients and kept, so a holder built once for a field that stays
+    fixed (the noise and its lift in a solver) serves every later product
+    with that field without a transform.  Low sums S_j f are running sums
+    of the block values, exact by linearity.
     `para_lt`, `para_gt`, `resonant`, `commutator_C` and `pi_F` take a
     holder in place of any field argument and build one for a plain field;
     `dealiased_product`, `apply_pointwise` and so a `NonlinearFunction` use
@@ -98,7 +100,7 @@ class Blocks:
         self.part = part or default_partition(f.grid)
         if self.part.grid != f.grid:
             raise ValueError("partition and field live on different grids")
-        self._blocks = [None] * len(self.part.masks)
+        self._blocks = None
         self._values = None
 
     @property
@@ -107,11 +109,13 @@ class Blocks:
 
     def block(self, j: int) -> np.ndarray:
         """Values of Delta_j f, j = -1 .. j_max."""
-        v = self._blocks[j + 1]
-        if v is None:
-            v = oversampled_values(lp_block(self.field, j, self.part))
-            self._blocks[j + 1] = v
-        return v
+        if self._blocks is None:
+            f, masks = self.field, self.part.masks
+            # blocks x channels flattened into the channel axis of one field
+            stacked = (masks[:, None] * f.coeffs).reshape((-1,) + f.grid.shape)
+            v = oversampled_values(SpectralField(f.grid, stacked))
+            self._blocks = v.reshape(masks.shape[:1] + f.coeffs.shape[:1] + v.shape[1:])
+        return self._blocks[j + 1]
 
     def lows(self, j: int):
         """Values of S_0 f, ..., S_(j-1) f, each the sum of the blocks below."""

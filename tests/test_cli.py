@@ -1,14 +1,17 @@
 """Command-line harness: exit codes, file formats, reproducibility."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from paracalc import (GAUSS_MOLLIFIER, TorusGrid, burgers_theta_path, load_field, mollify,
-                      pam_c_eps, radial_cutoff, rde_driver, sample_line_path,
-                      solve_pam_regularized, spatial_white_noise)
+from paracalc import (GAUSS_MOLLIFIER, SpectralField, TorusGrid, apply_pointwise, besov_norm,
+                      burgers_theta_path, dealiased_product, default_partition, derivative,
+                      load_field, mollify, pam_c_eps, radial_cutoff, rde_driver,
+                      sample_line_path, solve_pam_regularized, spatial_white_noise,
+                      trapezoid_exponential_path)
 from paracalc import cli
 from paracalc.cli import build_parser, main
 
@@ -254,6 +257,26 @@ class TestSolves:
         assert sigmas and set(sigmas) == {0.9}
 
 
+def study_burgers_one_eps_at_a_time(args, lam, seed, eps_list):
+    """`cli._study_burgers` with one explicit ETD2 march per eps."""
+    grid = TorusGrid(1, args.n)
+    part = default_partition(grid)
+    theta = burgers_theta_path(grid, args.sigma, args.horizon, args.time_steps, 1, seed)
+    psi = cli.MOLLIFIERS[args.mollifier]
+    G = cli._cos_function(args.amplitude * lam ** args.alpha)
+    sols = []
+    for eps in eps_list:
+        thc = [f.channel(0) for f in mollify(theta, eps, psi).fields]
+        dth = [derivative(f, 0) for f in thc]
+        drift = lambda n, w: dealiased_product(apply_pointwise(G.f, thc[n] + w),
+                                               dth[n] + derivative(w, 0))
+        sols.append(trapezoid_exponential_path(grid, args.sigma, SpectralField.zero(grid),
+                                               drift, args.horizon, len(thc) - 1,
+                                               fp_tol=math.inf)[0])
+    return [max(besov_norm(x - y, args.alpha, part) for x, y in zip(a.fields, b.fields))
+            for a, b in zip(sols, sols[1:])]
+
+
 class TestStudy:
     def test_rejects_increasing_ladder(self, tmp_path):
         rc = main(["study", "--equation", "rde", "--eps", "0.1", "0.2",
@@ -284,3 +307,19 @@ class TestStudy:
         assert len(rows) == 3 * 2  # seeds x ladder pairs
         assert all(r[0] == "burgers" and r[5] == "1" for r in rows)
         assert rc in (0, 2)  # schema test; monotonicity is checked at scale
+
+    def test_burgers_ladder_as_channels_equals_one_eps_at_a_time(self, tmp_path, monkeypatch):
+        # with fp_tol = math.inf every channel makes one corrector per step
+        # and is transformed on its own, so the study is byte-identical; at
+        # this amplitude the first attempt of each seed blows up, so the
+        # lambda halving is compared too
+        argv = ["study", "--equation", "burgers", "--n", "64", "--sigma", "0.9",
+                "--time-steps", "32", "--mollifier", "bump", "--eps", "0.5", "0.25",
+                "0.125", "--seeds", "2", "--amplitude", "90"]
+        assert main(argv + ["--out", str(tmp_path / "ladder")]) in (0, 2)
+        monkeypatch.setattr(cli, "_study_burgers", study_burgers_one_eps_at_a_time)
+        assert main(argv + ["--out", str(tmp_path / "loop")]) in (0, 2)
+        assert (tmp_path / "ladder" / "study.csv").read_bytes() \
+            == (tmp_path / "loop" / "study.csv").read_bytes()
+        _, rows = read_csv(tmp_path / "ladder" / "study.csv")
+        assert {r[3] for r in rows} == {"0.5"}

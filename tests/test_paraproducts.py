@@ -13,10 +13,10 @@ from paracalc import (Blocks, NonlinearFunction, ParacontrolledField, SpectralFi
                       heat_para_commutator, para_gt, para_lt, para_lt_time,
                       paralin_remainder, paraproduct_switch, pi_F, pi_times,
                       poly_function, resonant)
-from paracalc.grid import FieldPath
+from paracalc.grid import FieldPath, oversampled_values
 from paracalc.evolution import path_time_derivative
 from paracalc.paraproducts import _qi_weights
-from paracalc.spectral import block_sups, default_partition, make_dyadic_partition
+from paracalc.spectral import block_sups, default_partition, lp_block, make_dyadic_partition
 
 from conftest import rough_field
 
@@ -274,6 +274,27 @@ def test_bony_identity_random_fields(dim, n, seed):
     total = para_lt(f, g, part) + para_gt(f, g, part) + resonant(f, g, part)
     prod = dealiased_product(f, g)
     assert (total - prod).sup_norm() <= 1e-11 * max(prod.sup_norm(), 1e-6)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (1, 128), (1, 512), (2, 16), (2, 32), (2, 64)])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10_000), channels=st.integers(1, 3), alpha=st.floats(-1.0, 1.0))
+def test_blocks_equal_one_transform_per_block(dim, n, seed, channels, alpha):
+    # all blocks come from one transform call on the stacked masked
+    # coefficients; each channel is transformed on its own, so every block
+    # equals its own transform bit for bit (the period pi gives N = 16 the
+    # three blocks a partition needs)
+    grid = TorusGrid(dim, n, math.pi)
+    part = default_partition(grid)
+    rng = np.random.default_rng(seed)
+    shape = (channels,) + grid.shape
+    # derivative's Nyquist content plus a general non-Hermitian part
+    f = derivative(rough_field(grid, alpha, seed, channels), seed % dim) \
+        + SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert not f.is_hermitian()
+    fb = Blocks(f, part)
+    for j in part.blocks:
+        assert np.array_equal(fb.block(j), oversampled_values(lp_block(f, j, part)))
 
 
 @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])

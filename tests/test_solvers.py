@@ -154,9 +154,41 @@ def test_drifts_equal_the_term_by_term_expansion(dim, n, seed, a):
     w = rough_field(grid, 0.9, seed + 20)
     dtheta = derivative(theta, 0)
     area = Blocks(eta - resonant(theta, dtheta, part), part)
-    assert_close(burgers_drift(w, theta, area, F, part),
+    assert_close(burgers_drift(w, theta, area, F),
                  burgers_drift_by_terms(w, *(Blocks(f, part) for f in (theta, dtheta, eta)),
                                         F, part))
+
+
+def burgers_drift_one_field_per_call(w, theta, area, G, part):
+    """`burgers_drift` with one transform call per field: 7 calls where the
+    stacked body makes 4."""
+    v = theta + w
+    vb = Blocks(v, part)
+    out = oversampled_values(G(vb)) * oversampled_values(derivative(v, 0))
+    out = out + oversampled_values(G.deriv(vb)) * area.values()
+    return field_from_oversampled(v.grid, out)
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10_000), a=st.floats(0.1, 2.0), alpha=st.floats(-0.5, 1.0))
+def test_burgers_drift_equals_one_field_per_call(n, seed, a, alpha):
+    # stacking v with d_x v, and G(v) with G'(v), as the channels of one
+    # call transforms each channel on its own: the drift is bit-identical,
+    # also on non-Hermitian input (derivative's Nyquist content)
+    grid = TorusGrid(1, n)
+    part = default_partition(grid)
+    theta, eta = rough_field(grid, 0.9, seed), rough_field(grid, -0.2, seed + 1)
+    w = derivative(rough_field(grid, alpha, seed + 2), 0)
+    w = w * (1.0 / w.sup_norm())
+    area = Blocks(eta - resonant(theta, derivative(theta, 0), part), part)
+    G = tanh_fn(a)
+    want = burgers_drift_one_field_per_call(w, theta, area, G, part)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_transforms(mp)
+        got = burgers_drift(w, theta, area, G)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert calls == {"oversampled_values": 2, "field_from_oversampled": 2}
 
 
 def count_transforms(monkeypatch) -> dict:
@@ -339,6 +371,15 @@ class TestBurgers:
         cfg = SolverConfig(alpha=0.45, sigma=0.8, T=0.25, M=4)
         with pytest.raises(ValueError):
             solve_burgers(SpectralField.zero(grid), E, tanh_fn(), cfg)
+
+    def test_rejects_a_nonlinearity_without_its_derivative(self):
+        grid = TorusGrid(1, 64)
+        times = np.linspace(0.0, 0.25, 5)
+        zp = FieldPath(times, [SpectralField.zero(grid)] * 5)
+        E = EnhancedNoise("burgers", zp, zp, zp)
+        cfg = SolverConfig(alpha=0.45, sigma=0.9, T=0.25, M=4)
+        with pytest.raises(ValueError, match="not registered"):
+            solve_burgers(SpectralField.zero(grid), E, NonlinearFunction(np.tanh), cfg)
 
     def test_stall_raises_with_rescaling_advice(self):
         grid = TorusGrid(1, 128)

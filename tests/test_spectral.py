@@ -345,6 +345,21 @@ def test_pruned_transforms_equal_the_full_spectrum_ones(dim, n, seed, channels, 
                           _full_spectrum_field(grid, values))
 
 
+@pytest.mark.parametrize("dim, shape", [(1, (16,)), (2, (32, 16)), (2, (16, 16)),
+                                        (2, (32,)), (1, (2, 3, 32))])
+def test_field_from_oversampled_rejects_samples_off_the_fine_grid(dim, shape):
+    with pytest.raises(ValueError, match="not on the 32"):
+        field_from_oversampled(TorusGrid(dim, 16), np.ones(shape))
+
+
+def test_field_from_oversampled_accepts_stacked_channels():
+    grid = TorusGrid(2, 16)
+    values = np.random.default_rng(0).standard_normal((3, 32, 32))
+    f = field_from_oversampled(grid, values)
+    assert f.channels == 3
+    assert np.array_equal(f.channel(1).coeffs, field_from_oversampled(grid, values[1]).coeffs)
+
+
 @pytest.mark.parametrize("dim, n", _TRANSFORM_SIZES)
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10_000), channels=st.integers(1, 2),
