@@ -5,9 +5,13 @@ Times `grid.oversampled_values`, `grid.field_from_oversampled`,
 `grid.dealiased_product`, a fresh `paraproducts.Blocks` holder with the
 values of all its blocks, and `paraproducts.para_lt` and
 `paraproducts.resonant` on two plain fields, all on one-channel fields at
-1-d N = 256, 1024 and 2-d N = 32, 64, 128.  Prints one JSON object: the
-machine facts and, per layer and size, the median and quartiles of the
-per-call time over the repeats.  Run from anywhere:
+1-d N = 256, 1024 and 2-d N = 32, 64, 128, and at the 2-d sizes one
+later-node `solvers.pam_drift_sharp` call with its fixed holders warm,
+whose row also records the inverse and forward oversampled transforms
+that one call makes (the transform count per drift evaluation of the
+2-d solver).  Prints one JSON object: the machine facts and, per layer
+and size, the median and quartiles of the per-call time over the
+repeats.  Run from anywhere:
 
     python3 bench/transforms.py [--compare BENCH_prev.json]
 
@@ -17,7 +21,7 @@ prints to stderr every row whose median is 10 % or more above that
 record's, and exits 1 if there is one.
 
 Each repeat makes enough calls to last about 0.1 s; the whole sweep takes
-about 25 s.
+about 30 s.
 """
 
 import os
@@ -39,10 +43,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+import paracalc.grid  # noqa: E402
 from paracalc.grid import (SpectralField, TorusGrid, dealiased_product,  # noqa: E402
                            field_from_oversampled, oversampled_values)
-from paracalc.paraproducts import Blocks, para_lt, resonant  # noqa: E402
-from paracalc.spectral import default_partition  # noqa: E402
+from paracalc.noise import pam_theta  # noqa: E402
+from paracalc.paraproducts import (Blocks, CausalAverage, para_lt,  # noqa: E402
+                                   poly_function, resonant)
+from paracalc.solvers import pam_drift_sharp  # noqa: E402
+from paracalc.spectral import default_partition, remove_mean  # noqa: E402
 
 SIZES = [(1, 256), (1, 1024), (2, 32), (2, 64), (2, 128)]
 REPEATS = 7
@@ -80,6 +88,47 @@ def all_blocks(f, part) -> list:
     return [fb.block(j) for j in part.blocks]
 
 
+def later_drift_call(grid, part, rng):
+    """A `pam_drift_sharp` call at node 2 of a solve with its fixed holders
+    and the two earlier nodes in place; repeated calls revise node 2, as
+    the solver's fixed point does."""
+    xi = remove_mean(SpectralField.from_values(grid, rng.standard_normal(grid.shape)))[0]
+    theta = pam_theta(xi)
+    held = [Blocks(f, part) for f in (theta, xi, xi)]  # xi stands in for the area
+    held.append(Blocks(resonant(held[0], held[1], part), part))
+    avg = CausalAverage(part, np.arange(9) / 512.0)
+    F = poly_function([0.0, 1.0, 0.0, -0.1])
+    u = SpectralField.from_values(grid, 0.3 + 0.1 * rng.standard_normal(grid.shape))
+    past = ()
+    for n in (0, 1):
+        past = (pam_drift_sharp(avg, n, u, *held, past, F, part)[1].coeffs,) + past[:1]
+    return lambda: pam_drift_sharp(avg, 2, u, *held, past, F, part)
+
+
+def transform_counts(fn) -> dict:
+    """Inverse and forward oversampled transforms made by one call of fn."""
+    names = {"inverse": "oversampled_values", "forward": "field_from_oversampled"}
+    counts = dict.fromkeys(names, 0)
+    patched = []
+    for kind, name in names.items():
+        orig = getattr(paracalc.grid, name)
+
+        def counted(*args, kind=kind, orig=orig, **kwargs):
+            counts[kind] += 1
+            return orig(*args, **kwargs)
+
+        for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "paracalc"]:
+            if getattr(mod, name, None) is orig:
+                patched.append((mod, name, orig))
+                setattr(mod, name, counted)
+    try:
+        fn()
+    finally:
+        for mod, name, orig in patched:
+            setattr(mod, name, orig)
+    return counts
+
+
 def sweep() -> list:
     rng = np.random.default_rng(0)
     rows = []
@@ -99,6 +148,10 @@ def sweep() -> list:
         }
         for name, fn in layers.items():
             rows.append({"layer": name, "dim": dim, "n": n, **per_call_us(fn)})
+        if dim == 2:
+            fn = later_drift_call(grid, part, rng)
+            rows.append({"layer": "solvers.pam_drift_sharp", "dim": dim, "n": n,
+                         **per_call_us(fn), **transform_counts(fn)})
     return rows
 
 

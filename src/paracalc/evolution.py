@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import FieldPath, SpectralField, TorusGrid
+from .spectral import _symbol
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,9 @@ class SemigroupSpec:
             raise ValueError(f"sigma = {self.sigma} outside (1/2, 1]")
 
     def symbol(self) -> np.ndarray:
-        """|k|^(2 sigma) on the lattice (the decay rate of each mode)."""
-        r = self.grid.k_abs()
-        out = np.zeros(self.grid.shape)
-        nz = r > 0
-        out[nz] = r[nz] ** (2.0 * self.sigma)
-        return out
+        """|k|^(2 sigma) on the lattice (the decay rate of each mode), held
+        per grid and read-only."""
+        return _symbol(self.grid, None, 2.0 * self.sigma)
 
 
 def heat_apply(f: SpectralField, t: float, spec: SemigroupSpec) -> SpectralField:

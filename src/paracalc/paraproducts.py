@@ -322,9 +322,7 @@ class CausalAverage:
     `at(n, f)` records f at node n and returns the averages there: the
     earlier nodes' share, contracted once per node, plus the weight times
     node n.  Node n may be recorded again (a solver revises it inside its
-    fixed point); moving on to node n + 1 freezes node n and keeps its
-    averages as `prev`, and those of node n - 1 as `prev2`, for backward
-    time differences.
+    fixed point); moving on to node n + 1 freezes node n.
     """
 
     def __init__(self, part: DyadicPartition, times: np.ndarray):
@@ -335,24 +333,17 @@ class CausalAverage:
         self.hist = None
         self.node = None
         self.share = []     # the earlier nodes' share of each average at `node`
-        self.prev = None    # the averages at the node before `node`
-        self.prev2 = None   # ... and at the node before that
 
     def at(self, n: int, f: SpectralField) -> list[np.ndarray]:
         if self.hist is None:
             self.hist = np.zeros((len(self.times),) + f.coeffs.shape, dtype=np.complex128)
         if n != self.node:
-            if self.node is not None:
-                self.prev2, self.prev = self.prev, self._averages(self.node)
             self.node = n
             self.share = []
             for w in self.weights:
                 nz = np.nonzero(w[n, :n])[0]
                 self.share.append(np.tensordot(w[n, nz], self.hist[nz], axes=(0, 0)))
         self.hist[n] = f.coeffs
-        return self._averages(n)
-
-    def _averages(self, n: int) -> list[np.ndarray]:
         return [(s + w[n, n] * self.hist[n]) * low
                 for s, w, low in zip(self.share, self.weights, self.lows)]
 

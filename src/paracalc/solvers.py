@@ -22,7 +22,8 @@ from .grid import (FieldPath, SpectralField, TorusGrid, dealiased_product,
 from .noise import default_time_cutoff
 from .paraproducts import Blocks, CausalAverage, NonlinearFunction, para_gt, para_lt, resonant
 from .partition import DyadicPartition, radial_cutoff
-from .spectral import antiderivative, besov_norm, default_partition, derivative, lp_block
+from .spectral import (antiderivative, besov_norm, default_partition, derivative,
+                       fractional_laplacian)
 
 
 @dataclass
@@ -216,53 +217,42 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
 # -- 2-d multiplicative heat equation ---------------------------------
 
 def pam_drift_sharp(avg: CausalAverage, n: int, u: SpectralField,
-                    theta: Blocks, xi: Blocks, eta: Blocks, theta_xi: Blocks, heat,
+                    theta: Blocks, xi: Blocks, eta: Blocks, theta_xi: Blocks, past,
                     F: NonlinearFunction, part: DyadicPartition):
     """Driving term of the remainder at node n, given u at that node.
 
     `avg` holds the causal averages of F(u) along the solve, node n - 1
-    being the last frozen one.  The fixed theta, xi, eta and theta @ xi
-    come as `Blocks` holders, and `heat` = (|k|^2, [i k per axis],
-    {i: grad Delta_i theta values}), all built once per solve.  Returns
-    (drift, F(u) << theta) so the caller can rebuild u.
+    being the last frozen one, and `past` the coefficients of
+    ptt = F(u) << theta at the frozen nodes n - 1 and n - 2 that exist, the
+    latest first; the fixed theta, xi, eta and theta @ xi come as `Blocks`
+    holders.  Returns (drift, ptt).
 
-    The drift is the heat defect -[L(F(u) << theta) - F(u) << xi] plus
-    the renormalized product F(u) xi - F(u) << xi.  The paracontrolled
-    expansion of that product into paraproducts, commutators and the area
-    telescopes on the grid to
-    F(u) xi - F'(u) (F(u) (theta @ xi)) + eta (F'(u) F(u)),
+    The ansatz u = ptt + usharp gives the drift F(u) <> xi - L ptt, for any
+    theta.  On the grid the paracontrolled expansion of the renormalized
+    product telescopes to F(u) xi - F'(u) (F(u) (theta @ xi)) + eta (F'(u) F(u)),
     associated as written, since truncated products are not associative.
-
-    The heat defect follows the product rule: each scale contributes
-    -(L S Q f) Delta theta + 2 grad(S Q f) . grad(Delta theta), using that
-    L theta = xi kills the remaining term.  The time part of L S Q f is
-    the second-order backward difference (BDF2) of the averages from node
-    2 on, the first-order one at node 1, and zero at the initial node,
-    where the clamped history is constant.  Every term is summed in real
-    space before one forward transform."""
+    L ptt is |k|^2 ptt plus the BDF2 difference of ptt's node values from
+    node 2 on, the first-order one at node 1 and none at the initial node,
+    where the clamped history is constant.  ptt takes one inverse transform
+    per scale; the products are summed in real space before one forward
+    transform."""
     grid = u.grid
     ub = Blocks(u, part)
     fb, db = Blocks(F(ub), part), Blocks(F.deriv(ub), part)
-    lap, ik, grad_theta = heat
-    dt = avg.times[1] - avg.times[0]
-    values = lambda c: oversampled_values(SpectralField(grid, c))
-    ptt = drift = 0.0
+    ptt = 0.0
     for i, lq in enumerate(avg.at(n, fb.field), start=1):
-        v = values(lq)
-        ptt = ptt + v * theta.block(i)
-        if n == 0:
-            dt_lq = 0.0
-        elif n == 1:
-            dt_lq = (lq - avg.prev[i - 1]) / dt
-        else:
-            dt_lq = (3.0 * lq - 4.0 * avg.prev[i - 1] + avg.prev2[i - 1]) / (2.0 * dt)
-        drift = drift - v * xi.block(i) - values(dt_lq + lq * lap) * theta.block(i)
-        for k, g in zip(ik, grad_theta[i]):
-            drift = drift + 2.0 * values(lq * k) * g
-    drift = drift + fb.values() * xi.values()
+        ptt = ptt + oversampled_values(SpectralField(grid, lq)) * theta.block(i)
+    ptt = field_from_oversampled(grid, ptt)
+    drift = fb.values() * xi.values()
     drift = drift - db.values() * oversampled_values(dealiased_product(fb, theta_xi))
     drift = drift + eta.values() * oversampled_values(dealiased_product(db, fb))
-    return field_from_oversampled(grid, drift), field_from_oversampled(grid, ptt)
+    p, dt = ptt.coeffs, avg.times[1] - avg.times[0]
+    heat = fractional_laplacian(ptt, 1.0).coeffs
+    if n == 1:
+        heat = heat + (p - past[0]) / dt
+    elif n > 1:
+        heat = heat + (3.0 * p - 4.0 * past[0] + past[1]) / (2.0 * dt)
+    return SpectralField(grid, field_from_oversampled(grid, drift).coeffs - heat), ptt
 
 
 def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
@@ -271,8 +261,10 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     with stationary lifted noise.
 
     Marches the remainder with the exact per-mode exponential rule and
-    rebuilds u = (F(u) << theta) + usharp through a damped inner fixed
-    point at each node.
+    rebuilds u = ptt + usharp, ptt = F(u) << theta, through a damped inner
+    fixed point at each node.  The final drift evaluation at each accepted
+    node gives that node's ptt, and the last two are kept for the time
+    difference in the heat defect of `pam_drift_sharp`.
     """
     if E.kind != "pam":
         raise ValueError("solve_pam expects 2-d static enhanced data")
@@ -290,27 +282,26 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
 
     held = [Blocks(f, part) for f in (theta, xi, eta)]
     held.append(Blocks(resonant(held[0], held[1], part), part))
-    heat = (lap, [1j * np.broadcast_to(k, grid.shape) for k in grid.freq_mesh()],
-            {i: [oversampled_values(derivative(lp_block(theta, i, part), ax))
-                 for ax in range(grid.dim)] for i in range(1, part.j_max + 1)})
     avg = CausalAverage(part, times)
 
     u = u0
-    drift0, ptt0 = pam_drift_sharp(avg, 0, u, *held, heat, F, part)
+    drift0, ptt0 = pam_drift_sharp(avg, 0, u, *held, (), F, part)
     usharp = u0 - ptt0
+    past = (ptt0.coeffs,)
     u_fields = [u]
     sharp_fields = [usharp]
     worst_res = 0.0
     worst_it = 0
     for n in range(cfg.M):
         def step(v: SpectralField) -> SpectralField:
-            drift1, ptt1 = pam_drift_sharp(avg, n + 1, v, *held, heat, F, part)
+            drift1, ptt1 = pam_drift_sharp(avg, n + 1, v, *held, past, F, part)
             return ptt1 + SpectralField(grid, usharp.coeffs * decay
                                         + drift0.coeffs * (A - B) + drift1.coeffs * B)
 
         u_next, k, res = damped_fixed_point(step, u, cfg.fp_tol, cfg.fp_max, cfg.damping,
                                             f"node {n + 1}")
-        drift1, ptt1 = pam_drift_sharp(avg, n + 1, u_next, *held, heat, F, part)
+        drift1, ptt1 = pam_drift_sharp(avg, n + 1, u_next, *held, past, F, part)
+        past = (ptt1.coeffs, past[0])
         usharp = SpectralField(grid, usharp.coeffs * decay
                                + drift0.coeffs * (A - B) + drift1.coeffs * B)
         u = ptt1 + usharp

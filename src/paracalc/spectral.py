@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grid import SpectralField, TorusGrid
@@ -60,19 +62,27 @@ def fourier_multiplier(f: SpectralField, symbol) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * np.broadcast_to(m, f.grid.shape))
 
 
+@functools.lru_cache(maxsize=64)
+def _symbol(grid: TorusGrid, axis: int | None, power: float) -> np.ndarray:
+    """A multiplier held per grid, read-only since it is shared:
+    (i k_axis)^power, or for axis None |k|^power off the zero mode."""
+    if axis is None:
+        r = grid.k_abs()
+        sym = np.zeros(grid.shape)
+        sym[r > 0] = r[r > 0] ** power
+    else:
+        sym = (1j * grid.freq_mesh()[axis]) ** power
+    sym.flags.writeable = False
+    return np.broadcast_to(sym, grid.shape)
+
+
 def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField:
-    mesh = f.grid.freq_mesh()
-    sym = np.broadcast_to((1j * mesh[axis]) ** order, f.grid.shape)
-    return SpectralField(f.grid, f.coeffs * sym)
+    return SpectralField(f.grid, f.coeffs * _symbol(f.grid, axis, order))
 
 
 def fractional_laplacian(f: SpectralField, sigma: float) -> SpectralField:
     """(-Laplacian)^sigma; the zero mode is annihilated."""
-    r = f.grid.k_abs()
-    sym = np.zeros(f.grid.shape)
-    nz = r > 0
-    sym[nz] = r[nz] ** (2.0 * sigma)
-    return SpectralField(f.grid, f.coeffs * sym)
+    return SpectralField(f.grid, f.coeffs * _symbol(f.grid, None, 2.0 * sigma))
 
 
 def antiderivative(f: SpectralField, axis: int = 0) -> SpectralField:

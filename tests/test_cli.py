@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return header, rows
+
+
+def observed_order(out):
+    """The observed order printed by `solve-pam --gauge-check`."""
+    return float(out.rsplit("observed order", 1)[1])
 
 
 class TestParsing:
@@ -239,6 +245,24 @@ class TestSolves:
                      "--out", str(out)]) == 1
         assert "specific to sigma = 1" in capsys.readouterr().err
         assert not (out / "solution.field").exists()
+
+    def test_gauge_check_passes_at_a_coarse_time_grid(self, tmp_path, capsys):
+        # the defect at 8 steps is the march's time error, 2.9e-5, and it
+        # falls fourfold at 16 steps
+        assert main(["solve-pam", "--gauge-check", "--n", "32", "--time-steps", "8",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert abs(observed_order(capsys.readouterr().out) - 2.0) < 0.1
+
+    @pytest.mark.parametrize("steps", ["8", "128"])
+    def test_gauge_check_fails_on_a_wrong_gauge_factor(self, tmp_path, monkeypatch, capsys,
+                                                       steps):
+        # e^(-2ct) in place of e^(-ct): the defect neither is small nor
+        # falls with the time step
+        monkeypatch.setattr(cli, "math", types.SimpleNamespace(
+            **{**vars(math), "exp": lambda x: math.exp(2.0 * x)}))
+        assert main(["solve-pam", "--gauge-check", "--n", "32", "--time-steps", steps,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert abs(observed_order(capsys.readouterr().out)) < 0.1
 
     @pytest.mark.parametrize("argv", [
         ["solve-pam", "--gauge-check"],

@@ -47,7 +47,8 @@ def tanh_fn(a=1.0):
 # commutator C, and the area eta for the one singular piece.
 
 def pam_heat(theta, part):
-    """The `heat` tuple `solve_pam` builds once per solve."""
+    """|k|^2, i k per axis and the gradients of the theta blocks: what the
+    product-rule form of the heat defect reads."""
     grid = theta.grid
     return (SemigroupSpec(1.0, grid).symbol(),
             [1j * np.broadcast_to(k, grid.shape) for k in grid.freq_mesh()],
@@ -55,31 +56,37 @@ def pam_heat(theta, part):
                  for ax in range(grid.dim)] for i in range(1, part.j_max + 1)})
 
 
-def pam_drift_by_terms(avg, n, u, theta, xi, eta, heat, F, part):
+def bdf2(hist, n, dt):
+    """The time difference of `pam_drift_sharp` at node n of the node values
+    in `hist` (node -> coefficients): zero at node 0, first order at node 1,
+    BDF2 from node 2 on."""
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return (hist[1] - hist[0]) / dt
+    return (3.0 * hist[n] - 4.0 * hist[n - 1] + hist[n - 2]) / (2.0 * dt)
+
+
+def pam_drift_by_terms(avg, n, u, theta, xi, eta, hist, F, part):
     """`pam_drift_sharp` with the resonant product F(u) @ xi expanded term
-    by term; theta, xi and eta are `Blocks` holders."""
+    by term and the heat defect by its definition,
+    -[BDF2(ptt) + |k|^2 ptt - F(u) << xi] with ptt = F(u) << theta; theta,
+    xi and eta are `Blocks` holders, and `hist` keeps ptt's coefficients
+    at each node recorded so far (its last recording)."""
     grid = u.grid
     ub = Blocks(u, part)
     Fu = F(ub)
     dFu = F.deriv(ub)
-    lap, ik, grad_theta = heat
-    dt = avg.times[1] - avg.times[0]
     values = lambda c: oversampled_values(SpectralField(grid, c))
-    ptt = pxi = defect = 0.0
+    ptt = pxi = 0.0
     for i, lq in enumerate(avg.at(n, Fu), start=1):
         v = values(lq)
         ptt = ptt + v * theta.block(i)
         pxi = pxi + v * xi.block(i)
-        if n == 0:
-            dt_lq = 0.0
-        elif n == 1:
-            dt_lq = (lq - avg.prev[i - 1]) / dt
-        else:
-            dt_lq = (3.0 * lq - 4.0 * avg.prev[i - 1] + avg.prev2[i - 1]) / (2.0 * dt)
-        defect = defect - values(dt_lq + lq * lap) * theta.block(i)
-        for k, g in zip(ik, grad_theta[i]):
-            defect = defect + 2.0 * values(lq * k) * g
-    ptt, ptt_xi, defect = (field_from_oversampled(grid, v) for v in (ptt, pxi, defect))
+    ptt, ptt_xi = (field_from_oversampled(grid, v) for v in (ptt, pxi))
+    hist[n] = ptt.coeffs
+    heat = bdf2(hist, n, avg.times[1] - avg.times[0])
+    defect = ptt_xi - SpectralField(grid, heat + SemigroupSpec(1.0, grid).symbol() * ptt.coeffs)
     fb, db, pb = Blocks(Fu, part), Blocks(dFu, part), Blocks(ptt, part)
 
     drift = defect
@@ -91,6 +98,35 @@ def pam_drift_by_terms(avg, n, u, theta, xi, eta, heat, F, part):
     drift = drift + dealiased_product(db, commutator_C(fb, theta, xi, part))
     drift = drift + dealiased_product(eta, dealiased_product(db, fb))
     return drift, ptt
+
+
+def pam_drift_product_rule(avg, n, u, theta, xi, eta, theta_xi, heat, hist, F, part):
+    """`pam_drift_sharp` with the heat defect in the product-rule form
+    -[sum over scales of (L lq_i) Delta_i theta - 2 grad lq_i . grad Delta_i
+    theta], lq_i = S_(i-1) Q_i F(u), with the time part the same difference
+    of each lq_i; `hist` keeps the lq_i at each node recorded so far.  It
+    equals the definition when |k|^2 Delta_i theta = Delta_i xi on every
+    block i >= 1, and when xi has no Nyquist modes, whose gradients the
+    real-valued transform drops."""
+    grid = u.grid
+    ub = Blocks(u, part)
+    fb, db = Blocks(F(ub), part), Blocks(F.deriv(ub), part)
+    lap, ik, grad_theta = heat
+    values = lambda c: oversampled_values(SpectralField(grid, c))
+    dt = avg.times[1] - avg.times[0]
+    hist[n] = avg.at(n, fb.field)
+    ptt = drift = 0.0
+    for i, lq in enumerate(hist[n], start=1):
+        v = values(lq)
+        ptt = ptt + v * theta.block(i)
+        dt_lq = bdf2({m: q[i - 1] for m, q in hist.items()}, n, dt)
+        drift = drift - v * xi.block(i) - values(dt_lq + lq * lap) * theta.block(i)
+        for k, g in zip(ik, grad_theta[i]):
+            drift = drift + 2.0 * values(lq * k) * g
+    drift = drift + fb.values() * xi.values()
+    drift = drift - db.values() * oversampled_values(dealiased_product(fb, theta_xi))
+    drift = drift + eta.values() * oversampled_values(dealiased_product(db, fb))
+    return field_from_oversampled(grid, drift), field_from_oversampled(grid, ptt)
 
 
 def burgers_drift_by_terms(w, theta, dtheta, eta, G, part):
@@ -127,12 +163,27 @@ def assert_close(got, want, rtol=1e-13):
     assert np.max(np.abs(got.coeffs - want.coeffs)) <= rtol * scale
 
 
+def compare_pam_drifts(held, theta_xi, F, part, seed, reference, rtol=1e-13):
+    """`pam_drift_sharp` against `reference(avg, node, u)` for random u over
+    nodes 0, 1, 1, 2, 3 (node 1 revised, as inside the solver's fixed
+    point), each side with its own causal average and history."""
+    times = np.arange(4) / 64.0
+    lib, ref = CausalAverage(part, times), CausalAverage(part, times)
+    past = {}
+    for k, node in enumerate((0, 1, 1, 2, 3)):
+        u = rough_field(part.grid, 0.9, seed + 10 + k)
+        got = pam_drift_sharp(lib, node, u, *held, theta_xi,
+                              tuple(past[m] for m in (node - 1, node - 2) if m >= 0), F, part)
+        past[node] = got[1].coeffs
+        for g, w in zip(got, reference(ref, node, u)):
+            assert_close(g, w, rtol)
+
+
 @pytest.mark.parametrize("dim, n", [(2, 32), (1, 64)])
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 10_000), a=st.floats(0.1, 2.0))
 def test_drifts_equal_the_term_by_term_expansion(dim, n, seed, a):
-    # random u over a few nodes (node 1 revised, as inside the solver's
-    # fixed point) and an area that is neither theta @ xi nor
+    # random theta and xi, and an area that is neither theta @ xi nor
     # theta @ d_x theta: the telescoped drifts are the expansion, to rounding
     grid = TorusGrid(dim, n)
     part = default_partition(grid)
@@ -140,16 +191,10 @@ def test_drifts_equal_the_term_by_term_expansion(dim, n, seed, a):
                       for k, al in enumerate((0.9, -1.1, -0.2)))
     F = tanh_fn(a)
     held = [Blocks(f, part) for f in (theta, xi, eta)]
-    theta_xi = Blocks(resonant(theta, xi, part), part)
-    heat = pam_heat(theta, part)
-    times = np.arange(4) / 64.0
-    lib, ref = CausalAverage(part, times), CausalAverage(part, times)
-    for k, node in enumerate((0, 1, 1, 2, 3)):
-        u = rough_field(grid, 0.9, seed + 10 + k)
-        got = pam_drift_sharp(lib, node, u, *held, theta_xi, heat, F, part)
-        want = pam_drift_by_terms(ref, node, u, *held, heat, F, part)
-        for g, w in zip(got, want):
-            assert_close(g, w)
+    hist = {}
+    compare_pam_drifts(held, Blocks(resonant(theta, xi, part), part), F, part, seed,
+                       lambda avg, node, u: pam_drift_by_terms(avg, node, u, *held, hist,
+                                                               F, part))
 
     w = rough_field(grid, 0.9, seed + 20)
     dtheta = derivative(theta, 0)
@@ -157,6 +202,29 @@ def test_drifts_equal_the_term_by_term_expansion(dim, n, seed, a):
     assert_close(burgers_drift(w, theta, area, F),
                  burgers_drift_by_terms(w, *(Blocks(f, part) for f in (theta, dtheta, eta)),
                                         F, part))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (2, 64), (1, 64)])
+def test_heat_defect_equals_the_product_rule_for_the_lift(dim, n):
+    # with theta = pam_theta(xi) and xi free of Nyquist modes, the heat
+    # defect by definition, -[BDF2(ptt) + |k|^2 ptt], equals its product-rule
+    # expansion scale by scale plus F(u) << xi
+    grid = TorusGrid(dim, n)
+    part = default_partition(grid)
+    nyquist = np.any([np.broadcast_to(k, grid.shape) == -n / 2 for k in grid.freq_mesh()],
+                     axis=0)
+    xi = rough_field(grid, -1.1, 7)
+    xi = SpectralField(grid, xi.coeffs * ~nyquist)
+    theta = pam_theta(xi)
+    eta = rough_field(grid, -0.2, 8)
+    F = tanh_fn(0.7)
+    held = [Blocks(f, part) for f in (theta, xi, eta)]
+    theta_xi = Blocks(resonant(theta, xi, part), part)
+    heat, hist = pam_heat(theta, part), {}
+    compare_pam_drifts(held, theta_xi, F, part, 0,
+                       lambda avg, node, u: pam_drift_product_rule(
+                           avg, node, u, *held, theta_xi, heat, hist, F, part),
+                       rtol=1e-12)
 
 
 def burgers_drift_one_field_per_call(w, theta, area, G, part):
@@ -452,8 +520,7 @@ class TestPam:
 
     def test_causal_average_is_frozen_share_plus_current_node(self):
         # the solver revises node n's value inside its fixed point; the
-        # average must follow the final value and the frozen earlier nodes,
-        # and moving on must keep the final averages of the two nodes before
+        # average must follow the final value and the frozen earlier nodes
         grid = TorusGrid(2, 32)
         part = default_partition(grid)
         times = np.arange(9) / 64.0
@@ -468,10 +535,6 @@ class TestPam:
         for n in range(9):
             avg.at(n, SpectralField(grid, 2.0 * final[n]))
             out = avg.at(n, SpectralField(grid, final[n]))
-            for back, kept in ((1, avg.prev), (2, avg.prev2)):
-                if n >= back:
-                    for p, ref in zip(kept, full(n - back)):
-                        assert np.max(np.abs(p - ref)) <= 1e-13 * np.max(np.abs(ref))
             for q, ref in zip(out, full(n)):
                 assert np.max(np.abs(q - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -520,8 +583,9 @@ class TestPam:
 
     def test_drift_transform_counts(self, monkeypatch):
         # criterion 5's 2-d config: once the first call has transformed the
-        # fixed blocks, a drift makes at most 17 inverse and 6 forward
-        # transforms (the term-by-term expansion made 53 and 23)
+        # fixed blocks, a drift makes at most 8 inverse and 6 forward
+        # transforms (the product-rule heat defect made 17 and 6, the
+        # term-by-term expansion 53 and 23)
         calls = count_transforms(monkeypatch)
         per_call = []
 
@@ -543,7 +607,7 @@ class TestPam:
         solve_pam(SpectralField.constant(grid, 0.3), E, tanh_fn(0.4), cfg, part=part)
         assert len(per_call) > 2
         for inverse, forward in per_call[1:]:
-            assert inverse <= 17 and forward <= 6
+            assert inverse <= 8 and forward <= 6
 
     def test_non_finite_residual_stops_the_solve_at_once(self, monkeypatch):
         calls = []
