@@ -5,13 +5,15 @@ Times `grid.oversampled_values`, `grid.field_from_oversampled`,
 `grid.dealiased_product`, a fresh `paraproducts.Blocks` holder with the
 values of all its blocks, and `paraproducts.para_lt` and
 `paraproducts.resonant` on two plain fields, all on one-channel fields at
-1-d N = 256, 1024 and 2-d N = 32, 64, 128, and at the 2-d sizes one
-later-node `solvers.pam_drift_sharp` call with its fixed holders warm,
-whose row also records the inverse and forward oversampled transforms
-that one call makes (the transform count per drift evaluation of the
-2-d solver).  Prints one JSON object: the machine facts and, per layer
-and size, the median and quartiles of the per-call time over the
-repeats.  Run from anywhere:
+1-d N = 256, 1024 and 2-d N = 32, 64, 128.  At the 2-d sizes it also
+times one later-node `solvers.pam_drift_sharp` call with its fixed
+holders warm, and one drift evaluation of the classical
+`solvers.solve_pam_regularized` (c_eps != 0, xi_eps held); their rows
+record the inverse and forward oversampled transform calls that one
+evaluation makes and the channels they transform (the transform counts
+per drift evaluation of the two 2-d solvers).  Prints one JSON object:
+the machine facts and, per layer and size, the median and quartiles of
+the per-call time over the repeats.  Run from anywhere:
 
     python3 bench/transforms.py [--compare BENCH_prev.json]
 
@@ -44,12 +46,13 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import paracalc.grid  # noqa: E402
+import paracalc.solvers  # noqa: E402
 from paracalc.grid import (SpectralField, TorusGrid, dealiased_product,  # noqa: E402
                            field_from_oversampled, oversampled_values)
 from paracalc.noise import pam_theta  # noqa: E402
 from paracalc.paraproducts import (Blocks, CausalAverage, para_lt,  # noqa: E402
                                    poly_function, resonant)
-from paracalc.solvers import pam_drift_sharp  # noqa: E402
+from paracalc.solvers import SolverConfig, pam_drift_sharp, solve_pam_regularized  # noqa: E402
 from paracalc.spectral import default_partition, remove_mean  # noqa: E402
 
 SIZES = [(1, 256), (1, 1024), (2, 32), (2, 64), (2, 128)]
@@ -105,16 +108,44 @@ def later_drift_call(grid, part, rng):
     return lambda: pam_drift_sharp(avg, 2, u, *held, past, F, part)
 
 
+def later_regularized_drift(grid, rng):
+    """A drift evaluation of `solve_pam_regularized` with c_eps != 0, taken
+    from the solve before it marches (xi_eps is transformed then)."""
+    xi = remove_mean(SpectralField.from_values(grid, rng.standard_normal(grid.shape)))[0]
+    u = SpectralField.from_values(grid, 0.3 + 0.1 * rng.standard_normal(grid.shape))
+    drifts = []
+    march = paracalc.solvers.trapezoid_exponential_path
+    paracalc.solvers.trapezoid_exponential_path = lambda g, s, u0, drift, *a, **k: \
+        (drifts.append(drift), 0, 0.0)
+    try:
+        solve_pam_regularized(u, xi, 0.7, poly_function([0.0, 1.0, 0.0, -0.1]),
+                              SolverConfig(alpha=0.45, T=0.05, M=8))
+    finally:
+        paracalc.solvers.trapezoid_exponential_path = march
+    (drift,) = drifts
+    return lambda: drift(1, u)
+
+
+def _channels(name, args) -> int:
+    """Channels of one oversampled transform call's input."""
+    if name == "oversampled_values":
+        return args[0].channels
+    grid, values = args
+    return values.shape[0] if values.ndim > grid.dim else 1
+
+
 def transform_counts(fn) -> dict:
-    """Inverse and forward oversampled transforms made by one call of fn."""
+    """Inverse and forward oversampled transform calls made by one call of
+    fn, and the channels they transform."""
     names = {"inverse": "oversampled_values", "forward": "field_from_oversampled"}
-    counts = dict.fromkeys(names, 0)
+    counts = dict.fromkeys([*names, *(f"{k}_channels" for k in names)], 0)
     patched = []
     for kind, name in names.items():
         orig = getattr(paracalc.grid, name)
 
-        def counted(*args, kind=kind, orig=orig, **kwargs):
+        def counted(*args, kind=kind, name=name, orig=orig, **kwargs):
             counts[kind] += 1
+            counts[f"{kind}_channels"] += _channels(name, args)
             return orig(*args, **kwargs)
 
         for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "paracalc"]:
@@ -149,9 +180,12 @@ def sweep() -> list:
         for name, fn in layers.items():
             rows.append({"layer": name, "dim": dim, "n": n, **per_call_us(fn)})
         if dim == 2:
-            fn = later_drift_call(grid, part, rng)
-            rows.append({"layer": "solvers.pam_drift_sharp", "dim": dim, "n": n,
-                         **per_call_us(fn), **transform_counts(fn)})
+            drifts = {"solvers.pam_drift_sharp": later_drift_call(grid, part, rng),
+                      "solvers.solve_pam_regularized.drift":
+                      later_regularized_drift(grid, np.random.default_rng(n))}
+            for name, fn in drifts.items():
+                rows.append({"layer": name, "dim": dim, "n": n,
+                             **per_call_us(fn), **transform_counts(fn)})
     return rows
 
 

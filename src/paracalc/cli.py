@@ -12,7 +12,9 @@ execution is sequential, so the value cannot affect results.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import logging
 import math
 import os
 import sys
@@ -30,6 +32,8 @@ from .paraproducts import NonlinearFunction, resonant, poly_function
 from .partition import radial_cutoff
 from .solvers import SolverConfig, solve_burgers, solve_pam, solve_pam_regularized, solve_rde
 from .spectral import besov_norm, block_sups, default_partition, derivative
+
+log = logging.getLogger(__name__)
 
 
 def _tanh_function(a: float) -> NonlinearFunction:
@@ -328,19 +332,14 @@ def cmd_study(args) -> int:
     rows = []
     dists_by_pair = [[] for _ in range(len(eps_list) - 1)]
     for seed in range(args.seeds):
-        lam = args.lam
-        for attempt in range(4):
+        for lam in (args.lam / 2**k for k in range(4)):  # halving is exact
             try:
                 dists = runner(args, lam, seed, eps_list)
                 break
             except RuntimeError as exc:
-                if attempt == 3:
-                    print(f"seed {seed}: unresolved non-convergence ({exc})",
-                          file=sys.stderr)
-                    dists = None
-                    break
-                lam *= 0.5
-        if dists is None:
+                log.warning("seed %d at lambda %s: %s", seed, _fmt(lam), exc)
+        else:
+            log.warning("seed %d: unresolved non-convergence", seed)
             rows.append((args.equation, float("nan"), seed, lam, float("nan"), 0))
             continue
         for k, d in enumerate(dists):
@@ -471,7 +470,20 @@ def _apply_config(args, parser: argparse.ArgumentParser):
     return args
 
 
+def _hold_heap():
+    """Keep freed 2-d N = 64 fine-grid arrays (128 KiB, glibc's default mmap threshold)
+    on the heap: M_MMAP_THRESHOLD (-3) to 32 MiB, M_TRIM_THRESHOLD (-1) to 256 MiB."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in ((-3, 32 << 20), (-1, 256 << 20)):
+        if mallopt(param, value) != 1:
+            log.warning("mallopt(%d, %d) failed", param, value)
+
+
 def main(argv=None) -> int:
+    _hold_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -130,8 +130,10 @@ def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
 
     Returns (path, worst inner iteration count, worst final residual).
     Raises NonConvergence when a step's fixed point fails or the solution
-    leaves the blow-up bound.
+    leaves the blow-up bound, and ValueError when M < 1.
     """
+    if M < 1:
+        raise ValueError(f"need at least one time step, got {M}")
     spec = SemigroupSpec(sigma, grid)
     dt = T / M
     z = spec.symbol() * dt

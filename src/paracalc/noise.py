@@ -168,8 +168,8 @@ def burgers_theta_path(grid: TorusGrid, sigma: float, T: float, M: int,
     """
     if grid.dim != 1:
         raise ValueError("this driver lives on the 1-torus")
-    if sigma <= 0.5:
-        raise ValueError("need sigma > 1/2")
+    if not (sigma > 0.5 and T > 0 and M >= 1):
+        raise ValueError(f"need sigma > 1/2, T > 0 and M >= 1, got {sigma}, {T}, {M}")
     rng = _as_seed(seed).generator()
     dt = T / M
     mu = grid.k_abs() ** (2.0 * sigma)

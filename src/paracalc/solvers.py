@@ -37,9 +37,10 @@ class SolverConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        # `not >` also rejects a NaN tolerance
-        if not self.fp_tol > 0 or self.fp_max < 1 or not 0 < self.damping <= 1:
-            raise ValueError("bad fixed-point configuration")
+        # `not >` also rejects a NaN tolerance or horizon
+        if not (self.fp_tol > 0 and self.fp_max >= 1 and 0 < self.damping <= 1
+                and self.M >= 1 and self.T > 0):
+            raise ValueError(f"bad solver configuration: {self}")
 
 
 # -- rough ODE --------------------------------------------------------
@@ -329,20 +330,20 @@ def solve_pam_regularized(u0: SpectralField, xi_eps: SpectralField, c_eps: float
     L u = F(u) xi_eps - c_eps F'(u) F(u), by the implicit
     trapezoid-exponential rule (each step iterated to convergence).
 
-    xi_eps is held for the whole solve, and each drift evaluation holds u
-    and F(u): 3 oversampled inverse and 4 forward transforms (2 and 2 for
-    c_eps = 0)."""
-    grid = xi_eps.grid
-    xi_b = Blocks(xi_eps)
+    xi_eps is held for the whole solve.  A drift evaluation makes 4 transform
+    calls: u inverse, F(u) and F'(u) forward and inverse as two channels (F(u)
+    alone for c_eps = 0), and F(u) xi_eps - c_eps (F'(u) F(u)) forward."""
+    fns = (F.f, F.d1) if c_eps else (F.f,)
+    if c_eps and F.d1 is None:
+        raise ValueError(f"{F.name}: derivative of order 1 not registered")
+    xi_values = oversampled_values(xi_eps)
 
     def drift(n: int, u: SpectralField) -> SpectralField:
-        ub = Blocks(u)
-        Fu = Blocks(F(ub))
-        out = dealiased_product(Fu, xi_b)
-        if c_eps != 0.0:
-            out = out - dealiased_product(F.deriv(ub), Fu) * c_eps
-        return out
+        v = oversampled_values(u)
+        g = oversampled_values(field_from_oversampled(u.grid, np.concatenate([f(v) for f in fns])))
+        out = g[:1] * xi_values
+        return field_from_oversampled(u.grid, out - c_eps * (g[1:] * g[:1]) if c_eps else out)
 
-    return trapezoid_exponential_path(grid, cfg.sigma, u0, drift, cfg.T, cfg.M,
+    return trapezoid_exponential_path(xi_eps.grid, cfg.sigma, u0, drift, cfg.T, cfg.M,
                                       fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
                                       damping=cfg.damping, blowup=blowup)[0]

@@ -109,6 +109,68 @@ class TestParsing:
     def test_help_exits_zero(self):
         assert main(["noise", "--help"]) == 0
 
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ["solve-pam"], ["solve-burgers"],
+        ["study", "--equation", "pam", "--eps", "0.5", "0.25", "--seeds", "1"],
+        ["study", "--equation", "burgers", "--eps", "0.5", "0.25", "--seeds", "1"]],
+        ids=["solve-pam", "solve-burgers", "study-pam", "study-burgers"])
+    def test_non_positive_time_steps_exit_one(self, tmp_path, capsys, argv, steps):
+        # they used to end in a ZeroDivisionError or IndexError traceback
+        out = tmp_path / "o"
+        assert main(argv + ["--n", "32", "--time-steps", steps, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        # SolverConfig names M=steps; burgers_theta_path ends in ", steps"
+        assert err.startswith("error:")
+        assert f"M={steps}," in err or err.rstrip().endswith(f", {steps}")
+        assert not (out / "solution.field").exists() and not (out / "study.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-burgers"], ["study", "--equation", "burgers", "--eps", "0.5", "0.25"]],
+        ids=["solve-burgers", "study-burgers"])
+    def test_non_positive_horizon_exits_one(self, tmp_path, capsys, argv):
+        # burgers_theta_path used to take a square root of a negative
+        # variance first; the pam paths reject it through SolverConfig
+        assert main(argv + ["--n", "32", "--horizon", "-1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err \
+            == "error: need sigma > 1/2, T > 0 and M >= 1, got 1.0, -1.0, 64\n"
+
+
+class FakeMallopt:
+    """A libc function that records its arguments and returns `result`."""
+
+    def __init__(self, result=1):
+        self.calls, self.result = [], result
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+class TestHeapPolicy:
+    def test_mallopt_is_called_once_per_parameter(self, monkeypatch, caplog):
+        mallopt = FakeMallopt()
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli._hold_heap()
+        # M_MMAP_THRESHOLD = -3 at 32 MiB, M_TRIM_THRESHOLD = -1 at 256 MiB
+        assert mallopt.calls == [(-3, 32 << 20), (-1, 256 << 20)]
+        assert mallopt.restype is cli.ctypes.c_int
+        assert not caplog.records
+
+    def test_a_failed_mallopt_is_reported(self, monkeypatch, caplog):
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=FakeMallopt(0)))
+        cli._hold_heap()
+        assert [r.getMessage() for r in caplog.records] \
+            == ["mallopt(-3, 33554432) failed", "mallopt(-1, 268435456) failed"]
+
+    def test_main_runs_without_mallopt(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        out = tmp_path / "o"
+        assert main(["noise", "--kind", "pam", "--n", "16", "--out", str(out)]) == 0
+        assert (out / "noise.field").exists() and not caplog.records
+
 
 class TestNoise:
     def test_pam_snapshot_roundtrip(self, tmp_path):
@@ -347,3 +409,35 @@ class TestStudy:
             == (tmp_path / "loop" / "study.csv").read_bytes()
         _, rows = read_csv(tmp_path / "ladder" / "study.csv")
         assert {r[3] for r in rows} == {"0.5"}
+
+    def test_every_lambda_halving_is_reported(self, tmp_path, monkeypatch, caplog):
+        # the runner fails twice, at lambda 1 and 0.5, then succeeds at 0.25
+        lams = []
+
+        def runner(args, lam, seed, eps_list):
+            lams.append(lam)
+            if len(lams) <= 2:
+                raise RuntimeError(f"stall {len(lams)}")
+            return [0.125]
+
+        monkeypatch.setattr(cli, "_study_pam", runner)
+        out = tmp_path / "o"
+        assert main(["study", "--equation", "pam", "--eps", "0.5", "0.25", "--seeds", "1",
+                     "--out", str(out)]) == 0
+        assert lams == [1.0, 0.5, 0.25]
+        assert [r.getMessage() for r in caplog.records] \
+            == ["seed 0 at lambda 1: stall 1", "seed 0 at lambda 0.5: stall 2"]
+        assert read_csv(out / "study.csv")[1] == [["pam", "0.5", "0", "0.25", "0.125", "1"]]
+
+    def test_unresolved_seed_reports_all_four_attempts(self, tmp_path, monkeypatch, caplog):
+        def runner(args, lam, seed, eps_list):
+            raise RuntimeError("stalled")
+
+        monkeypatch.setattr(cli, "_study_pam", runner)
+        out = tmp_path / "o"
+        assert main(["study", "--equation", "pam", "--eps", "0.5", "0.25", "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert [r.getMessage() for r in caplog.records] == \
+            [f"seed 0 at lambda {lam}: stalled" for lam in (1, 0.5, 0.25, 0.125)] \
+            + ["seed 0: unresolved non-convergence"]
+        assert read_csv(out / "study.csv")[1] == [["pam", "nan", "0", "0.125", "nan", "0"]]
