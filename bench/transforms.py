@@ -6,12 +6,15 @@ Times `grid.oversampled_values`, `grid.field_from_oversampled`,
 values of all its blocks, and `paraproducts.para_lt` and
 `paraproducts.resonant` on two plain fields, all on one-channel fields at
 1-d N = 256, 1024 and 2-d N = 32, 64, 128.  At the 2-d sizes it also
-times one later-node `solvers.pam_drift_sharp` call with its fixed
+times one later-node call of the time-mollified paraproduct
+`paraproducts.CausalAverage.paraproduct` with its second factor held
+warm, one later-node `solvers.pam_drift_sharp` call with its fixed
 holders warm, and one drift evaluation of the classical
 `solvers.solve_pam_regularized` (c_eps != 0, xi_eps held); their rows
 record the inverse and forward oversampled transform calls that one
-evaluation makes and the channels they transform (the transform counts
-per drift evaluation of the two 2-d solvers).  Prints one JSON object:
+evaluation makes and the channels they transform (j_max inverse and one
+forward for the paraproduct; the transform counts per drift evaluation
+of the two 2-d solvers).  Prints one JSON object:
 the machine facts and, per layer and size, the median and quartiles of
 the per-call time over the repeats.  Run from anywhere:
 
@@ -89,6 +92,17 @@ def all_blocks(f, part) -> list:
     """A fresh holder of f and the values of every block of it."""
     fb = Blocks(f, part)
     return [fb.block(j) for j in part.blocks]
+
+
+def later_paraproduct_call(grid, part, rng):
+    """A `CausalAverage.paraproduct` call at node 2 with the second factor
+    held and the two earlier nodes recorded; repeated calls revise node 2."""
+    f = SpectralField.from_values(grid, rng.standard_normal(grid.shape))
+    gb = Blocks(SpectralField.from_values(grid, rng.standard_normal(grid.shape)), part)
+    avg = CausalAverage(part, np.arange(9) / 512.0)
+    for n in (0, 1):
+        avg.paraproduct(n, f, gb)
+    return lambda: avg.paraproduct(2, f, gb)
 
 
 def later_drift_call(grid, part, rng):
@@ -180,7 +194,9 @@ def sweep() -> list:
         for name, fn in layers.items():
             rows.append({"layer": name, "dim": dim, "n": n, **per_call_us(fn)})
         if dim == 2:
-            drifts = {"solvers.pam_drift_sharp": later_drift_call(grid, part, rng),
+            drifts = {"paraproducts.CausalAverage.paraproduct":
+                      later_paraproduct_call(grid, part, np.random.default_rng(n + 1)),
+                      "solvers.pam_drift_sharp": later_drift_call(grid, part, rng),
                       "solvers.solve_pam_regularized.drift":
                       later_regularized_drift(grid, np.random.default_rng(n))}
             for name, fn in drifts.items():

@@ -127,6 +127,8 @@ def cmd_noise(args) -> int:
 def cmd_renorm(args) -> int:
     if not args.eps:
         raise ValueError("renorm needs --eps values")
+    if args.seeds < 2:
+        raise ValueError("renorm needs at least two seeds for a standard error")
     grid = TorusGrid(2, args.n)
     psi = MOLLIFIERS[args.mollifier]
     part = default_partition(grid)

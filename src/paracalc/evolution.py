@@ -36,6 +36,13 @@ class SemigroupSpec:
         per grid and read-only."""
         return _symbol(self.grid, None, 2.0 * self.sigma)
 
+    def step_weights(self, dt: float):
+        """(decay, A, B) of one exponential step of length dt: the new value
+        of mode k is decay u + (A - B) N_left + B N_right for a drift N
+        linear on the step (`_duhamel_weights`), decay = e^(-dt |k|^(2 sigma))."""
+        z = self.symbol() * dt
+        return (np.exp(-z), *_duhamel_weights(z, dt))
+
 
 def heat_apply(f: SpectralField, t: float, spec: SemigroupSpec) -> SpectralField:
     """Semigroup P_t: multiply mode k by exp(-t |k|^(2 sigma))."""
@@ -134,11 +141,8 @@ def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
     """
     if M < 1:
         raise ValueError(f"need at least one time step, got {M}")
-    spec = SemigroupSpec(sigma, grid)
     dt = T / M
-    z = spec.symbol() * dt
-    decay = np.exp(-z)
-    A, B = _duhamel_weights(z, dt)
+    decay, A, B = SemigroupSpec(sigma, grid).step_weights(dt)
     fields = [u0]
     u = u0
     worst_it, worst_res = 0, 0.0

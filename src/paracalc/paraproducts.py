@@ -20,7 +20,7 @@ from .evolution import SemigroupSpec, apply_L
 from .grid import (FieldPath, SpectralField, apply_pointwise, dealiased_product,
                    field_from_oversampled, oversampled_values)
 from .partition import DyadicPartition, smoothstep
-from .spectral import default_partition, derivative
+from .spectral import default_partition
 
 log = logging.getLogger(__name__)
 
@@ -317,7 +317,8 @@ def _qi_weights(times: np.ndarray, i: int, phi) -> np.ndarray:
 
 class CausalAverage:
     """The low-passed causal time averages S_(i-1) Q_i f, i = 1 .. j_max, of a
-    path f recorded node by node on the uniform grid `times`.
+    path f recorded node by node on the uniform grid `times`, and the
+    time-mollified paraproduct f << g they give.
 
     `at(n, f)` records f at node n and returns the averages there: the
     earlier nodes' share, contracted once per node, plus the weight times
@@ -327,6 +328,11 @@ class CausalAverage:
 
     def __init__(self, part: DyadicPartition, times: np.ndarray):
         self.times = times
+        dt = times[1] - times[0]
+        if 4.0 ** (-part.j_max) < dt:
+            i_star = int(math.floor(-math.log(dt) / math.log(4.0)))
+            log.warning("time step %.3g cannot resolve mollification below block %d; "
+                        "using unmollified values there", dt, i_star + 1)
         scales = range(1, part.j_max + 1)
         self.weights = [_qi_weights(times, i, causal_bump) for i in scales]
         self.lows = [part.low_mask(i - 1) for i in scales]
@@ -347,31 +353,27 @@ class CausalAverage:
         return [(s + w[n, n] * self.hist[n]) * low
                 for s, w, low in zip(self.share, self.weights, self.lows)]
 
+    def paraproduct(self, n: int, f: SpectralField, g: Blocks) -> SpectralField:
+        """Record f at node n, as `at` does, and return the time-mollified
+        paraproduct there, sum over i of S_(i-1)(Q_i f) * Delta_i g: one
+        inverse transform per scale and one forward for the sum."""
+        acc = 0.0
+        for i, q in enumerate(self.at(n, f), start=1):
+            acc = acc + oversampled_values(SpectralField(f.grid, q)) * g.block(i)
+        return field_from_oversampled(f.grid, acc)
+
 
 def para_lt_time(fpath: FieldPath, gpath: FieldPath,
                  part: DyadicPartition | None = None) -> FieldPath:
-    """Time-mollified paraproduct of paths: at each node,
-    sum over i of S_{i-1}(Q_i f)(t) * Delta_i g(t), where Q_i averages f
-    over a causal window of width 4^-i.
-    """
-    grid = fpath.grid
+    """Time-mollified paraproduct of paths: at each node t, the sum over i
+    of S_{i-1}(Q_i f)(t) * Delta_i g(t), Q_i f the causal average of f over a
+    window of width 4^-i, node by node through `CausalAverage.paraproduct`."""
     if not np.allclose(fpath.times, gpath.times):
         raise ValueError("paths live on different time grids")
-    part = part or default_partition(grid)
-    dt = fpath.dt
-    if 4.0 ** (-part.j_max) < dt:
-        i_star = int(math.floor(-math.log(dt) / math.log(4.0)))
-        log.warning("time step %.3g cannot resolve mollification below block %d; "
-                    "using unmollified values there", dt, i_star + 1)
+    part = part or default_partition(fpath.grid)
     avg = CausalAverage(part, fpath.times)
-    out = []
-    for n, (f, g) in enumerate(zip(fpath.fields, gpath.fields)):
-        gb = Blocks(g, part)
-        acc = 0.0
-        for i, q in enumerate(avg.at(n, f), start=1):
-            acc = acc + oversampled_values(SpectralField(grid, q)) * gb.block(i)
-        out.append(field_from_oversampled(grid, acc))
-    return FieldPath(fpath.times, out)
+    return FieldPath(fpath.times, [avg.paraproduct(n, f, Blocks(g, part))
+                                   for n, (f, g) in enumerate(zip(fpath.fields, gpath.fields))])
 
 
 def paraproduct_switch(fpath: FieldPath, gpath: FieldPath,
@@ -383,23 +385,11 @@ def paraproduct_switch(fpath: FieldPath, gpath: FieldPath,
     return plain - para_lt_time(fpath, gpath, part)
 
 
-def heat_para_commutator(upath: FieldPath, vpath: FieldPath, sigma: float = 1.0,
+def heat_para_commutator(upath: FieldPath, vpath: FieldPath,
                          part: DyadicPartition | None = None) -> FieldPath:
     """Commutator of the heat operator with the time-mollified paraproduct,
-    L(u << v) - u << (Lv), with L = d/dt - Laplacian.
-
-    Evaluated through the product-rule identity
-    (Lu) << v - 2 sum_axes (du << dv), which requires sigma = 1 (the
-    identity is specific to the Laplacian).  Time derivatives use
-    second-order finite differences on the path grid.
-    """
-    if sigma != 1.0:
-        raise ValueError("heat_para_commutator requires sigma = 1")
-    grid = upath.grid
-    part = part or default_partition(grid)
-    acc = para_lt_time(apply_L(upath, SemigroupSpec(1.0, grid)), vpath, part)
-    for ax in range(grid.dim):
-        du = upath.map(lambda f, ax=ax: derivative(f, ax))
-        dv = vpath.map(lambda f, ax=ax: derivative(f, ax))
-        acc = acc - para_lt_time(du, dv, part).map(lambda f: f * 2.0)
-    return acc
+    L(u << v) - u << (Lv), with L = d/dt - Laplacian as `apply_L` takes it
+    (second-order finite differences in time, so at least three nodes)."""
+    heat = SemigroupSpec(1.0, upath.grid)
+    return apply_L(para_lt_time(upath, vpath, part), heat) \
+        - para_lt_time(upath, apply_L(vpath, heat), part)

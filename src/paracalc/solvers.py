@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enhanced import EnhancedNoise
-from .evolution import (SemigroupSpec, SolverReport, _duhamel_weights, damped_fixed_point,
+from .evolution import (SemigroupSpec, SolverReport, damped_fixed_point,
                         trapezoid_exponential_path)
 from .grid import (FieldPath, SpectralField, TorusGrid, dealiased_product,
                    field_from_oversampled, oversampled_values)
@@ -234,16 +234,13 @@ def pam_drift_sharp(avg: CausalAverage, n: int, u: SpectralField,
     associated as written, since truncated products are not associative.
     L ptt is |k|^2 ptt plus the BDF2 difference of ptt's node values from
     node 2 on, the first-order one at node 1 and none at the initial node,
-    where the clamped history is constant.  ptt takes one inverse transform
-    per scale; the products are summed in real space before one forward
-    transform."""
+    where the clamped history is constant.  ptt is `avg.paraproduct`, one
+    inverse transform per scale; the products are summed in real space
+    before one forward transform."""
     grid = u.grid
     ub = Blocks(u, part)
     fb, db = Blocks(F(ub), part), Blocks(F.deriv(ub), part)
-    ptt = 0.0
-    for i, lq in enumerate(avg.at(n, fb.field), start=1):
-        ptt = ptt + oversampled_values(SpectralField(grid, lq)) * theta.block(i)
-    ptt = field_from_oversampled(grid, ptt)
+    ptt = avg.paraproduct(n, fb.field, theta)
     drift = fb.values() * xi.values()
     drift = drift - db.values() * oversampled_values(dealiased_product(fb, theta_xi))
     drift = drift + eta.values() * oversampled_values(dealiased_product(db, fb))
@@ -274,12 +271,9 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     xi, theta, eta = E.xi, E.theta, E.eta
     grid = xi.grid
     part = part or default_partition(grid)
-    lap = SemigroupSpec(1.0, grid).symbol()
     dt = cfg.T / cfg.M
     times = np.arange(cfg.M + 1) * dt
-    z = lap * dt
-    decay = np.exp(-z)
-    A, B = _duhamel_weights(z, dt)
+    decay, A, B = SemigroupSpec(1.0, grid).step_weights(dt)
 
     held = [Blocks(f, part) for f in (theta, xi, eta)]
     held.append(Blocks(resonant(held[0], held[1], part), part))
@@ -294,17 +288,17 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     worst_res = 0.0
     worst_it = 0
     for n in range(cfg.M):
+        base = usharp.coeffs * decay + drift0.coeffs * (A - B)
+
         def step(v: SpectralField) -> SpectralField:
             drift1, ptt1 = pam_drift_sharp(avg, n + 1, v, *held, past, F, part)
-            return ptt1 + SpectralField(grid, usharp.coeffs * decay
-                                        + drift0.coeffs * (A - B) + drift1.coeffs * B)
+            return ptt1 + SpectralField(grid, base + drift1.coeffs * B)
 
         u_next, k, res = damped_fixed_point(step, u, cfg.fp_tol, cfg.fp_max, cfg.damping,
                                             f"node {n + 1}")
         drift1, ptt1 = pam_drift_sharp(avg, n + 1, u_next, *held, past, F, part)
         past = (ptt1.coeffs, past[0])
-        usharp = SpectralField(grid, usharp.coeffs * decay
-                               + drift0.coeffs * (A - B) + drift1.coeffs * B)
+        usharp = SpectralField(grid, base + drift1.coeffs * B)
         u = ptt1 + usharp
         drift0 = drift1
         u_fields.append(u)

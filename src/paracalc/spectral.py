@@ -9,16 +9,12 @@ import numpy as np
 from .grid import SpectralField, TorusGrid
 from .partition import DyadicPartition, make_dyadic_partition
 
-_partition_cache: dict[tuple, DyadicPartition] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def default_partition(grid: TorusGrid) -> DyadicPartition:
-    key = (grid.dim, grid.n, grid.period)
-    part = _partition_cache.get(key)
-    if part is None:
-        part = make_dyadic_partition(grid)
-        _partition_cache[key] = part
-    return part
+    """The dyadic partition of a grid, built once and shared, so `Blocks`
+    holders built on one grid find the same partition object."""
+    return make_dyadic_partition(grid)
 
 
 def lp_block(f: SpectralField, j: int, part: DyadicPartition | None = None) -> SpectralField:

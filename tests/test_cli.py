@@ -233,6 +233,17 @@ class TestRenorm:
             assert float(row[1]) == pytest.approx(
                 pam_c_eps(eps, GAUSS_MOLLIFIER, grid), rel=1e-14)
 
+    @pytest.mark.parametrize("seeds", ["0", "1"])
+    def test_fewer_than_two_seeds_exit_one(self, tmp_path, capsys, seeds):
+        # a standard error needs two samples; with fewer the 3-SE check
+        # would pass on NaN
+        out = tmp_path / "o"
+        rc = main(["renorm", "--n", "32", "--eps", "0.5", "--seeds", seeds, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: renorm needs at least two seeds for a standard error\n"
+        assert not (out / "renorm.csv").exists()
+
     def test_bitwise_reproducible_across_thread_settings(self, tmp_path):
         argv = ["renorm", "--n", "32", "--eps", "0.5", "0.25", "--seeds", "5"]
         outs = []

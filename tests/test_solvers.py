@@ -1,5 +1,6 @@
 """Paracontrolled solvers checked against classical reference integrators."""
 
+import logging
 import math
 import sys
 
@@ -13,7 +14,7 @@ from paracalc import (BUMP_MOLLIFIER, Blocks, EnhancedNoise, NonConvergence,
                       NonlinearFunction, SemigroupSpec, SolverConfig, SpectralField,
                       TorusGrid, commutator_C, damped_fixed_point, dealiased_product,
                       derivative, heat_apply,
-                      lp_block, mollify, pam_theta, para_gt, para_lt,
+                      lp_block, mollify, pam_theta, para_gt, para_lt, para_lt_time,
                       poly_function, rde_area, rde_driver,
                       pi_F, remove_mean, resonant, sample_line_path,
                       solve_burgers, solve_pam, solve_pam_regularized,
@@ -537,6 +538,43 @@ class TestPam:
             out = avg.at(n, SpectralField(grid, final[n]))
             for q, ref in zip(out, full(n)):
                 assert np.max(np.abs(q - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_drift_ptt_is_the_time_mollified_paraproduct(self):
+        # the drift's ptt is para_lt_time of the recorded F(u) path with
+        # theta, bit for bit, also where a node is revised before it freezes
+        grid = TorusGrid(2, 32)
+        part = default_partition(grid)
+        E = self._enhanced(grid, part)
+        held = [Blocks(f, part) for f in (E.theta, E.xi, E.eta)]
+        held.append(Blocks(resonant(held[0], held[1], part), part))
+        times = np.arange(9) / 512.0
+        avg, F = CausalAverage(part, times), tanh_fn(0.4)
+        fu, ptt, past = [], [], ()
+        for n in range(len(times)):
+            for k in (0, 1):  # a first value, then the one that stays
+                u = rough_field(grid, 0.9, 10 * n + k)
+                out = pam_drift_sharp(avg, n, u, *held, past, F, part)[1]
+            fu.append(F(u))
+            ptt.append(out)
+            past = (out.coeffs,) + past[:1]
+        want = para_lt_time(FieldPath(times, fu), FieldPath(times, [E.theta] * len(times)),
+                            part)
+        for got, w in zip(ptt, want.fields):
+            assert np.array_equal(got.coeffs, w.coeffs)
+
+    @pytest.mark.parametrize("M, warnings", [(4, 1), (16, 0)])
+    def test_unresolved_time_step_is_logged_once(self, caplog, M, warnings):
+        # at N = 32 the finest window is 4^-2 wide: a step of 1/8 cannot
+        # resolve it, a step of 1/32 can
+        grid = TorusGrid(2, 32)
+        part = default_partition(grid)
+        E = self._enhanced(grid, part)
+        cfg = SolverConfig(alpha=0.45, sigma=1.0, T=0.5, M=M)
+        with caplog.at_level(logging.WARNING, logger="paracalc.paraproducts"):
+            solve_pam(SpectralField.constant(grid, 0.3), E, tanh_fn(0.4), cfg, part=part)
+        logged = [r.getMessage() for r in caplog.records if "cannot resolve" in r.getMessage()]
+        assert logged == ["time step 0.125 cannot resolve mollification below block 2; "
+                          "using unmollified values there"][:warnings]
 
     @pytest.mark.parametrize("c_eps", [0.7, 0.0])
     def test_regularized_solve_matches_the_plain_product_drift(self, c_eps):
