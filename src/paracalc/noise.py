@@ -216,8 +216,9 @@ def fbm_path(hurst: float, n: int, T: float, channels: int = 1, seed=0):
     dt = T / n
     scale = dt**hurst
 
-    cov = _fgn_autocov(n, hurst)
-    ring = np.concatenate([cov, [0.0], cov[:0:-1]])
+    # Davies-Harte: lags 0 .. n, then n - 1 .. 1, a symmetric ring of 2n
+    cov = _fgn_autocov(n + 1, hurst)
+    ring = np.concatenate([cov, cov[n - 1:0:-1]])
     lam = np.real(np.fft.fft(ring))
     if np.min(lam) >= -1e-12:
         lam = np.clip(lam, 0.0, None)

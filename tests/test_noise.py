@@ -124,12 +124,21 @@ class TestFbm:
         _, x = fbm_path(0.6, 16, 2.0, channels=3, seed=8)
         assert np.all(x[:, 0] == 0.0)
 
+    @pytest.mark.parametrize("n", [64, 2048])
+    def test_embedding_needs_no_fallback_at_high_hurst(self, caplog, n):
+        # with the lag-n autocovariance in the middle of the ring the
+        # embedding is nonnegative; with 0.0 there it dipped negative at
+        # H = 0.95, fell back to Cholesky and raised beyond n = 1024
+        with caplog.at_level(logging.WARNING, logger="paracalc.noise"):
+            _, x = fbm_path(0.95, n, 1.0, seed=10)
+        assert x.shape == (1, n + 1) and caplog.text == ""
+
     def test_cholesky_fallback_is_logged_not_printed(self, monkeypatch, capsys,
                                                      caplog):
         # this autocovariance is positive definite, but its circulant
-        # embedding has the eigenvalue -0.2
+        # embedding has the eigenvalue -0.2 (lag 4 closes the ring)
         monkeypatch.setattr(noise, "_fgn_autocov",
-                            lambda n, hurst: np.array([1.0, 0.8, 0.5, 0.3]))
+                            lambda n, hurst: np.array([1.0, 0.8, 0.5, 0.3, 0.0]))
         with caplog.at_level(logging.WARNING, logger="paracalc.noise"):
             _, x = fbm_path(0.7, 4, 1.0, seed=9)
         assert x.shape == (1, 5)
