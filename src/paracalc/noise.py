@@ -202,10 +202,10 @@ def _fgn_autocov(length: int, hurst: float) -> np.ndarray:
 def fbm_path(hurst: float, n: int, T: float, channels: int = 1, seed=0):
     """Fractional Brownian motion on n+1 uniform nodes of [0, T], X(0) = 0.
 
-    Increments are exact-in-law fractional Gaussian noise via circulant
-    embedding; if the embedding spectrum dips negative the sampler falls
-    back to a dense Cholesky factorization (n <= 1024 only) and logs a
-    warning saying so.
+    Increments are exact-in-law fractional Gaussian noise via the
+    Davies-Harte circulant embedding (the ring of lags 0 .. n, n - 1 .. 1);
+    if its spectrum dips negative the sampler falls back to a dense Cholesky
+    factorization (n <= 1024 only) and logs a warning saying so.
     Returns (times, values) with values of shape (channels, n+1).
     """
     if not 0 < hurst < 1:
@@ -216,7 +216,6 @@ def fbm_path(hurst: float, n: int, T: float, channels: int = 1, seed=0):
     dt = T / n
     scale = dt**hurst
 
-    # Davies-Harte: lags 0 .. n, then n - 1 .. 1, a symmetric ring of 2n
     cov = _fgn_autocov(n + 1, hurst)
     ring = np.concatenate([cov, cov[n - 1:0:-1]])
     lam = np.real(np.fft.fft(ring))

@@ -126,9 +126,9 @@ class TestFbm:
 
     @pytest.mark.parametrize("n", [64, 2048])
     def test_embedding_needs_no_fallback_at_high_hurst(self, caplog, n):
-        # with the lag-n autocovariance in the middle of the ring the
-        # embedding is nonnegative; with 0.0 there it dipped negative at
-        # H = 0.95, fell back to Cholesky and raised beyond n = 1024
+        # the ring of lags 0 .. n, n - 1 .. 1 has a nonnegative spectrum at
+        # H = 0.95; a ring without lag n does not, and its Cholesky fallback
+        # stops at n = 1024
         with caplog.at_level(logging.WARNING, logger="paracalc.noise"):
             _, x = fbm_path(0.95, n, 1.0, seed=10)
         assert x.shape == (1, n + 1) and caplog.text == ""
