@@ -31,23 +31,18 @@ from .noise import (MOLLIFIERS, burgers_theta_path, mollify, pam_theta,
 from .paraproducts import NonlinearFunction, resonant, poly_function
 from .partition import radial_cutoff
 from .solvers import SolverConfig, solve_burgers, solve_pam, solve_pam_regularized, solve_rde
-from .spectral import besov_norm, block_sups, default_partition, derivative
+from .spectral import besov_norm, block_sups, derivative
 
 log = logging.getLogger(__name__)
 
 
 def _tanh_function(a: float) -> NonlinearFunction:
-    return NonlinearFunction(
-        lambda x: a * np.tanh(x),
-        lambda x: a / np.cosh(x) ** 2,
-        lambda x: -2 * a * np.tanh(x) / np.cosh(x) ** 2,
-        lambda x: a * (4 * np.tanh(x) ** 2 - 2 / np.cosh(x) ** 2) / np.cosh(x) ** 2,
-        name=f"{a}*tanh")
+    return NonlinearFunction(lambda x: a * np.tanh(x), lambda x: a / np.cosh(x) ** 2,
+                             name=f"{a}*tanh")
 
 
 def _cos_function(a: float) -> NonlinearFunction:
     return NonlinearFunction(lambda x: a * np.cos(x), lambda x: -a * np.sin(x),
-                             lambda x: -a * np.cos(x), lambda x: a * np.sin(x),
                              name=f"{a}*cos")
 
 
@@ -101,9 +96,8 @@ def _rde_theta(args, seed: int, eps: float | None):
 
 def _rde_enhanced(args, seed: int, eps: float | None):
     theta, cutoff = _rde_theta(args, seed, eps)
-    part = default_partition(theta.grid)
     xi = derivative(theta, 0)
-    return EnhancedNoise("rde", xi, theta, rde_area(theta, xi, part)), part, cutoff
+    return EnhancedNoise("rde", xi, theta, rde_area(theta, xi)), cutoff
 
 
 # -- subcommands ------------------------------------------------------
@@ -131,7 +125,6 @@ def cmd_renorm(args) -> int:
         raise ValueError("renorm needs at least two seeds for a standard error")
     grid = TorusGrid(2, args.n)
     psi = MOLLIFIERS[args.mollifier]
-    part = default_partition(grid)
     out = _outdir(args)
     rows = []
     ok = True
@@ -141,7 +134,7 @@ def cmd_renorm(args) -> int:
         for s in range(args.seeds):
             xi = spatial_white_noise(grid, s)
             area = resonant(mollify(pam_theta(xi), eps, psi),
-                            mollify(xi, eps, psi), part)
+                            mollify(xi, eps, psi))
             samples.append(float(area.values().mean()))
         mean = float(np.mean(samples))
         se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
@@ -168,20 +161,16 @@ def cmd_renorm(args) -> int:
 def cmd_area(args) -> int:
     out = _outdir(args)
     if args.kind == "burgers":
-        theta = _burgers_theta(args)
-        part = default_partition(theta.grid)
-        area = burgers_area(theta, part)
+        area = burgers_area(_burgers_theta(args))
         save_field(out / "area.field", area)
-        sups = block_sups(area[-1], part)
+        sups = block_sups(area[-1])
     else:
-        grid = TorusGrid(2, args.n)
-        part = default_partition(grid)
-        xi = spatial_white_noise(grid, args.seed)
+        xi = spatial_white_noise(TorusGrid(2, args.n), args.seed)
         eps = args.eps[0] if args.eps else 0.25
-        area = pam_renormalized_area(xi, eps, MOLLIFIERS[args.mollifier], part)
+        area = pam_renormalized_area(xi, eps, MOLLIFIERS[args.mollifier])
         save_field(out / "area.field", area)
-        sups = block_sups(area, part)
-    rows = [(j, float(s)) for j, s in zip(range(-1, part.j_max + 1), sups)]
+        sups = block_sups(area)
+    rows = [(j, float(s)) for j, s in enumerate(sups, -1)]
     _write_csv(out / "area_blocks.csv",
                "dyadic block sup-norms of the area; level (dyadic index), "
                "block_sup (sup norm)",
@@ -192,11 +181,11 @@ def cmd_area(args) -> int:
 
 def cmd_solve_rde(args) -> int:
     out = _outdir(args)
-    E, part, cutoff = _rde_enhanced(args, args.seed, args.eps[0] if args.eps else None)
+    E, cutoff = _rde_enhanced(args, args.seed, args.eps[0] if args.eps else None)
     F = _tanh_function(args.amplitude * args.lam ** args.alpha)
     cfg = SolverConfig(alpha=args.alpha, T=args.horizon, M=args.time_steps,
                        damping=args.damping)
-    u, usharp, rep = solve_rde(args.u0, E, F, cfg, cutoff, part)
+    u, usharp, rep = solve_rde(args.u0, E, F, cfg, cutoff)
     save_field(out / "solution.field", u)
     save_field(out / "remainder.field", usharp)
     (out / "report.json").write_text(rep.to_json())
@@ -207,14 +196,13 @@ def cmd_solve_rde(args) -> int:
 def cmd_solve_burgers(args) -> int:
     out = _outdir(args)
     theta = _burgers_theta(args)
-    part = default_partition(theta.grid)
-    E = EnhancedNoise("burgers", None, theta, burgers_area(theta, part))
+    E = EnhancedNoise("burgers", None, theta, burgers_area(theta))
     G = _cos_function(args.amplitude * args.lam ** args.alpha)
     u0 = SpectralField.zero(theta.grid)
     cfg = SolverConfig(alpha=args.alpha, sigma=args.sigma, T=args.horizon,
                        M=args.time_steps, fp_tol=1e-10,
                        damping=args.damping)
-    w, u, rep = solve_burgers(u0, E, G, cfg, part)
+    w, u, rep = solve_burgers(u0, E, G, cfg)
     save_field(out / "solution.field", u)
     (out / "report.json").write_text(rep.to_json())
     print(rep.to_json())
@@ -224,10 +212,10 @@ def cmd_solve_burgers(args) -> int:
 def cmd_solve_pam(args) -> int:
     out = _outdir(args)
     grid = TorusGrid(2, args.n)
-    part = default_partition(grid)
     psi = MOLLIFIERS[args.mollifier]
     eps = args.eps[0] if args.eps else 0.25
-    xi = mollify(spatial_white_noise(grid, args.seed), eps, psi)
+    noise = spatial_white_noise(grid, args.seed)
+    xi = mollify(noise, eps, psi)
     c = pam_c_eps(eps, psi, grid)
     u0 = SpectralField.constant(grid, args.u0)
 
@@ -253,11 +241,11 @@ def cmd_solve_pam(args) -> int:
 
     F = _tanh_function(args.amplitude * args.lam ** args.alpha)
     theta = pam_theta(xi)
-    eta = pam_renormalized_area(spatial_white_noise(grid, args.seed), eps, psi, part)
+    eta = pam_renormalized_area(noise, eps, psi)
     E = EnhancedNoise("pam", xi, theta, eta, c)
     cfg = SolverConfig(alpha=args.alpha, sigma=args.sigma, T=args.horizon,
                        M=args.time_steps, fp_tol=1e-9, damping=args.damping)
-    u, usharp, rep = solve_pam(u0, E, F, cfg, part)
+    u, usharp, rep = solve_pam(u0, E, F, cfg)
     save_field(out / "solution.field", u)
     (out / "report.json").write_text(rep.to_json())
     print(rep.to_json())
@@ -270,17 +258,15 @@ def _study_rde(args, lam: float, seed: int, eps_list):
     sols = []
     F = _tanh_function(args.amplitude * lam ** args.alpha)
     for eps in eps_list:
-        E, part, cutoff = _rde_enhanced(args, seed, eps)
+        E, cutoff = _rde_enhanced(args, seed, eps)
         cfg = SolverConfig(alpha=args.alpha, fp_tol=1e-8, fp_max=120,
                            damping=args.damping)
-        sols.append((solve_rde(args.u0, E, F, cfg, cutoff, part)[0], part))
-    return [besov_norm(a[0] - b[0], args.alpha, a[1])
-            for a, b in zip(sols, sols[1:])]
+        sols.append(solve_rde(args.u0, E, F, cfg, cutoff)[0])
+    return [besov_norm(a - b, args.alpha) for a, b in zip(sols, sols[1:])]
 
 
 def _study_burgers(args, lam: float, seed: int, eps_list):
     grid = TorusGrid(1, args.n)
-    part = default_partition(grid)
     theta = burgers_theta_path(grid, args.sigma, args.horizon,
                                args.time_steps, 1, seed)
     psi = MOLLIFIERS[args.mollifier]
@@ -297,14 +283,13 @@ def _study_burgers(args, lam: float, seed: int, eps_list):
                                            dth[n] + derivative(w, 0))
     sol = trapezoid_exponential_path(grid, args.sigma, SpectralField.zero(grid, len(eps_list)),
                                      drift, args.horizon, len(thc) - 1, fp_tol=math.inf)[0]
-    return [max(besov_norm(u.channel(k) - u.channel(k + 1), args.alpha, part)
+    return [max(besov_norm(u.channel(k) - u.channel(k + 1), args.alpha)
                 for u in sol.fields)
             for k in range(len(eps_list) - 1)]
 
 
 def _study_pam(args, lam: float, seed: int, eps_list):
     grid = TorusGrid(2, args.n)
-    part = default_partition(grid)
     psi = MOLLIFIERS[args.mollifier]
     xi = spatial_white_noise(grid, seed)
     F = _tanh_function(args.amplitude * lam ** args.alpha)
@@ -316,7 +301,7 @@ def _study_pam(args, lam: float, seed: int, eps_list):
         cfg = SolverConfig(alpha=args.alpha, sigma=args.sigma, T=args.horizon,
                            M=args.time_steps, fp_tol=1e-10, damping=1.0)
         sols.append(solve_pam_regularized(u0, xie, c, F, cfg))
-    return [max(besov_norm(x - y, args.alpha, part)
+    return [max(besov_norm(x - y, args.alpha)
                 for x, y in zip(a.fields, b.fields))
             for a, b in zip(sols, sols[1:])]
 

@@ -10,7 +10,7 @@ averages match the constants exactly in expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -18,7 +18,7 @@ from scipy.integrate import simpson
 from .grid import FieldPath, SpectralField, TorusGrid, TWO_PI
 from .noise import Mollifier, mollify, pam_theta
 from .partition import DyadicPartition
-from .spectral import antiderivative, default_partition, derivative
+from .spectral import antiderivative, derivative
 from .paraproducts import Blocks, para_lt, para_gt, resonant
 
 
@@ -36,16 +36,12 @@ class EnhancedNoise:
         if self.kind not in ("rde", "burgers", "pam"):
             raise ValueError(f"unknown enhanced-noise kind {self.kind!r}")
 
-    def with_eta(self, eta, constant=None) -> "EnhancedNoise":
-        return replace(self, eta=eta, renorm_constant=constant)
-
 
 # -- matrix-channel helpers -------------------------------------------
 
 def pair_resonant(a: SpectralField, b: SpectralField,
                   part: DyadicPartition | None = None) -> SpectralField:
     """All channel-pair resonant products, row-major (k, l) layout."""
-    part = part or default_partition(a.grid)
     held = [Blocks(b.channel(l), part) for l in range(b.channels)]
     out = []
     for k in range(a.channels):
@@ -73,11 +69,7 @@ def burgers_area(theta_path: FieldPath,
                  part: DyadicPartition | None = None) -> FieldPath:
     """Matrix-valued area of the stochastic convolution: per node,
     resonant products of each component with each spatial derivative."""
-    part = part or default_partition(theta_path.grid)
-    def one(th):
-        dth = derivative(th, 0)
-        return pair_resonant(th, dth, part)
-    return theta_path.map(one)
+    return theta_path.map(lambda th: pair_resonant(th, derivative(th, 0), part))
 
 
 # -- renormalization constants ----------------------------------------
@@ -106,7 +98,6 @@ def pam_renormalized_area(xi: SpectralField, eps: float, psi: Mollifier,
                           part: DyadicPartition | None = None) -> SpectralField:
     """Mollified resonant area with its diverging mean removed:
     theta_eps @ xi_eps - c_eps."""
-    part = part or default_partition(xi.grid)
     theta_eps = mollify(pam_theta(xi), eps, psi)
     xi_eps = mollify(xi, eps, psi)
     area = resonant(theta_eps, xi_eps, part)
@@ -124,7 +115,6 @@ def pam_area_by_time_integral(xi: SpectralField, t_min: float = 1e-4,
     finite, so the integral converges as t_min -> 0 like the resolved
     ultraviolet tail; used for diagnostics, not as the primary object.
     """
-    part = part or default_partition(xi.grid)
     grid = xi.grid
     ts = np.exp(np.linspace(math.log(t_min), math.log(t_max), nodes))
     r2 = grid.k_abs() ** 2
@@ -149,7 +139,6 @@ def pam_mean_adjusted_area(theta: SpectralField, xi: SpectralField,
     Resonant products with a constant reduce to the low-block shadow; the
     formula is provided at this level only (no new sampling is involved).
     """
-    part = part or default_partition(theta.grid)
     grid = theta.grid
     m_field = SpectralField.constant(grid, mean / TWO_PI**2)
     out = area + resonant(theta, m_field, part)
@@ -171,7 +160,6 @@ def enhanced_translate(E: EnhancedNoise, f: SpectralField, g: SpectralField,
     antiderivative Phi) and the area by theta@f + Phi@xi + Phi@f + g."""
     if E.kind != "rde":
         raise ValueError("translation is defined for the line-driver enhancement")
-    part = part or default_partition(E.xi.grid)
     Phi = antiderivative(f)
     eta = E.eta + pair_resonant(E.theta, f, part) + pair_resonant(Phi, E.xi, part) \
         + pair_resonant(Phi, f, part) + g
@@ -200,7 +188,6 @@ def rough_area_check(u: SpectralField, v: SpectralField, eta: SpectralField,
     route: Simpson on a fine sampling of int (u(r) - u(s)) v'(r) dr.
     For smooth pairs with eta the resonant part of (u, dv) the two agree.
     """
-    part = part or default_partition(u.grid)
     dv = derivative(v, 0)
     integrand = eta + para_lt(u, dv, part) + para_gt(u, dv, part)
     us = u.eval_at(np.array([s]))[:, 0]

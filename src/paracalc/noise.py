@@ -245,6 +245,12 @@ def default_time_cutoff(t) -> np.ndarray:
     return radial_cutoff(t, 1.0, 2.0)
 
 
+def centered_time(grid: TorusGrid) -> np.ndarray:
+    """The time of each node of the time-line torus, in [-period/2, period/2)."""
+    x = grid.points()[0]
+    return np.where(x < grid.period / 2, x, x - grid.period)
+
+
 class RdeDriver(NamedTuple):
     xi: SpectralField
     theta: SpectralField
@@ -280,8 +286,7 @@ def rde_driver(ts: np.ndarray, xs: np.ndarray, grid: TorusGrid,
     if grid.dim != 1:
         raise ValueError("line drivers live on the 1-torus")
     h = grid.period / grid.n
-    xgrid = grid.points()[0]
-    t = np.where(xgrid < grid.period / 2, xgrid, xgrid - grid.period)
+    t = centered_time(grid)
     phi = cutoff(t)
     if phi[np.abs(np.abs(t) - grid.period / 2) < 2 * h].max() > 1e-14:
         raise ValueError("cutoff support overflows the embedding torus")

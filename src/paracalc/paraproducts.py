@@ -28,52 +28,36 @@ log = logging.getLogger(__name__)
 # -- nonlinearities ---------------------------------------------------
 
 class NonlinearFunction:
-    """Scalar composition nonlinearity with derivatives up to third order.
+    """Scalar composition nonlinearity F with its derivative F'.
 
-    Derivative callables are validated against central finite differences
-    of `f` at registration, so a mistyped derivative fails fast.
+    F' is validated against central finite differences of F at
+    registration, so a mistyped derivative fails fast.
     """
 
-    def __init__(self, f, d1=None, d2=None, d3=None, name="F"):
+    def __init__(self, f, d1, name="F"):
         self.f = f
         self.d1 = d1
-        self.d2 = d2
-        self.d3 = d3
         self.name = name
-        if d1 is not None:
-            self._validate()
-
-    def _validate(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-2.0, 2.0, size=64)
+        x = np.random.default_rng(0).uniform(-2.0, 2.0, size=64)
         h = 1e-5
-        pairs = [(self.f, self.d1)]
-        if self.d2 is not None:
-            pairs.append((self.d1, self.d2))
-        if self.d3 is not None:
-            pairs.append((self.d2, self.d3))
-        for base, deriv in pairs:
-            fd = (base(x + h) - base(x - h)) / (2 * h)
-            scale = np.max(np.abs(fd)) + 1.0
-            if np.max(np.abs(fd - deriv(x))) > 1e-4 * scale:
-                raise ValueError(f"derivative of {self.name} inconsistent with finite differences")
+        fd = (f(x + h) - f(x - h)) / (2 * h)
+        if np.max(np.abs(fd - d1(x))) > 1e-4 * (np.max(np.abs(fd)) + 1.0):
+            raise ValueError(f"derivative of {name} inconsistent with finite differences")
 
     def __call__(self, u) -> SpectralField:
         """F(u) for a field u or its `Blocks`; a holder lends its held
         values, so F(u) and F'(u) share one transform of u."""
         return apply_pointwise(self.f, u)
 
-    def deriv(self, u, order: int = 1) -> SpectralField:
-        fn = (self.d1, self.d2, self.d3)[order - 1]
-        if fn is None:
-            raise ValueError(f"{self.name}: derivative of order {order} not registered")
-        return apply_pointwise(fn, u)
+    def deriv(self, u) -> SpectralField:
+        """F'(u), for a field or its `Blocks` as for F(u)."""
+        return apply_pointwise(self.d1, u)
 
 
 def poly_function(coeffs, name="poly") -> NonlinearFunction:
     """Polynomial nonlinearity from coefficients [c0, c1, c2, ...]."""
     p = np.polynomial.Polynomial(coeffs)
-    return NonlinearFunction(p, p.deriv(1), p.deriv(2), p.deriv(3), name=name)
+    return NonlinearFunction(p, p.deriv(1), name=name)
 
 
 # -- the Bony trio ----------------------------------------------------
@@ -363,23 +347,30 @@ class CausalAverage:
         return field_from_oversampled(f.grid, acc)
 
 
+def _para_lt_times(fpath: FieldPath, gpaths: list[FieldPath],
+                   part: DyadicPartition | None) -> list[FieldPath]:
+    """The time-mollified paraproduct of f with each path in `gpaths`, through
+    one `CausalAverage`, so f's averages are contracted once per node."""
+    if any(not np.allclose(fpath.times, g.times) for g in gpaths):
+        raise ValueError("paths live on different time grids")
+    part = part or default_partition(fpath.grid)
+    avg = CausalAverage(part, fpath.times)
+    nodes = [[avg.paraproduct(n, f, Blocks(g.fields[n], part)) for g in gpaths]
+             for n, f in enumerate(fpath.fields)]
+    return [FieldPath(fpath.times, list(fields)) for fields in zip(*nodes)]
+
+
 def para_lt_time(fpath: FieldPath, gpath: FieldPath,
                  part: DyadicPartition | None = None) -> FieldPath:
     """Time-mollified paraproduct of paths: at each node t, the sum over i
     of S_{i-1}(Q_i f)(t) * Delta_i g(t), Q_i f the causal average of f over a
     window of width 4^-i, node by node through `CausalAverage.paraproduct`."""
-    if not np.allclose(fpath.times, gpath.times):
-        raise ValueError("paths live on different time grids")
-    part = part or default_partition(fpath.grid)
-    avg = CausalAverage(part, fpath.times)
-    return FieldPath(fpath.times, [avg.paraproduct(n, f, Blocks(g, part))
-                                   for n, (f, g) in enumerate(zip(fpath.fields, gpath.fields))])
+    return _para_lt_times(fpath, [gpath], part)[0]
 
 
 def paraproduct_switch(fpath: FieldPath, gpath: FieldPath,
                        part: DyadicPartition | None = None) -> FieldPath:
     """Difference between the plain and time-mollified paraproducts."""
-    part = part or default_partition(fpath.grid)
     plain = FieldPath(fpath.times, [para_lt(a, b, part)
                                     for a, b in zip(fpath.fields, gpath.fields)])
     return plain - para_lt_time(fpath, gpath, part)
@@ -389,7 +380,8 @@ def heat_para_commutator(upath: FieldPath, vpath: FieldPath,
                          part: DyadicPartition | None = None) -> FieldPath:
     """Commutator of the heat operator with the time-mollified paraproduct,
     L(u << v) - u << (Lv), with L = d/dt - Laplacian as `apply_L` takes it
-    (second-order finite differences in time, so at least three nodes)."""
+    (second-order finite differences in time, so at least three nodes).
+    Both paraproducts share one `CausalAverage` of u."""
     heat = SemigroupSpec(1.0, upath.grid)
-    return apply_L(para_lt_time(upath, vpath, part), heat) \
-        - para_lt_time(upath, apply_L(vpath, heat), part)
+    uv, ulv = _para_lt_times(upath, [vpath, apply_L(vpath, heat)], part)
+    return apply_L(uv, heat) - ulv

@@ -46,8 +46,6 @@ class DyadicPartition:
     """
 
     grid: TorusGrid
-    inner: float
-    outer: float
     j_max: int
     masks: np.ndarray  # shape (j_max + 2,) + grid.shape
 
@@ -68,30 +66,30 @@ class DyadicPartition:
         return np.sum(self.masks[: j + 1], axis=0)
 
 
-def make_dyadic_partition(grid: TorusGrid, inner: float = 0.75,
-                          outer: float = 4.0 / 3.0) -> DyadicPartition:
+# Plateau and support radii of the base cutoff chi.  The induced ring
+# rho = chi(./2) - chi lives in the annulus [_INNER, 2*_OUTER]; _OUTER <= 2*_INNER
+# keeps rings at distance |i - j| > 1 disjoint.
+_INNER, _OUTER = 0.75, 4.0 / 3.0
+
+
+def make_dyadic_partition(grid: TorusGrid) -> DyadicPartition:
     """Build the dyadic partition of unity on a grid's frequency lattice.
 
-    `inner` and `outer` are the plateau and support radii of the base
-    cutoff chi; the induced ring rho = chi(./2) - chi lives in the annulus
-    [inner, 2*outer].  Requiring outer <= 2*inner keeps rings at distance
-    |i - j| > 1 disjoint.  The number of ring blocks is chosen so the top
-    ring's support stays inside the lattice; the final block is defined as
-    1 - chi(2^-J .) so the masks telescope to exactly 1.
+    The number of ring blocks is chosen so the top ring's support stays
+    inside the lattice; the final block is defined as 1 - chi(2^-J .) so
+    the masks telescope to exactly 1.
     """
-    if not 0 < inner < outer <= 2 * inner:
-        raise ValueError(f"need 0 < inner < outer <= 2*inner, got {inner}, {outer}")
     kmax_axis = (grid.n // 2) * grid.base_freq
-    j_max = int(np.floor(np.log2(kmax_axis / (2 * outer))))
+    j_max = int(np.floor(np.log2(kmax_axis / (2 * _OUTER))))
     if j_max < 2:
         raise ValueError(f"grid too coarse for a dyadic partition (j_max={j_max})")
 
     r = grid.k_abs()
-    chis = [radial_cutoff(r / 2.0**j, inner, outer) for j in range(j_max + 1)]
+    chis = [radial_cutoff(r / 2.0**j, _INNER, _OUTER) for j in range(j_max + 1)]
     masks = [chis[0]]
     for j in range(j_max):
         masks.append(chis[j + 1] - chis[j])
     masks.append(1.0 - chis[j_max])
     masks = np.stack(masks)
     np.clip(masks, 0.0, 1.0, out=masks)
-    return DyadicPartition(grid, inner, outer, j_max, masks)
+    return DyadicPartition(grid, j_max, masks)

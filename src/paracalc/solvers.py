@@ -19,7 +19,7 @@ from .evolution import (SemigroupSpec, SolverReport, damped_fixed_point,
                         trapezoid_exponential_path)
 from .grid import (FieldPath, SpectralField, TorusGrid, dealiased_product,
                    field_from_oversampled, oversampled_values)
-from .noise import default_time_cutoff
+from .noise import centered_time, default_time_cutoff
 from .paraproducts import Blocks, CausalAverage, NonlinearFunction, para_gt, para_lt, resonant
 from .partition import DyadicPartition, radial_cutoff
 from .spectral import (antiderivative, besov_norm, default_partition, derivative,
@@ -44,11 +44,6 @@ class SolverConfig:
 
 
 # -- rough ODE --------------------------------------------------------
-
-def _centered_time(grid: TorusGrid) -> np.ndarray:
-    x = grid.points()[0]
-    return np.where(x < grid.period / 2, x, x - grid.period)
-
 
 def _seam_bump(grid: TorusGrid) -> tuple[SpectralField, float]:
     """A smooth bump at the far side of the time-line torus, used to close
@@ -82,11 +77,9 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
     if E.kind != "rde":
         raise ValueError("solve_rde expects line-driver enhanced data")
     grid = E.xi.grid
-    part = part or default_partition(grid)
     xi, theta = E.xi, E.theta
     eta = E.eta.channel(0) if E.eta.channels > 1 else E.eta
-    t = _centered_time(grid)
-    phi = SpectralField.from_values(grid, cutoff(t))
+    phi = SpectralField.from_values(grid, cutoff(centered_time(grid)))
     bump, bump_mean = _seam_bump(grid)
     xi_b, theta_b, phi_b = (Blocks(f, part) for f in (xi, theta, phi))
     area = Blocks(eta - resonant(theta_b, xi_b, part), part)
@@ -138,7 +131,6 @@ def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
     d/dt(u @ theta) - F(u)(xi @ theta) - C(F(u), xi, theta)
     - Pi_F(u, xi) @ theta - (F(u) above xi) @ theta.
     """
-    part = part or default_partition(u.grid)
     xi, theta = Blocks(E.xi, part), Blocks(E.theta, part)
     u = Blocks(u, part)
     dFu = Blocks(F.deriv(u), part)
@@ -188,11 +180,8 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
     theta_path: FieldPath = E.theta
     eta_path: FieldPath = E.eta
     grid = theta_path.grid
-    part = part or default_partition(grid)
     if not (cfg.sigma > 5.0 / 6.0):
         raise ValueError("need sigma > 5/6")
-    if G.d1 is None:
-        raise ValueError(f"{G.name}: derivative of order 1 not registered")
     M = len(theta_path) - 1
     theta = [f.channel(0) for f in theta_path.fields]
     eta = [f.channel(0) for f in eta_path.fields]
@@ -328,8 +317,6 @@ def solve_pam_regularized(u0: SpectralField, xi_eps: SpectralField, c_eps: float
     calls: u inverse, F(u) and F'(u) forward and inverse as two channels (F(u)
     alone for c_eps = 0), and F(u) xi_eps - c_eps (F'(u) F(u)) forward."""
     fns = (F.f, F.d1) if c_eps else (F.f,)
-    if c_eps and F.d1 is None:
-        raise ValueError(f"{F.name}: derivative of order 1 not registered")
     xi_values = oversampled_values(xi_eps)
 
     def drift(n: int, u: SpectralField) -> SpectralField:

@@ -32,11 +32,7 @@ TWO_PI = 2 * math.pi
 
 
 def tanh_fn(a=1.0):
-    return NonlinearFunction(
-        lambda x: a * np.tanh(x),
-        lambda x: a / np.cosh(x) ** 2,
-        lambda x: -2 * a * np.tanh(x) / np.cosh(x) ** 2,
-        lambda x: a * (4 * np.tanh(x) ** 2 - 2 / np.cosh(x) ** 2) / np.cosh(x) ** 2)
+    return NonlinearFunction(lambda x: a * np.tanh(x), lambda x: a / np.cosh(x) ** 2)
 
 
 def rough(grid, alpha, seed, channels=1):

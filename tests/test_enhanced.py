@@ -179,11 +179,3 @@ def test_enhanced_noise_rejects_unknown_kind(grid2d):
     xi = spatial_white_noise(grid2d, 10)
     with pytest.raises(ValueError):
         EnhancedNoise("kpz", xi, xi, xi)
-
-
-def test_with_eta_swaps_the_area(grid2d):
-    xi = spatial_white_noise(grid2d, 11)
-    E = EnhancedNoise("pam", xi, pam_theta(xi), xi)
-    E2 = E.with_eta(pam_theta(xi), constant=1.5)
-    assert E2.renorm_constant == 1.5
-    assert E2.kind == "pam"

@@ -3,6 +3,7 @@ package name the benchmark in perfbench/ traces or imports still exists."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -55,8 +56,9 @@ def perfbench_names() -> list[str]:
     return sorted(set(names))
 
 
-def resolves(dotted: str) -> bool:
-    """Whether a dotted name resolves, importing submodules on the way."""
+def lookup(dotted: str):
+    """The object a dotted name resolves to, importing submodules on the
+    way, or None."""
     parts = dotted.split(".")
     obj = importlib.import_module(parts[0])
     for i, attr in enumerate(parts[1:], start=2):
@@ -64,13 +66,51 @@ def resolves(dotted: str) -> bool:
             try:
                 importlib.import_module(".".join(parts[:i]))
             except ImportError:
-                return False
-        obj = getattr(obj, attr)
-    return True
+                return None
+        obj = getattr(obj, attr, None)
+    return obj
 
 
 def test_perfbench_names_resolve():
     names = perfbench_names()
     assert {"paracalc.cli._tanh_function", "paracalc.cli.solve_pam_regularized",
             "paracalc.solvers.trapezoid_exponential_path"} <= set(names)
-    assert [n for n in names if not resolves(n)] == []
+    assert [n for n in names if lookup(n) is None] == []
+
+
+def perfbench_calls() -> list[tuple[str, int, list[str]]]:
+    """(dotted name, positional count, keyword names) of each call the
+    workloads make to a name imported from paracalc or an attribute of one."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    imported = {alias.asname or alias.name: f"{node.module}.{alias.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "paracalc"
+                for alias in node.names}
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in imported:
+            name = imported[f.id]
+        elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) in imported:
+            name = f"{imported[f.value.id]}.{f.attr}"
+        else:
+            continue
+        calls.append((name, len(node.args), [k.arg for k in node.keywords]))
+    return calls
+
+
+def test_perfbench_calls_bind():
+    # the benchmark's files are fixed, so every signature it calls, `part`
+    # keywords included, must keep accepting its arguments
+    calls = perfbench_calls()
+    assert ("paracalc.solve_pam", 4, ["part"]) in calls
+    unbound = []
+    for name, npos, keywords in calls:
+        try:
+            inspect.signature(lookup(name)).bind(*[None] * npos, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{name}: {exc}")
+    assert unbound == []

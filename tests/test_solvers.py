@@ -12,10 +12,10 @@ from scipy.integrate import solve_ivp
 
 from paracalc import (BUMP_MOLLIFIER, Blocks, EnhancedNoise, NonConvergence,
                       NonlinearFunction, SemigroupSpec, SolverConfig, SpectralField,
-                      TorusGrid, commutator_C, damped_fixed_point, dealiased_product,
-                      derivative, heat_apply,
-                      lp_block, mollify, pam_theta, para_gt, para_lt, para_lt_time,
-                      poly_function, rde_area, rde_driver,
+                      TorusGrid, burgers_area, burgers_theta_path, commutator_C,
+                      damped_fixed_point, dealiased_product, derivative, heat_apply,
+                      lp_block, make_dyadic_partition, mollify, pam_theta, para_gt,
+                      para_lt, para_lt_time, poly_function, rde_area, rde_driver,
                       pi_F, remove_mean, resonant, sample_line_path,
                       solve_burgers, solve_pam, solve_pam_regularized,
                       solve_rde, spatial_white_noise,
@@ -33,11 +33,7 @@ TWO_PI = 2 * math.pi
 
 
 def tanh_fn(a=1.0):
-    return NonlinearFunction(
-        lambda x: a * np.tanh(x),
-        lambda x: a / np.cosh(x) ** 2,
-        lambda x: -2 * a * np.tanh(x) / np.cosh(x) ** 2,
-        lambda x: a * (4 * np.tanh(x) ** 2 - 2 / np.cosh(x) ** 2) / np.cosh(x) ** 2)
+    return NonlinearFunction(lambda x: a * np.tanh(x), lambda x: a / np.cosh(x) ** 2)
 
 
 # -- the paper's construction, term by term ---------------------------
@@ -441,15 +437,6 @@ class TestBurgers:
         with pytest.raises(ValueError):
             solve_burgers(SpectralField.zero(grid), E, tanh_fn(), cfg)
 
-    def test_rejects_a_nonlinearity_without_its_derivative(self):
-        grid = TorusGrid(1, 64)
-        times = np.linspace(0.0, 0.25, 5)
-        zp = FieldPath(times, [SpectralField.zero(grid)] * 5)
-        E = EnhancedNoise("burgers", zp, zp, zp)
-        cfg = SolverConfig(alpha=0.45, sigma=0.9, T=0.25, M=4)
-        with pytest.raises(ValueError, match="not registered"):
-            solve_burgers(SpectralField.zero(grid), E, NonlinearFunction(np.tanh), cfg)
-
     def test_stall_raises_with_rescaling_advice(self):
         grid = TorusGrid(1, 128)
         M, T = 4, 0.25
@@ -461,6 +448,50 @@ class TestBurgers:
                            fp_max=2, damping=1.0)
         with pytest.raises(RuntimeError, match="halve lambda"):
             solve_burgers(w0, E, tanh_fn(5.0), cfg)
+
+
+def rde_solve():
+    grid = TorusGrid(1, 256, 4 * TWO_PI)
+    ts, xs = sample_line_path(grid, 0.75, 3)
+    theta = mollify(rde_driver(ts, xs, grid).theta, 0.25, BUMP_MOLLIFIER)
+    xi = derivative(theta, 0)
+    E = EnhancedNoise("rde", xi, theta, rde_area(theta, xi))
+    cfg = SolverConfig(alpha=0.45, damping=0.7, fp_tol=1e-10)
+    return grid, lambda part: solve_rde(0.3, E, tanh_fn(0.4), cfg, part=part)
+
+
+def burgers_solve():
+    grid = TorusGrid(1, 64)
+    theta = burgers_theta_path(grid, 0.9, 0.25, 16, 1, 4)
+    E = EnhancedNoise("burgers", None, theta, burgers_area(theta))
+    cfg = SolverConfig(alpha=0.45, sigma=0.9, T=0.25, M=16, fp_tol=1e-12, damping=1.0)
+    u0 = SpectralField.from_function(grid, lambda x: 0.3 * np.sin(x))
+    return grid, lambda part: solve_burgers(u0, E, tanh_fn(0.5), cfg, part=part)
+
+
+def pam_solve():
+    grid = TorusGrid(2, 32)
+    xi = spatial_white_noise(grid, 5)
+    xi = SpectralField(grid, xi.coeffs * (grid.k_abs() <= 4)) * 2.0
+    theta = pam_theta(xi)
+    E = EnhancedNoise("pam", xi, theta, resonant(theta, xi))
+    cfg = SolverConfig(alpha=0.45, sigma=1.0, T=1 / 64, M=4, fp_tol=1e-11, damping=1.0)
+    u0 = SpectralField.constant(grid, 0.3)
+    return grid, lambda part: solve_pam(u0, E, tanh_fn(0.4), cfg, part=part)
+
+
+@pytest.mark.parametrize("setup", [rde_solve, burgers_solve, pam_solve],
+                         ids=["rde", "burgers", "pam"])
+def test_a_fresh_partition_solves_as_the_default(setup):
+    # perfbench passes each solver a partition built for it, not the grid's
+    # shared default_partition; the solve must not tell the two apart
+    grid, solve = setup()
+    *fresh, fresh_rep = solve(make_dyadic_partition(grid))
+    *plain, plain_rep = solve(None)
+    for a, b in zip(fresh, plain):
+        a, b = (x.coeff_array() if isinstance(x, FieldPath) else x.coeffs for x in (a, b))
+        assert np.array_equal(a, b)
+    assert fresh_rep == plain_rep
 
 
 class TestPam:
@@ -702,12 +733,6 @@ class TestPam:
         out = solve_pam_regularized(SpectralField.constant(grid, 0.3), SpectralField.zero(grid),
                                     0.5, poly_function([0.0, 1.0]), cfg)
         assert abs(out[-1].mean()[0] - 0.3 * math.exp(-0.25)) <= 1e-4
-
-    def test_regularized_solver_needs_f_prime_when_c_is_not_zero(self):
-        grid = TorusGrid(2, 32)
-        with pytest.raises(ValueError, match="not registered"):
-            solve_pam_regularized(SpectralField.constant(grid, 0.3), SpectralField.zero(grid),
-                                  0.5, NonlinearFunction(np.tanh), SolverConfig(alpha=0.45))
 
     @pytest.mark.parametrize("M, T", [(0, 1.0), (-2, 1.0), (8, 0.0), (8, -1.0), (8, math.nan)])
     def test_solver_config_rejects_bad_time_grids(self, M, T):

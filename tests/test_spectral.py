@@ -99,10 +99,6 @@ class TestPartition:
         assert part1d.j_max == 5
         assert list(part1d.blocks) == list(range(-1, 6))
 
-    def test_rejects_overlapping_profile(self, grid1d):
-        with pytest.raises(ValueError):
-            make_dyadic_partition(grid1d, inner=0.75, outer=2.0)
-
     def test_single_mode_lands_in_its_block(self, part1d, grid1d):
         # frequency 3 sits on the plateau of annulus 1, frequency 44 on
         # the plateau of annulus 5 (for the unit-period 256-point grid)
