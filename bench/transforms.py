@@ -16,7 +16,10 @@ evaluation makes and the channels they transform (j_max inverse and one
 forward for the paraproduct; the transform counts per drift evaluation
 of the two 2-d solvers).  Prints one JSON object:
 the machine facts and, per layer and size, the median and quartiles of
-the per-call time over the repeats.  Run from anywhere:
+the per-call time over the repeats.  The sweep owns its process, as the
+CLI does, so it runs under the CLI's allocator policy
+(`paracalc.cli._hold_heap`) and records it with the machine facts.
+Run from anywhere:
 
     python3 bench/transforms.py [--compare BENCH_prev.json]
 
@@ -48,6 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+import paracalc.cli  # noqa: E402
 import paracalc.grid  # noqa: E402
 import paracalc.solvers  # noqa: E402
 from paracalc.grid import (SpectralField, TorusGrid, dealiased_product,  # noqa: E402
@@ -64,7 +68,7 @@ REPEAT_S = 0.1
 REGRESSION = 0.10  # a row regresses when its median grows by this share or more
 
 
-def machine() -> dict:
+def machine(heap_held: bool) -> dict:
     try:
         with open("/proc/cpuinfo") as fh:
             cpu = next((ln.split(":", 1)[1].strip() for ln in fh
@@ -74,7 +78,9 @@ def machine() -> dict:
     return {"cpu": cpu, "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"]}
+            "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
+            "allocator": ("mallopt M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 256 MiB"
+                          if heap_held else "libc default")}
 
 
 def per_call_us(fn) -> dict:
@@ -230,8 +236,10 @@ def main(argv=None) -> int:
                     help="flag rows 10 %% or more slower than this record's sweep")
     args = ap.parse_args(argv)
     base = baseline(args.compare) if args.compare else None
+    heap_held = paracalc.cli._hold_heap()
     rows = sweep()
-    print(json.dumps({"machine": machine(), "repeats": REPEATS, "results": rows}, indent=1))
+    print(json.dumps({"machine": machine(heap_held), "repeats": REPEATS, "results": rows},
+                     indent=1))
     if base is None:
         return 0
     worse = regressions(rows, base)

@@ -449,24 +449,30 @@ def _apply_config(args, parser: argparse.ArgumentParser):
                    if isinstance(a, argparse._SubParsersAction))
         actions = {a.dest: a for a in sub.choices[args.command]._actions}
         data = json.loads(Path(args.config).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"config {args.config}: expected a JSON object")
         for key, val in data.items():
             key = key.replace("-", "_")
             if not hasattr(args, key) or key not in actions:
-                raise SystemExit(f"unknown config key: {key}")
+                raise ValueError(f"unknown config key: {key}")
             setattr(args, key, _config_value(actions[key], key, val))
     return args
 
 
-def _hold_heap():
+def _hold_heap() -> bool:
     """Keep freed 2-d N = 64 fine-grid arrays (128 KiB, glibc's default mmap threshold)
-    on the heap: M_MMAP_THRESHOLD (-3) to 32 MiB, M_TRIM_THRESHOLD (-1) to 256 MiB."""
+    on the heap: M_MMAP_THRESHOLD (-3) to 32 MiB, M_TRIM_THRESHOLD (-1) to 256 MiB.
+    Returns whether both settings took."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
-        return
+        return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    held = True
     for param, value in ((-3, 32 << 20), (-1, 256 << 20)):
         if mallopt(param, value) != 1:
             log.warning("mallopt(%d, %d) failed", param, value)
+            held = False
+    return held
 
 
 def main(argv=None) -> int:

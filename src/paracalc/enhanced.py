@@ -128,24 +128,6 @@ def pam_area_by_time_integral(xi: SpectralField, t_min: float = 1e-4,
     return SpectralField(grid, out)
 
 
-def pam_mean_adjusted_area(theta: SpectralField, xi: SpectralField,
-                           area: SpectralField, mean: float, t: float,
-                           part: DyadicPartition | None = None) -> SpectralField:
-    """Affine correction of the renormalized area when the driving noise
-    carries a nonzero mean m (continuous-convention zero mode):
-
-        area + (2 pi)^-2 (theta @ m) + t (2 pi)^-2 (m @ xi) + t (2 pi)^-4 m^2.
-
-    Resonant products with a constant reduce to the low-block shadow; the
-    formula is provided at this level only (no new sampling is involved).
-    """
-    grid = theta.grid
-    m_field = SpectralField.constant(grid, mean / TWO_PI**2)
-    out = area + resonant(theta, m_field, part)
-    out = out + resonant(m_field, xi, part) * t
-    return out + SpectralField.constant(grid, t * (mean / TWO_PI**2) ** 2)
-
-
 # -- RDE enhancement and the translation group ------------------------
 
 def rde_area(theta: SpectralField, xi: SpectralField,

@@ -140,10 +140,6 @@ class SpectralField:
         v = np.fft.ifftn(self.coeffs, axes=axes) * self.grid.n**self.grid.dim
         return np.real(v)
 
-    def continuum_coeffs(self) -> np.ndarray:
-        """Continuous-convention Fourier coefficients period^d * c_k."""
-        return self.coeffs * self.grid.period**self.grid.dim
-
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         hc = hermitian_conjugate(self.coeffs, self.grid.dim)
         scale = np.max(np.abs(self.coeffs)) or 1.0

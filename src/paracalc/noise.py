@@ -1,10 +1,10 @@
 """Gaussian inputs with the covariances the downstream analysis assumes.
 
-All randomness flows through counter-based Philox generators keyed by
-(seed, stream), with draws made as whole arrays in a fixed lattice order,
-so every sample is bit-reproducible regardless of threading.  Covariances
-are imposed directly in Fourier space; continuous-convention coefficients
-relate to stored ones by F u(k) = period^d c_k.
+All randomness flows through a counter-based Philox generator keyed by
+the integer seed, with draws made as whole arrays in a fixed lattice
+order, so every sample is bit-reproducible regardless of threading.
+Covariances are imposed directly in Fourier space; continuous-convention
+coefficients relate to stored ones by F u(k) = period^d c_k.
 """
 
 from __future__ import annotations
@@ -24,22 +24,9 @@ from .spectral import derivative, remove_mean
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class NoiseSeed:
-    """Addressable randomness: one master seed, one stream per use-site."""
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
-
-    def child(self, stream: int) -> "NoiseSeed":
-        return NoiseSeed(self.seed, stream)
-
-
-def _as_seed(seed) -> NoiseSeed:
-    return seed if isinstance(seed, NoiseSeed) else NoiseSeed(int(seed))
+def _generator(seed) -> np.random.Generator:
+    """The Philox generator of an integer seed; the key's second word is 0."""
+    return np.random.Generator(np.random.Philox(key=[int(seed), 0]))
 
 
 # -- Hermitian lattice bookkeeping ------------------------------------
@@ -137,7 +124,7 @@ def spatial_white_noise(grid: TorusGrid, seed) -> SpectralField:
     """
     if grid.dim != 2:
         raise ValueError("spatial white noise is generated on the 2-torus")
-    rng = _as_seed(seed).generator()
+    rng = _generator(seed)
     std = 1.0 / TWO_PI
     c = hermitian_gaussian(grid, std, rng)
     c[:, 0, 0] = 0.0
@@ -170,7 +157,7 @@ def burgers_theta_path(grid: TorusGrid, sigma: float, T: float, M: int,
         raise ValueError("this driver lives on the 1-torus")
     if not (sigma > 0.5 and T > 0 and M >= 1):
         raise ValueError(f"need sigma > 1/2, T > 0 and M >= 1, got {sigma}, {T}, {M}")
-    rng = _as_seed(seed).generator()
+    rng = _generator(seed)
     dt = T / M
     mu = grid.k_abs() ** (2.0 * sigma)
     decay = np.exp(-dt * mu)
@@ -212,7 +199,7 @@ def fbm_path(hurst: float, n: int, T: float, channels: int = 1, seed=0):
         raise ValueError("hurst must lie in (0,1)")
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError("number of steps must be a power of two")
-    rng = _as_seed(seed).generator()
+    rng = _generator(seed)
     dt = T / n
     scale = dt**hurst
 

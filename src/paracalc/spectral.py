@@ -23,12 +23,6 @@ def lp_block(f: SpectralField, j: int, part: DyadicPartition | None = None) -> S
     return SpectralField(f.grid, f.coeffs * part.mask(j))
 
 
-def low_sum(f: SpectralField, j: int, part: DyadicPartition | None = None) -> SpectralField:
-    """Low-frequency cut S_j f = sum of blocks below j."""
-    part = part or default_partition(f.grid)
-    return SpectralField(f.grid, f.coeffs * part.low_mask(j))
-
-
 def block_sups(f: SpectralField, part: DyadicPartition | None = None) -> np.ndarray:
     """sup-norm of every dyadic block, indexed by j = -1 .. j_max."""
     part = part or default_partition(f.grid)
@@ -45,17 +39,6 @@ def besov_norm(f: SpectralField, alpha: float,
     sups = block_sups(f, part)
     j = np.arange(-1, part.j_max + 1, dtype=np.float64)
     return float(np.max(2.0 ** (j * alpha) * sups))
-
-
-def fourier_multiplier(f: SpectralField, symbol) -> SpectralField:
-    """Apply a Fourier multiplier given its symbol on the frequency mesh.
-
-    `symbol` receives the broadcastable frequency arrays (one per axis) and
-    must return an array over the lattice.  Even real symbols preserve
-    realness; odd symbols should be provided as i*odd by the caller.
-    """
-    m = np.asarray(symbol(*f.grid.freq_mesh()))
-    return SpectralField(f.grid, f.coeffs * np.broadcast_to(m, f.grid.shape))
 
 
 @functools.lru_cache(maxsize=64)
@@ -114,40 +97,3 @@ def remove_mean(f: SpectralField):
     """Return (mean-free field, removed per-channel means)."""
     m = f.mean()
     return SpectralField(f.grid, _shift_zero_mode(f.coeffs, -m, f.grid.dim)), m
-
-
-def scale_field(f: SpectralField, k: int) -> SpectralField:
-    """Dyadic dilation x -> f(2^-k x) by exact spectral reindexing.
-
-    A mode at integer frequency m moves to m / 2^k, so the input spectrum
-    must be supported on multiples of 2^k (ValueError otherwise).  k = 0 is
-    the identity.  Only dyadic ratios keep the field on the lattice, which
-    is all the scaling limits here need.
-    """
-    if k < 0:
-        raise ValueError("only contractive dyadic scalings (k >= 0) are supported")
-    if k == 0:
-        return f
-    n, d = f.grid.n, f.grid.dim
-    step = 2**k
-    ints = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
-    src_of = {m: i for i, m in enumerate(ints)}
-
-    divisible = ints % step == 0
-    # mass on non-multiples cannot be represented after scaling
-    for ax in range(d):
-        sel = [slice(None)] * (d + 1)
-        sel[ax + 1] = ~divisible
-        if np.max(np.abs(f.coeffs[tuple(sel)])) > 1e-12 * max(np.max(np.abs(f.coeffs)), 1e-300):
-            raise ValueError(f"spectrum not supported on multiples of {step}; scaling is inexact")
-
-    take = np.array([src_of.get(m * step, -1) for m in ints])
-    has_src = take >= 0
-    out = np.zeros_like(f.coeffs)
-    idx = np.where(has_src)[0]
-    c = f.coeffs
-    if d == 1:
-        out[:, idx] = c[:, take[idx]]
-    else:
-        out[np.ix_(range(c.shape[0]), idx, idx)] = c[np.ix_(range(c.shape[0]), take[idx], take[idx])]
-    return SpectralField(f.grid, out)

@@ -62,11 +62,14 @@ class TestParsing:
         f = load_field(out / "noise.field")
         assert f.grid.n == 16
 
-    def test_unknown_config_key_exits(self, tmp_path):
+    def test_unknown_config_key_exits(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"resolution": 16}))
-        with pytest.raises(SystemExit):
-            main(["noise", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main(["noise", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: unknown config key")
+        assert not (out / "noise.field").exists()
 
     def test_config_values_convert_like_flags(self, tmp_path):
         # a JSON string goes through the flag's type, as on the command line
@@ -81,7 +84,7 @@ class TestParsing:
         assert load_field(out / "noise.field").grid.n == 32
 
     @pytest.mark.parametrize("bad", [{"seed": 1.5}, {"n": True}, {"eps": 0.25},
-                                     {"mollifier": "box"}])
+                                     {"mollifier": "box"}, [1]])
     def test_bad_config_value_exits_one(self, tmp_path, capsys, bad):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(bad))
@@ -152,7 +155,7 @@ class TestHeapPolicy:
         mallopt = FakeMallopt()
         monkeypatch.setattr(cli.ctypes, "CDLL",
                             lambda name: types.SimpleNamespace(mallopt=mallopt))
-        cli._hold_heap()
+        assert cli._hold_heap()
         # M_MMAP_THRESHOLD = -3 at 32 MiB, M_TRIM_THRESHOLD = -1 at 256 MiB
         assert mallopt.calls == [(-3, 32 << 20), (-1, 256 << 20)]
         assert mallopt.restype is cli.ctypes.c_int
@@ -161,7 +164,7 @@ class TestHeapPolicy:
     def test_a_failed_mallopt_is_reported(self, monkeypatch, caplog):
         monkeypatch.setattr(cli.ctypes, "CDLL",
                             lambda name: types.SimpleNamespace(mallopt=FakeMallopt(0)))
-        cli._hold_heap()
+        assert not cli._hold_heap()
         assert [r.getMessage() for r in caplog.records] \
             == ["mallopt(-3, 33554432) failed", "mallopt(-1, 268435456) failed"]
 

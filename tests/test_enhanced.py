@@ -12,7 +12,6 @@ from paracalc import (DIRAC_MOLLIFIER, GAUSS_MOLLIFIER, EnhancedNoise,
                       pam_renormalized_area, pair_resonant, pam_theta,
                       rde_area, resonant, rough_area_check, sample_line_path,
                       rde_driver, spatial_white_noise, sym_antisym_split)
-from paracalc.enhanced import pam_mean_adjusted_area
 from paracalc.spectral import antiderivative, default_partition
 
 from conftest import rough_field
@@ -77,14 +76,6 @@ class TestPamArea:
             - pam_c_eps(1.0, DIRAC_MOLLIFIER, grid2d)
         scale = max(direct.sup_norm(), 1.0)
         assert (via_integral - direct).sup_norm() / scale < 2e-3
-
-    def test_mean_adjustment_reduces_to_identity_for_centred_noise(
-            self, grid2d, part2d):
-        xi = spatial_white_noise(grid2d, 2)
-        th = pam_theta(xi)
-        area = resonant(th, xi, part2d)
-        out = pam_mean_adjusted_area(th, xi, area, 0.0, 0.7, part2d)
-        assert (out - area).sup_norm() < 1e-14
 
 
 class TestBurgersArea:

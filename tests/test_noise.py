@@ -1,5 +1,6 @@
 """Gaussian drivers: white noise, stochastic convolutions, fBm, mollifiers."""
 
+import hashlib
 import logging
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 from paracalc import noise
 from paracalc import (BUMP_MOLLIFIER, DIRAC_MOLLIFIER, GAUSS_MOLLIFIER,
-                      Mollifier, NoiseSeed, SpectralField, TorusGrid,
+                      Mollifier, SpectralField, TorusGrid,
                       burgers_theta_path, default_time_cutoff, derivative,
                       fbm_path, mollify, pam_theta, rde_driver,
                       sample_line_path, spatial_white_noise)
@@ -44,7 +45,7 @@ class TestWhiteNoise:
         m = 200
         for s in range(m):
             xi = spatial_white_noise(grid2d, s)
-            p = xi.continuum_coeffs()[0]
+            p = (xi.coeffs * xi.grid.period ** xi.grid.dim)[0]
             acc += np.mean(np.abs(p[p != 0]) ** 2)
         mean = acc / m
         # averaging over ~1000 modes and 200 seeds: a few percent suffices
@@ -79,7 +80,7 @@ class TestStochasticConvolution:
         mu = 3.0 ** (2 * sigma)
         for n in (4, 16):
             t = path.times[n]
-            samples = np.abs(path[n].continuum_coeffs()[:, k]) ** 2
+            samples = np.abs((path[n].coeffs * grid.period ** grid.dim)[:, k]) ** 2
             target = TWO_PI * -np.expm1(-2 * t * mu) / (2 * mu)
             se = np.std(samples, ddof=1) / math.sqrt(len(samples))
             assert abs(np.mean(samples) - target) < 4 * se
@@ -87,7 +88,7 @@ class TestStochasticConvolution:
     def test_zero_mode_is_brownian(self):
         grid = TorusGrid(1, 32)
         path = burgers_theta_path(grid, 0.9, 0.5, 8, channels=512, seed=5)
-        samples = np.abs(path[-1].continuum_coeffs()[:, 0]) ** 2
+        samples = np.abs((path[-1].coeffs * grid.period ** grid.dim)[:, 0]) ** 2
         target = TWO_PI * 0.5
         se = np.std(samples, ddof=1) / math.sqrt(len(samples))
         assert abs(np.mean(samples) - target) < 4 * se
@@ -210,9 +211,13 @@ class TestLineDriver:
         assert np.all(v[4:] == 0.0)
 
 
-def test_noise_seed_streams_are_independent():
-    a = NoiseSeed(5).child(1).generator().standard_normal(4)
-    b = NoiseSeed(5).child(2).generator().standard_normal(4)
-    c = NoiseSeed(5).child(1).generator().standard_normal(4)
-    assert np.array_equal(a, c)
-    assert not np.allclose(a, b)
+def test_samples_keep_their_bytes():
+    # sha256 of samples drawn with Philox keyed [seed, 0].  Neither sampler
+    # uses an FFT; the OU path's exp and power are its only libm calls, so a
+    # libm that rounds them differently would change the second digest.
+    xi = spatial_white_noise(TorusGrid(2, 32), 3)
+    path = burgers_theta_path(TorusGrid(1, 32), 0.9, 0.5, 8, 1, 5)
+    assert hashlib.sha256(xi.coeffs.tobytes()).hexdigest() == (
+        "69cedf957a36a14178fa47cd71172935340baef33a4034538cc4298c8a2d07d0")
+    assert hashlib.sha256(path.coeff_array().tobytes()).hexdigest() == (
+        "81ed908b439f0f6ffcebeaabc10261cebafbe5f4ecd3f6059a2289026587e5d3")

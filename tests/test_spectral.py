@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from paracalc import (SpectralField, TorusGrid, antiderivative, besov_norm,
                       block_sups, dealiased_product, derivative,
-                      fourier_multiplier, fractional_laplacian, load_field,
-                      lp_block, low_sum, make_dyadic_partition, radial_cutoff,
-                      remove_mean, save_field, scale_field, smoothstep)
+                      fractional_laplacian, load_field, lp_block,
+                      make_dyadic_partition, radial_cutoff, remove_mean,
+                      save_field, smoothstep)
 from paracalc.grid import (FieldPath, _negate_rows, apply_pointwise,
                           field_from_oversampled, oversampled_values)
 
@@ -46,13 +46,6 @@ class TestGrid:
         f = SpectralField.constant(grid2d, 2.5)
         assert f.sup_norm() == pytest.approx(2.5)
         assert f.mean()[0] == pytest.approx(2.5)
-
-    def test_continuum_coeffs_convention(self):
-        # F u(k) = period^d c_k; for u = cos(x) on the 2 pi torus the
-        # continuous transform weight at k = 1 is pi ... times 2 pi / (2 pi)
-        g = TorusGrid(1, 64)
-        u = SpectralField.from_function(g, np.cos)
-        assert u.continuum_coeffs()[0, 1] == pytest.approx(math.pi, rel=1e-12)
 
     def test_save_load_roundtrip(self, tmp_path, grid2d):
         f = rough_field(grid2d, 0.3, 5, channels=2)
@@ -108,8 +101,9 @@ class TestPartition:
         assert np.sum(sups > 1e-13) == 1
 
     def test_low_sum_plus_tail_is_identity(self, grid1d, part1d):
+        # S_j f, the low-frequency cut through low_mask, plus the blocks from j on
         f = rough_field(grid1d, 0.2, 3)
-        acc = low_sum(f, 2, part1d)
+        acc = SpectralField(grid1d, f.coeffs * part1d.low_mask(2))
         for j in range(2, part1d.j_max + 1):
             acc = acc + lp_block(f, j, part1d)
         assert np.max(np.abs(acc.coeffs - f.coeffs)) < 1e-13
@@ -150,23 +144,6 @@ class TestCalculus:
         f, _ = remove_mean(rough_field(grid1d, 1.5, 11))
         assert np.max(np.abs(derivative(antiderivative(f), 0).coeffs
                              - f.coeffs)) < 1e-11
-
-    def test_fourier_multiplier_heat_kernel(self, grid2d):
-        f = rough_field(grid2d, 0.5, 2)
-        g = fourier_multiplier(f, lambda kx, ky: np.exp(-(kx**2 + ky**2)))
-        ref = f.coeffs * np.exp(-grid2d.k_abs() ** 2)
-        assert np.max(np.abs(g.coeffs - ref)) < 1e-14
-
-    def test_scale_field_halves_frequency(self, grid1d):
-        f = SpectralField.from_function(grid1d, lambda x: np.cos(4 * x))
-        g = scale_field(f, 1)
-        ref = SpectralField.from_function(grid1d, lambda x: np.cos(2 * x))
-        assert np.max(np.abs(g.coeffs - ref.coeffs)) < 1e-14
-
-    def test_scale_field_rejects_misaligned_spectrum(self, grid1d):
-        f = SpectralField.from_function(grid1d, lambda x: np.cos(3 * x))
-        with pytest.raises(ValueError):
-            scale_field(f, 1)
 
     def test_besov_norm_of_single_mode(self, grid1d, part1d):
         f = SpectralField.from_function(grid1d, lambda x: np.cos(3 * x))
