@@ -124,8 +124,8 @@ def later_drift_call(grid, part, rng):
     u = SpectralField.from_values(grid, 0.3 + 0.1 * rng.standard_normal(grid.shape))
     past = ()
     for n in (0, 1):
-        past = (pam_drift_sharp(avg, n, u, *held, past, F, part)[1].coeffs,) + past[:1]
-    return lambda: pam_drift_sharp(avg, 2, u, *held, past, F, part)
+        past = (pam_drift_sharp(avg, n, u, *held, past, F)[1].coeffs,) + past[:1]
+    return lambda: pam_drift_sharp(avg, 2, u, *held, past, F)
 
 
 def later_regularized_drift(grid, rng):
@@ -194,7 +194,7 @@ def sweep() -> list:
             "grid.field_from_oversampled": lambda: field_from_oversampled(grid, fine),
             "grid.dealiased_product": lambda: dealiased_product(f, g),
             "paraproducts.Blocks": lambda: all_blocks(f, part),
-            "paraproducts.para_lt": lambda: para_lt(f, g, part),
+            "paraproducts.para_lt": lambda: para_lt(f, g),
             "paraproducts.resonant": lambda: resonant(f, g, part),
         }
         for name, fn in layers.items():

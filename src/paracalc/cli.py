@@ -65,11 +65,13 @@ def _outdir(args) -> Path:
     return out
 
 
-def _meta(args, extra=None) -> dict:
-    d = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+def _meta(args) -> dict:
+    """The run's settings, without the output directory and the config
+    file's path (its values are already in `args`), so that one run gives
+    the same bytes wherever it is written."""
+    d = {k: v for k, v in vars(args).items()
+         if k not in ("func", "out", "config") and v is not None}
     d["threads"] = os.environ.get("PARACALC_THREADS", "1")
-    if extra:
-        d.update(extra)
     return d
 
 

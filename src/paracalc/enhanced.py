@@ -47,7 +47,7 @@ def pair_resonant(a: SpectralField, b: SpectralField,
     for k in range(a.channels):
         ak = Blocks(a.channel(k), part)
         for bl in held:
-            out.append(resonant(ak, bl, part).coeffs[0])
+            out.append(resonant(ak, bl).coeffs[0])
     return SpectralField(a.grid, np.stack(out))
 
 
@@ -94,20 +94,18 @@ def pam_c_eps(eps: float, psi: Mollifier, grid: TorusGrid) -> float:
     return float(np.sum(w * w / r[nz] ** 2) / TWO_PI**2)
 
 
-def pam_renormalized_area(xi: SpectralField, eps: float, psi: Mollifier,
-                          part: DyadicPartition | None = None) -> SpectralField:
+def pam_renormalized_area(xi: SpectralField, eps: float, psi: Mollifier) -> SpectralField:
     """Mollified resonant area with its diverging mean removed:
     theta_eps @ xi_eps - c_eps."""
     theta_eps = mollify(pam_theta(xi), eps, psi)
     xi_eps = mollify(xi, eps, psi)
-    area = resonant(theta_eps, xi_eps, part)
+    area = resonant(theta_eps, xi_eps)
     return area - SpectralField.constant(xi.grid, pam_c_eps(eps, psi, xi.grid),
                                          area.channels)
 
 
 def pam_area_by_time_integral(xi: SpectralField, t_min: float = 1e-4,
-                              t_max: float = 50.0, nodes: int = 129,
-                              part: DyadicPartition | None = None) -> SpectralField:
+                              t_max: float = 50.0, nodes: int = 129) -> SpectralField:
     """Cross-check constructor of the renormalized area as the time integral
     of (P_t xi @ xi - g_t), by Simpson quadrature on a log-spaced t grid.
 
@@ -121,7 +119,7 @@ def pam_area_by_time_integral(xi: SpectralField, t_min: float = 1e-4,
     samples = []
     for t in ts:
         pt = SpectralField(grid, xi.coeffs * np.exp(-t * r2))
-        f = resonant(pt, xi, part) - SpectralField.constant(grid, pam_gt(t, grid))
+        f = resonant(pt, xi) - SpectralField.constant(grid, pam_gt(t, grid))
         samples.append(f.coeffs)
     vals = np.stack(samples)  # integrate each coefficient over t
     out = simpson(vals, x=ts, axis=0)
@@ -136,15 +134,14 @@ def rde_area(theta: SpectralField, xi: SpectralField,
     return pair_resonant(theta, xi, part)
 
 
-def enhanced_translate(E: EnhancedNoise, f: SpectralField, g: SpectralField,
-                       part: DyadicPartition | None = None) -> EnhancedNoise:
+def enhanced_translate(E: EnhancedNoise, f: SpectralField, g: SpectralField) -> EnhancedNoise:
     """Translation action on enhanced drivers: shift the noise by f (with
     antiderivative Phi) and the area by theta@f + Phi@xi + Phi@f + g."""
     if E.kind != "rde":
         raise ValueError("translation is defined for the line-driver enhancement")
     Phi = antiderivative(f)
-    eta = E.eta + pair_resonant(E.theta, f, part) + pair_resonant(Phi, E.xi, part) \
-        + pair_resonant(Phi, f, part) + g
+    eta = E.eta + pair_resonant(E.theta, f) + pair_resonant(Phi, E.xi) \
+        + pair_resonant(Phi, f) + g
     return EnhancedNoise("rde", E.xi + f, E.theta + Phi, eta)
 
 
@@ -161,8 +158,7 @@ def _integrate_between(f: SpectralField, s: float, t: float) -> np.ndarray:
 
 
 def rough_area_check(u: SpectralField, v: SpectralField, eta: SpectralField,
-                     s: float, t: float, part: DyadicPartition | None = None,
-                     oversample: int = 64):
+                     s: float, t: float, oversample: int = 64):
     """Two routes to the area of a pair of 1-d paths over [s, t].
 
     Formula route: integrate eta + u-below-dv + u-above-dv over [s, t]
@@ -171,7 +167,7 @@ def rough_area_check(u: SpectralField, v: SpectralField, eta: SpectralField,
     For smooth pairs with eta the resonant part of (u, dv) the two agree.
     """
     dv = derivative(v, 0)
-    integrand = eta + para_lt(u, dv, part) + para_gt(u, dv, part)
+    integrand = eta + para_lt(u, dv) + para_gt(u, dv)
     us = u.eval_at(np.array([s]))[:, 0]
     vs = v.eval_at(np.array([s, t]))
     a_formula = _integrate_between(integrand, s, t) - us * (vs[:, 1] - vs[:, 0])

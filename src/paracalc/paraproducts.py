@@ -72,9 +72,10 @@ class Blocks:
     with that field without a transform.  Low sums S_j f are running sums
     of the block values, exact by linearity.
     `para_lt`, `para_gt`, `resonant`, `commutator_C` and `pi_F` take a
-    holder in place of any field argument and build one for a plain field;
-    `dealiased_product`, `apply_pointwise` and so a `NonlinearFunction` use
-    a holder's held values.
+    holder in place of any field argument and build one for a plain field
+    on the holder's partition; `dealiased_product`, `apply_pointwise` and
+    so a `NonlinearFunction` use a holder's held values, and `block_sups`
+    and `besov_norm` its partition.
     """
 
     __slots__ = ("field", "part", "_blocks", "_values")
@@ -117,23 +118,19 @@ class Blocks:
         return self._values
 
 
-def _holders(part: DyadicPartition | None, *args) -> list[Blocks]:
-    """Block holders for the arguments, all on one partition (and so on one
-    grid); `part` defaults to that of a holder among them."""
-    if part is None:
-        part = next((a.part for a in args if isinstance(a, Blocks)), None) \
-            or default_partition(args[0].grid)
-    out = [a if isinstance(a, Blocks) else Blocks(a, part) for a in args]
-    if any(b.part is not part for b in out):
-        raise ValueError("block holders built on different partitions")
-    return out
+def _holders(*args) -> list[Blocks]:
+    """Block holders for the arguments; a plain field is held on the
+    partition of a holder among them, or else on its grid's."""
+    part = next((a.part for a in args if isinstance(a, Blocks)), None) \
+        or default_partition(args[0].grid)
+    return [a if isinstance(a, Blocks) else Blocks(a, part) for a in args]
 
 
-def para_lt(f, g, part: DyadicPartition | None = None) -> SpectralField:
+def para_lt(f, g) -> SpectralField:
     """Paraproduct of f below g: sum over j of S_{j-1} f * Delta_j g.
 
     f and g are fields or their `Blocks`."""
-    fb, gb = _holders(part, f, g)
+    fb, gb = _holders(f, g)
     # S_{j-1} vanishes for j <= 0, so the sum starts at block index 1
     lows = fb.lows(fb.part.j_max)
     acc = lows[0] * gb.block(1)
@@ -142,14 +139,18 @@ def para_lt(f, g, part: DyadicPartition | None = None) -> SpectralField:
     return field_from_oversampled(fb.grid, acc)
 
 
-def para_gt(f, g, part: DyadicPartition | None = None) -> SpectralField:
+def para_gt(f, g) -> SpectralField:
     """Mirror paraproduct, f above g."""
-    return para_lt(g, f, part)
+    return para_lt(g, f)
 
 
 def resonant(f, g, part: DyadicPartition | None = None) -> SpectralField:
-    """Resonant product: sum of Delta_i f * Delta_j g over |i - j| <= 1."""
-    fb, gb = _holders(part, f, g)
+    """Resonant product: sum of Delta_i f * Delta_j g over |i - j| <= 1.
+
+    f and g are fields or their `Blocks`; a given `part` holds plain fields."""
+    if part is not None and not isinstance(f, Blocks):
+        f = Blocks(f, part)
+    fb, gb = _holders(f, g)
     blocks = fb.part.blocks
     acc = 0.0
     for i in blocks:
@@ -159,18 +160,16 @@ def resonant(f, g, part: DyadicPartition | None = None) -> SpectralField:
     return field_from_oversampled(fb.grid, acc)
 
 
-def bony_remainder(f: SpectralField, g: SpectralField,
-                   part: DyadicPartition | None = None) -> SpectralField:
+def bony_remainder(f: SpectralField, g: SpectralField) -> SpectralField:
     """Defect f*g - f<g - f>g - f@g (diagnostic; ~1e-13 when dealiased)."""
-    return dealiased_product(f, g) - para_lt(f, g, part) - para_gt(f, g, part) \
-        - resonant(f, g, part)
+    return dealiased_product(f, g) - para_lt(f, g) - para_gt(f, g) - resonant(f, g)
 
 
 # -- commutators and paralinearization --------------------------------
 
-def commutator_C(f, g, h, part: DyadicPartition | None = None) -> SpectralField:
+def commutator_C(f, g, h) -> SpectralField:
     """Resonant commutator (f<g)@h - f*(g@h); arguments as for `para_lt`."""
-    fb, gb, hb = _holders(part, f, g, h)
+    fb, gb, hb = _holders(f, g, h)
     return resonant(para_lt(fb, gb), hb) - dealiased_product(fb, resonant(gb, hb))
 
 
@@ -179,20 +178,20 @@ def paralin_remainder(F: NonlinearFunction, f: SpectralField) -> SpectralField:
     return F(f) - para_lt(F.deriv(f), f)
 
 
-def pi_F(F: NonlinearFunction, f, g, part: DyadicPartition | None = None) -> SpectralField:
+def pi_F(F: NonlinearFunction, f, g) -> SpectralField:
     """Nonlinear resonant remainder F(f)@g - F'(f)*(f@g); f and g are
     fields or their `Blocks`."""
-    fb, gb = _holders(part, f, g)
+    fb, gb = _holders(f, g)
     return resonant(F(fb), gb) - dealiased_product(F.deriv(fb), resonant(fb, gb))
 
 
-def pi_times(f, u, g, part: DyadicPartition | None = None) -> SpectralField:
+def pi_times(f, u, g) -> SpectralField:
     """Trilinear remainder of (f*u)@g after peeling f*(u@g) and u*(f@g).
 
     Evaluated through its commutator expansion
     C(f,u,g) + C(u,f,g) + (f@u)@g, which is also how it is estimated.
     """
-    f, u, g = _holders(part, f, u, g)
+    f, u, g = _holders(f, u, g)
     return commutator_C(f, u, g) + commutator_C(u, f, g) + resonant(resonant(f, u), g)
 
 
@@ -222,8 +221,7 @@ class ParacontrolledField:
 
 
 def controlled_product(P: ParacontrolledField, w: SpectralField,
-                       eta: SpectralField, F: NonlinearFunction,
-                       part: DyadicPartition | None = None) -> SpectralField:
+                       eta: SpectralField, F: NonlinearFunction) -> SpectralField:
     """Product F(u)*w for paracontrolled u, with the resonant part of the
     reference pair supplied externally as eta (possibly renormalized).
 
@@ -234,9 +232,9 @@ def controlled_product(P: ParacontrolledField, w: SpectralField,
     F(u) w - F'(u) (u' (reference @ w)) + (F'(u) u') eta,
     associated as written, since truncated products are not associative.
     """
-    u = Blocks(P.u, part)
-    dFu = Blocks(F.deriv(u), u.part)
-    up_ref_w = dealiased_product(P.uprime, resonant(P.reference, w, u.part))
+    u = Blocks(P.u)
+    dFu = Blocks(F.deriv(u))
+    up_ref_w = dealiased_product(P.uprime, resonant(P.reference, w))
     out = dealiased_product(F(u), w) - dealiased_product(dFu, up_ref_w)
     return out + dealiased_product(dealiased_product(dFu, P.uprime), eta)
 
@@ -347,41 +345,36 @@ class CausalAverage:
         return field_from_oversampled(f.grid, acc)
 
 
-def _para_lt_times(fpath: FieldPath, gpaths: list[FieldPath],
-                   part: DyadicPartition | None) -> list[FieldPath]:
+def _para_lt_times(fpath: FieldPath, gpaths: list[FieldPath]) -> list[FieldPath]:
     """The time-mollified paraproduct of f with each path in `gpaths`, through
     one `CausalAverage`, so f's averages are contracted once per node."""
     if any(not np.allclose(fpath.times, g.times) for g in gpaths):
         raise ValueError("paths live on different time grids")
-    part = part or default_partition(fpath.grid)
+    part = default_partition(fpath.grid)
     avg = CausalAverage(part, fpath.times)
     nodes = [[avg.paraproduct(n, f, Blocks(g.fields[n], part)) for g in gpaths]
              for n, f in enumerate(fpath.fields)]
     return [FieldPath(fpath.times, list(fields)) for fields in zip(*nodes)]
 
 
-def para_lt_time(fpath: FieldPath, gpath: FieldPath,
-                 part: DyadicPartition | None = None) -> FieldPath:
+def para_lt_time(fpath: FieldPath, gpath: FieldPath) -> FieldPath:
     """Time-mollified paraproduct of paths: at each node t, the sum over i
     of S_{i-1}(Q_i f)(t) * Delta_i g(t), Q_i f the causal average of f over a
     window of width 4^-i, node by node through `CausalAverage.paraproduct`."""
-    return _para_lt_times(fpath, [gpath], part)[0]
+    return _para_lt_times(fpath, [gpath])[0]
 
 
-def paraproduct_switch(fpath: FieldPath, gpath: FieldPath,
-                       part: DyadicPartition | None = None) -> FieldPath:
+def paraproduct_switch(fpath: FieldPath, gpath: FieldPath) -> FieldPath:
     """Difference between the plain and time-mollified paraproducts."""
-    plain = FieldPath(fpath.times, [para_lt(a, b, part)
-                                    for a, b in zip(fpath.fields, gpath.fields)])
-    return plain - para_lt_time(fpath, gpath, part)
+    plain = FieldPath(fpath.times, [para_lt(a, b) for a, b in zip(fpath.fields, gpath.fields)])
+    return plain - para_lt_time(fpath, gpath)
 
 
-def heat_para_commutator(upath: FieldPath, vpath: FieldPath,
-                         part: DyadicPartition | None = None) -> FieldPath:
+def heat_para_commutator(upath: FieldPath, vpath: FieldPath) -> FieldPath:
     """Commutator of the heat operator with the time-mollified paraproduct,
     L(u << v) - u << (Lv), with L = d/dt - Laplacian as `apply_L` takes it
     (second-order finite differences in time, so at least three nodes).
     Both paraproducts share one `CausalAverage` of u."""
     heat = SemigroupSpec(1.0, upath.grid)
-    uv, ulv = _para_lt_times(upath, [vpath, apply_L(vpath, heat)], part)
+    uv, ulv = _para_lt_times(upath, [vpath, apply_L(vpath, heat)])
     return apply_L(uv, heat) - ulv

@@ -82,22 +82,22 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
     phi = SpectralField.from_values(grid, cutoff(centered_time(grid)))
     bump, bump_mean = _seam_bump(grid)
     xi_b, theta_b, phi_b = (Blocks(f, part) for f in (xi, theta, phi))
-    area = Blocks(eta - resonant(theta_b, xi_b, part), part)
+    area = Blocks(eta - resonant(theta_b, xi_b), part)
     dphi = Blocks(derivative(phi, 0), part)
 
     def picard(u: SpectralField) -> SpectralField:
         ub = Blocks(u, part)
         Fu = Blocks(F(ub), part)
-        para = Blocks(para_lt(Fu, theta_b, part), part)
+        para = Blocks(para_lt(Fu, theta_b), part)
         phi_para = dealiased_product(phi_b, para)
 
         # the chain-rule expansion of the resonant part telescopes: every
         # piece coming from (u - u0) @ xi cancels, and the area enters only
         # through eta - theta @ xi
-        terms = para_gt(Fu, xi_b, part) + resonant(Fu, xi_b, part)
+        terms = para_gt(Fu, xi_b) + resonant(Fu, xi_b)
         terms = terms + dealiased_product(F.deriv(ub),
                                           dealiased_product(phi_b, dealiased_product(Fu, area)))
-        terms = terms - para_lt(derivative(Fu.field, 0), theta_b, part)
+        terms = terms - para_lt(derivative(Fu.field, 0), theta_b)
 
         rhs = dealiased_product(phi_b, terms) - dealiased_product(dphi, para)
         U = _closed_antiderivative(rhs, bump, bump_mean)
@@ -106,21 +106,20 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
 
     u, it, residual = damped_fixed_point(picard, SpectralField.constant(grid, u0), cfg.fp_tol,
                                          cfg.fp_max, cfg.damping, "Picard iteration")
-    phi_para = dealiased_product(phi_b, para_lt(F(u), theta_b, part))
+    phi_para = dealiased_product(phi_b, para_lt(F(u), theta_b))
     usharp = u - phi_para
     norms = {
-        "u_alpha": besov_norm(u, cfg.alpha, part),
-        "usharp_2alpha": besov_norm(usharp, 2 * cfg.alpha, part),
-        "xi_alpha_minus_1": besov_norm(xi, cfg.alpha - 1, part),
-        "theta_alpha": besov_norm(theta, cfg.alpha, part),
-        "eta_2alpha_minus_1": besov_norm(eta, 2 * cfg.alpha - 1, part),
+        "u_alpha": besov_norm(Blocks(u, part), cfg.alpha),
+        "usharp_2alpha": besov_norm(Blocks(usharp, part), 2 * cfg.alpha),
+        "xi_alpha_minus_1": besov_norm(xi_b, cfg.alpha - 1),
+        "theta_alpha": besov_norm(theta_b, cfg.alpha),
+        "eta_2alpha_minus_1": besov_norm(Blocks(eta, part), 2 * cfg.alpha - 1),
     }
     return u, usharp, SolverReport(True, it, residual, norms)
 
 
 def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
-                          F: NonlinearFunction, cfg: SolverConfig,
-                          part: DyadicPartition | None = None) -> SpectralField:
+                          F: NonlinearFunction, cfg: SolverConfig) -> SpectralField:
     """Resolve the resonant product u @ xi directly from the implicit
     relation it satisfies along solutions, by damped fixed point:
 
@@ -131,14 +130,13 @@ def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
     d/dt(u @ theta) - F(u)(xi @ theta) - C(F(u), xi, theta)
     - Pi_F(u, xi) @ theta - (F(u) above xi) @ theta.
     """
-    xi, theta = Blocks(E.xi, part), Blocks(E.theta, part)
-    u = Blocks(u, part)
-    dFu = Blocks(F.deriv(u), part)
-    Phi = derivative(resonant(u, theta, part), 0)
+    xi, theta, u = (Blocks(f) for f in (E.xi, E.theta, u))
+    dFu = Blocks(F.deriv(u))
+    Phi = derivative(resonant(u, theta), 0)
     Phi = Phi - resonant(dealiased_product(F(u), xi)
-                         - dealiased_product(dFu, resonant(u, xi, part)), theta, part)
+                         - dealiased_product(dFu, resonant(u, xi)), theta)
 
-    return damped_fixed_point(lambda y: Phi - resonant(dealiased_product(dFu, y), theta, part),
+    return damped_fixed_point(lambda y: Phi - resonant(dealiased_product(dFu, y), theta),
                               Phi, cfg.fp_tol, cfg.fp_max, cfg.damping, "resonant relation")[0]
 
 
@@ -197,9 +195,9 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
         damping=cfg.damping)
     u_path = FieldPath(theta_path.times, [a + b for a, b in zip(theta, w_path.fields)])
     norms = {
-        "theta_alpha_final": besov_norm(theta[-1], cfg.alpha, part),
+        "theta_alpha_final": besov_norm(Blocks(theta[-1], part), cfg.alpha),
         "w_final_sup": w_path[-1].sup_norm(),
-        "eta_final_2alpha_minus_1": besov_norm(eta[-1], 2 * cfg.alpha - 1, part),
+        "eta_final_2alpha_minus_1": besov_norm(Blocks(eta[-1], part), 2 * cfg.alpha - 1),
     }
     return w_path, u_path, SolverReport(True, worst_it, worst_res, norms)
 
@@ -208,14 +206,14 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
 
 def pam_drift_sharp(avg: CausalAverage, n: int, u: SpectralField,
                     theta: Blocks, xi: Blocks, eta: Blocks, theta_xi: Blocks, past,
-                    F: NonlinearFunction, part: DyadicPartition):
+                    F: NonlinearFunction):
     """Driving term of the remainder at node n, given u at that node.
 
     `avg` holds the causal averages of F(u) along the solve, node n - 1
     being the last frozen one, and `past` the coefficients of
     ptt = F(u) << theta at the frozen nodes n - 1 and n - 2 that exist, the
     latest first; the fixed theta, xi, eta and theta @ xi come as `Blocks`
-    holders.  Returns (drift, ptt).
+    holders, and u is held on theta's partition.  Returns (drift, ptt).
 
     The ansatz u = ptt + usharp gives the drift F(u) <> xi - L ptt, for any
     theta.  On the grid the paracontrolled expansion of the renormalized
@@ -226,7 +224,7 @@ def pam_drift_sharp(avg: CausalAverage, n: int, u: SpectralField,
     where the clamped history is constant.  ptt is `avg.paraproduct`, one
     inverse transform per scale; the products are summed in real space
     before one forward transform."""
-    grid = u.grid
+    grid, part = u.grid, theta.part
     ub = Blocks(u, part)
     fb, db = Blocks(F(ub), part), Blocks(F.deriv(ub), part)
     ptt = avg.paraproduct(n, fb.field, theta)
@@ -265,11 +263,11 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     decay, A, B = SemigroupSpec(1.0, grid).step_weights(dt)
 
     held = [Blocks(f, part) for f in (theta, xi, eta)]
-    held.append(Blocks(resonant(held[0], held[1], part), part))
+    held.append(Blocks(resonant(held[0], held[1]), part))
     avg = CausalAverage(part, times)
 
     u = u0
-    drift0, ptt0 = pam_drift_sharp(avg, 0, u, *held, (), F, part)
+    drift0, ptt0 = pam_drift_sharp(avg, 0, u, *held, (), F)
     usharp = u0 - ptt0
     past = (ptt0.coeffs,)
     u_fields = [u]
@@ -280,12 +278,12 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
         base = usharp.coeffs * decay + drift0.coeffs * (A - B)
 
         def step(v: SpectralField) -> SpectralField:
-            drift1, ptt1 = pam_drift_sharp(avg, n + 1, v, *held, past, F, part)
+            drift1, ptt1 = pam_drift_sharp(avg, n + 1, v, *held, past, F)
             return ptt1 + SpectralField(grid, base + drift1.coeffs * B)
 
         u_next, k, res = damped_fixed_point(step, u, cfg.fp_tol, cfg.fp_max, cfg.damping,
                                             f"node {n + 1}")
-        drift1, ptt1 = pam_drift_sharp(avg, n + 1, u_next, *held, past, F, part)
+        drift1, ptt1 = pam_drift_sharp(avg, n + 1, u_next, *held, past, F)
         past = (ptt1.coeffs, past[0])
         usharp = SpectralField(grid, base + drift1.coeffs * B)
         u = ptt1 + usharp
@@ -298,10 +296,10 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     u_path = FieldPath(times, u_fields)
     sharp_path = FieldPath(times, sharp_fields)
     norms = {
-        "u_final_alpha": besov_norm(u, cfg.alpha, part),
-        "usharp_final_2alpha": besov_norm(usharp, 2 * cfg.alpha, part),
-        "xi_alpha_minus_2": besov_norm(xi, cfg.alpha - 2, part),
-        "theta_alpha": besov_norm(theta, cfg.alpha, part),
+        "u_final_alpha": besov_norm(Blocks(u, part), cfg.alpha),
+        "usharp_final_2alpha": besov_norm(Blocks(usharp, part), 2 * cfg.alpha),
+        "xi_alpha_minus_2": besov_norm(held[1], cfg.alpha - 2),
+        "theta_alpha": besov_norm(held[0], cfg.alpha),
     }
     return u_path, sharp_path, SolverReport(True, worst_it, worst_res, norms)
 

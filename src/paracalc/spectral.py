@@ -17,27 +17,27 @@ def default_partition(grid: TorusGrid) -> DyadicPartition:
     return make_dyadic_partition(grid)
 
 
-def lp_block(f: SpectralField, j: int, part: DyadicPartition | None = None) -> SpectralField:
+def lp_block(f: SpectralField, j: int) -> SpectralField:
     """Dyadic block Delta_j f (Fourier multiplier by the j-th ring mask)."""
-    part = part or default_partition(f.grid)
-    return SpectralField(f.grid, f.coeffs * part.mask(j))
+    return SpectralField(f.grid, f.coeffs * default_partition(f.grid).mask(j))
 
 
-def block_sups(f: SpectralField, part: DyadicPartition | None = None) -> np.ndarray:
-    """sup-norm of every dyadic block, indexed by j = -1 .. j_max."""
-    part = part or default_partition(f.grid)
+def block_sups(f) -> np.ndarray:
+    """sup-norm of every dyadic block, indexed by j = -1 .. j_max, of a field
+    or of the field a `Blocks` holder carries, on the holder's partition."""
+    # duck-typed: `Blocks` lives in `paraproducts`, which imports this module
+    f, part = (f.field, f.part) if hasattr(f, "part") else (f, default_partition(f.grid))
     axes = tuple(range(-f.grid.dim, 0))
     blocks = f.coeffs[:, None] * part.masks[None]
     vals = np.fft.ifftn(blocks, axes=axes) * f.grid.n**f.grid.dim
     return np.max(np.abs(np.real(vals)), axis=tuple(range(-f.grid.dim, 0))).max(axis=0)
 
 
-def besov_norm(f: SpectralField, alpha: float,
-               part: DyadicPartition | None = None) -> float:
-    """Hoelder-Besov norm sup_j 2^(j*alpha) ||Delta_j f||_inf."""
-    part = part or default_partition(f.grid)
-    sups = block_sups(f, part)
-    j = np.arange(-1, part.j_max + 1, dtype=np.float64)
+def besov_norm(f, alpha: float) -> float:
+    """Hoelder-Besov norm sup_j 2^(j*alpha) ||Delta_j f||_inf of a field or
+    its `Blocks`, as for `block_sups`."""
+    sups = block_sups(f)
+    j = np.arange(-1, len(sups) - 1, dtype=np.float64)
     return float(np.max(2.0 ** (j * alpha) * sups))
 
 

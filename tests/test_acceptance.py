@@ -70,7 +70,7 @@ def test_criterion_01_exact_algebra():
         band = grid.k_abs() <= grid.n // 8
         f = SpectralField(grid, rough(grid, 0.5, 0).coeffs * band)
         g = SpectralField(grid, rough(grid, -0.5, 1).coeffs * band)
-        total = para_lt(f, g, part) + para_gt(f, g, part) + resonant(f, g, part)
+        total = para_lt(f, g) + para_gt(f, g) + resonant(f, g, part)
         prod = dealiased_product(f, g)
         worst_bony = max(worst_bony,
                          (total - prod).sup_norm() / prod.sup_norm())
@@ -270,7 +270,6 @@ def test_criterion_05_oracle_equivalence():
 
 def test_criterion_06_estimate_exponents():
     grid = TorusGrid(1, 512)
-    part = default_partition(grid)
     ts = np.logspace(math.log10(2.0 ** -10), math.log10(2.0 ** -4), 7)
     msgs = []
     ok = True
@@ -279,7 +278,7 @@ def test_criterion_06_estimate_exponents():
     for sigma, beta in ((1.0, 0.5), (1.0, 1.0), (0.75, 0.75)):
         spec = SemigroupSpec(sigma, grid)
         f = synthetic(grid, -0.6)
-        ys = [math.log(besov_norm(heat_apply(f, t, spec), -0.6 + beta, part))
+        ys = [math.log(besov_norm(heat_apply(f, t, spec), -0.6 + beta))
               for t in ts]
         slope = np.polyfit(np.log(ts), ys, 1)[0]
         target = -beta / (2.0 * sigma)
@@ -289,7 +288,7 @@ def test_criterion_06_estimate_exponents():
     # strong continuity: (P_t - I) loses delta derivatives at rate t^(delta/2)
     spec = SemigroupSpec(1.0, grid)
     f = synthetic(grid, 0.9)
-    ys = [math.log(besov_norm(heat_apply(f, t, spec) - f, 0.1, part))
+    ys = [math.log(besov_norm(heat_apply(f, t, spec) - f, 0.1))
           for t in ts]
     slope = np.polyfit(np.log(ts), ys, 1)[0]
     ok &= abs(slope - 0.4) <= 0.04
@@ -298,7 +297,6 @@ def test_criterion_06_estimate_exponents():
     # trilinear commutator gains the sum of the three exponents, probed
     # with scale-indexed single-mode factors against a rough first slot
     g2 = TorusGrid(1, 1024)
-    p2 = default_partition(g2)
     for alpha, beta, gamma in ((0.6, -0.3, -0.1), (0.45, -0.55, -0.55)):
         devs = []
         for seed in range(5):
@@ -311,7 +309,7 @@ def test_criterion_06_estimate_exponents():
                     g2, lambda x: 2.0 ** (-i * beta) * np.cos(ki * x))
                 h = SpectralField.from_function(
                     g2, lambda x: 2.0 ** (-i * gamma) * np.cos(ki * x))
-                ys.append(math.log2(commutator_C(f, g, h, p2).sup_norm()))
+                ys.append(math.log2(commutator_C(f, g, h).sup_norm()))
             devs.append(abs(np.polyfit(ii, ys, 1)[0] + (alpha + beta + gamma)))
         ok &= float(np.median(devs)) <= 0.15
         msgs.append(f"dev {np.median(devs):.3f}")
@@ -322,7 +320,7 @@ def test_criterion_06_estimate_exponents():
         for seed in range(3):
             f = rough(g, 0.5, seed)
             for j in range(0, p.j_max + 1):
-                b = lp_block(f, j, p)
+                b = lp_block(f, j)
                 r = max(derivative(b, ax).sup_norm() for ax in range(g.dim)) \
                     / (2.0 ** j * b.sup_norm())
                 ok &= 0.75 <= r <= 8.0 / 3.0
@@ -365,7 +363,7 @@ def test_criterion_07_area_identities():
     u = SpectralField.from_function(gq, lambda x: np.cos(2 * x) + 0.3 * np.sin(5 * x))
     v = SpectralField.from_function(gq, lambda x: np.sin(3 * x))
     eta_q = resonant(u, derivative(v, 0), pq)
-    a, b = rough_area_check(u, v, eta_q, 0.4, 2.1, pq)
+    a, b = rough_area_check(u, v, eta_q, 0.4, 2.1)
     err_area = abs(a[0] - b[0])
 
     ok = err_leib <= 1e-8 and err_sym <= 1e-8 and err_area <= 1e-6
@@ -402,7 +400,7 @@ def test_criterion_09_translation_structure():
     grid = E.xi.grid
     z = SpectralField.zero(grid)
 
-    T0 = enhanced_translate(E, z, z, part)
+    T0 = enhanced_translate(E, z, z)
     err_id = max((T0.xi - E.xi).sup_norm(), (T0.theta - E.theta).sup_norm(),
                  (T0.eta - E.eta).sup_norm())
 
@@ -413,15 +411,14 @@ def test_criterion_09_translation_structure():
         grid, lambda x: 0.1 * np.cos(5 * scale * x)), 0)
     g1 = SpectralField.from_function(grid, lambda x: 0.3 * np.cos(2 * scale * x))
     g2 = g1 * 0.5
-    two_step = enhanced_translate(enhanced_translate(E, f1, g1, part), f2, g2,
-                                  part)
-    one_step = enhanced_translate(E, f1 + f2, g1 + g2, part)
+    two_step = enhanced_translate(enhanced_translate(E, f1, g1), f2, g2)
+    one_step = enhanced_translate(E, f1 + f2, g1 + g2)
     err_comp = max((two_step.theta - one_step.theta).sup_norm(),
                    (two_step.eta - one_step.eta).sup_norm())
 
     # shifting only the area is the same as adding the corresponding
     # Ito-Stratonovich-type drift correction to the classical equation
-    E_shift = enhanced_translate(E, z, g1, part)
+    E_shift = enhanced_translate(E, z, g1)
     err_drift = _rde_vs_ode(E_shift, part, g_shift=g1)
 
     ok = err_id <= 1e-10 and err_comp <= 1e-10 and err_drift <= 1e-3

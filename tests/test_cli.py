@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from paracalc import (GAUSS_MOLLIFIER, SpectralField, TorusGrid, apply_pointwise, besov_norm,
-                      burgers_theta_path, dealiased_product, default_partition, derivative,
+                      burgers_theta_path, dealiased_product, derivative,
                       load_field, mollify, pam_c_eps, radial_cutoff, rde_driver,
                       sample_line_path, solve_pam_regularized, spatial_white_noise,
                       trapezoid_exponential_path)
@@ -188,6 +188,21 @@ class TestNoise:
         meta = json.loads((out / "noise.json").read_text())
         assert meta["seed"] == 7 and meta["kind"] == "pam"
 
+    def test_metadata_does_not_name_its_paths(self, tmp_path):
+        # one run, its config file and output in two differently named
+        # directories, gives the same noise.json bytes
+        blobs = []
+        for name in ("a", "other"):
+            cfgfile = tmp_path / f"{name}.json"
+            cfgfile.write_text(json.dumps({"seed": 7}))
+            out = tmp_path / name
+            rc = main(["noise", "--kind", "pam", "--n", "32", "--config", str(cfgfile),
+                       "--out", str(out)])
+            assert rc == 0
+            blobs.append((out / "noise.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["seed"] == 7
+
     def test_burgers_noise_is_a_path(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["noise", "--kind", "burgers", "--n", "32", "--sigma", "0.9",
@@ -360,7 +375,6 @@ class TestSolves:
 def study_burgers_one_eps_at_a_time(args, lam, seed, eps_list):
     """`cli._study_burgers` with one explicit ETD2 march per eps."""
     grid = TorusGrid(1, args.n)
-    part = default_partition(grid)
     theta = burgers_theta_path(grid, args.sigma, args.horizon, args.time_steps, 1, seed)
     psi = cli.MOLLIFIERS[args.mollifier]
     G = cli._cos_function(args.amplitude * lam ** args.alpha)
@@ -373,7 +387,7 @@ def study_burgers_one_eps_at_a_time(args, lam, seed, eps_list):
         sols.append(trapezoid_exponential_path(grid, args.sigma, SpectralField.zero(grid),
                                                drift, args.horizon, len(thc) - 1,
                                                fp_tol=math.inf)[0])
-    return [max(besov_norm(x - y, args.alpha, part) for x, y in zip(a.fields, b.fields))
+    return [max(besov_norm(x - y, args.alpha) for x, y in zip(a.fields, b.fields))
             for a, b in zip(sols, sols[1:])]
 
 

@@ -61,7 +61,7 @@ class TestPamArea:
     def test_renormalized_area_definition(self, grid2d, part2d):
         xi = spatial_white_noise(grid2d, 0)
         eps = 0.25
-        area = pam_renormalized_area(xi, eps, GAUSS_MOLLIFIER, part2d)
+        area = pam_renormalized_area(xi, eps, GAUSS_MOLLIFIER)
         xe = mollify(xi, eps, GAUSS_MOLLIFIER)
         te = mollify(pam_theta(xi), eps, GAUSS_MOLLIFIER)
         ref = resonant(te, xe, part2d) - pam_c_eps(eps, GAUSS_MOLLIFIER, grid2d)
@@ -71,7 +71,7 @@ class TestPamArea:
         # integrating the heat-smoothed pairing over all t reproduces the
         # unmollified renormalized area on the truncated lattice
         xi = spatial_white_noise(grid2d, 1)
-        via_integral = pam_area_by_time_integral(xi, 1e-5, 80.0, 257, part2d)
+        via_integral = pam_area_by_time_integral(xi, 1e-5, 80.0, 257)
         direct = resonant(pam_theta(xi), xi, part2d) \
             - pam_c_eps(1.0, DIRAC_MOLLIFIER, grid2d)
         scale = max(direct.sup_norm(), 1.0)
@@ -125,7 +125,7 @@ class TestRdeEnhancement:
         E = EnhancedNoise("rde", drv.xi, drv.theta,
                           rde_area(drv.theta, drv.xi, part))
         z = SpectralField.zero(drv.xi.grid)
-        T = enhanced_translate(E, z, z, part)
+        T = enhanced_translate(E, z, z)
         assert (T.xi - E.xi).sup_norm() < 1e-13
         assert (T.theta - E.theta).sup_norm() < 1e-13
         assert (T.eta - E.eta).sup_norm() < 1e-13
@@ -137,7 +137,7 @@ class TestRdeEnhancement:
                           rde_area(drv.theta, drv.xi, part))
         f = derivative(SpectralField.from_function(
             grid, lambda x: 0.2 * np.sin(4 * x * (TWO_PI / grid.period))), 0)
-        T = enhanced_translate(E, f, SpectralField.zero(grid), part)
+        T = enhanced_translate(E, f, SpectralField.zero(grid))
         Phi = antiderivative(f)
         direct = rde_area(drv.theta + Phi, drv.xi + f, part)
         assert (T.eta - direct).sup_norm() < 1e-11
@@ -154,14 +154,14 @@ class TestRoughArea:
         u = SpectralField.from_function(grid1d, lambda x: np.cos(2 * x) + 0.3 * np.sin(5 * x))
         v = SpectralField.from_function(grid1d, lambda x: np.sin(3 * x))
         eta = resonant(u, derivative(v, 0), part1d)
-        a, b = rough_area_check(u, v, eta, 0.4, 2.1, part1d)
+        a, b = rough_area_check(u, v, eta, 0.4, 2.1)
         assert abs(a[0] - b[0]) < 1e-9
 
     def test_self_area_is_half_square_increment(self, grid1d, part1d):
         v = SpectralField.from_function(grid1d, lambda x: np.sin(3 * x) + 0.1 * np.cos(7 * x))
         eta = resonant(v, derivative(v, 0), part1d)
         s, t = 0.2, 1.7
-        a, _ = rough_area_check(v, v, eta, s, t, part1d)
+        a, _ = rough_area_check(v, v, eta, s, t)
         vv = v.eval_at(np.array([s, t]))[0]
         assert a[0] == pytest.approx(0.5 * (vv[1] - vv[0]) ** 2, abs=1e-10)
 

@@ -114,3 +114,33 @@ def test_perfbench_calls_bind():
         except TypeError as exc:
             unbound.append(f"{name}: {exc}")
     assert unbound == []
+
+
+# a grid has one partition: `part` stays on the two holders a given
+# partition enters through, the six functions perfbench passes one, and
+# `pair_resonant`, through which `rde_area` and `burgers_area` pass theirs
+TAKE_PART = {"paraproducts.Blocks.__init__", "paraproducts.CausalAverage.__init__",
+             "paraproducts.resonant", "enhanced.pair_resonant", "enhanced.rde_area",
+             "enhanced.burgers_area", "solvers.solve_rde", "solvers.solve_burgers",
+             "solvers.solve_pam"}
+
+
+def functions(body, prefix):
+    """(qualified name, node) of every function and method in a body."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from functions(node.body, f"{prefix}{node.name}.")
+
+
+def test_only_the_entry_points_take_a_partition():
+    found = set()
+    for path in MODULES:
+        for name, fn in functions(ast.parse(path.read_text()).body, f"{path.stem}."):
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if "part" in {p.arg for p in params}:
+                found.add(name)
+    assert found == TAKE_PART

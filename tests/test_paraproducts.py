@@ -22,17 +22,17 @@ from paracalc.spectral import block_sups, default_partition, lp_block, make_dyad
 from conftest import rough_field
 
 
-def heat_commutator_product_rule(upath, vpath, part):
+def heat_commutator_product_rule(upath, vpath):
     """L(u << v) - u << (Lv) through the product rule of the Laplacian,
     (Lu) << v - 2 sum over axes of (d u << d v).  The rule needs every
     product resolved on the grid, so it is a reference for band-limited
     fields only: it drops the gradients of the Nyquist modes."""
     grid = upath.grid
-    acc = para_lt_time(apply_L(upath, SemigroupSpec(1.0, grid)), vpath, part)
+    acc = para_lt_time(apply_L(upath, SemigroupSpec(1.0, grid)), vpath)
     for ax in range(grid.dim):
         du = upath.map(lambda f, ax=ax: derivative(f, ax))
         dv = vpath.map(lambda f, ax=ax: derivative(f, ax))
-        acc = acc - para_lt_time(du, dv, part).map(lambda f: f * 2.0)
+        acc = acc - para_lt_time(du, dv).map(lambda f: f * 2.0)
     return acc
 
 
@@ -44,7 +44,7 @@ class TestBony:
     def test_decomposition_sums_to_product_1d(self, grid1d, part1d):
         f = rough_field(grid1d, 0.6, 0)
         g = rough_field(grid1d, -0.2, 1)
-        total = para_lt(f, g, part1d) + para_gt(f, g, part1d) + resonant(f, g, part1d)
+        total = para_lt(f, g) + para_gt(f, g) + resonant(f, g, part1d)
         prod = dealiased_product(f, g)
         scale = max(prod.sup_norm(), 1e-300)
         assert (total - prod).sup_norm() / scale < 1e-12
@@ -52,18 +52,18 @@ class TestBony:
     def test_decomposition_sums_to_product_2d(self, grid2d, part2d):
         f = rough_field(grid2d, 0.4, 2)
         g = rough_field(grid2d, -0.5, 3)
-        total = para_lt(f, g, part2d) + para_gt(f, g, part2d) + resonant(f, g, part2d)
+        total = para_lt(f, g) + para_gt(f, g) + resonant(f, g, part2d)
         assert (total - dealiased_product(f, g)).sup_norm() < 1e-12 * dealiased_product(f, g).sup_norm() + 1e-13
 
-    def test_bony_remainder_is_the_defect(self, grid1d, part1d):
+    def test_bony_remainder_is_the_defect(self, grid1d):
         f = rough_field(grid1d, 0.3, 4)
         g = rough_field(grid1d, 0.1, 5)
-        assert bony_remainder(f, g, part1d).sup_norm() < 1e-12
+        assert bony_remainder(f, g).sup_norm() < 1e-12
 
-    def test_para_lt_transpose_is_para_gt(self, grid1d, part1d):
+    def test_para_lt_transpose_is_para_gt(self, grid1d):
         f = rough_field(grid1d, 0.5, 6)
         g = rough_field(grid1d, 0.5, 7)
-        d = para_lt(f, g, part1d) - para_gt(g, f, part1d)
+        d = para_lt(f, g) - para_gt(g, f)
         assert d.sup_norm() < 1e-12
 
     def test_constant_low_factor_recovers_high_tail(self, grid1d, part1d):
@@ -71,7 +71,7 @@ class TestBony:
         c = SpectralField.constant(grid1d, 2.0)
         g = rough_field(grid1d, 0.2, 8)
         tail = sum((g.coeffs * part1d.mask(j) for j in range(1, part1d.j_max + 1)))
-        assert np.max(np.abs(para_lt(c, g, part1d).coeffs - 2.0 * tail)) < 1e-13
+        assert np.max(np.abs(para_lt(c, g).coeffs - 2.0 * tail)) < 1e-13
 
     def test_single_mode_pair_bookkeeping(self, grid1d, part1d):
         # frequencies 3 (annulus 1) and 44 (annulus 5) are separated enough
@@ -79,8 +79,8 @@ class TestBony:
         f = SpectralField.from_function(grid1d, lambda x: np.cos(3 * x))
         g = SpectralField.from_function(grid1d, lambda x: np.cos(44 * x))
         assert resonant(f, g, part1d).sup_norm() < 1e-13
-        assert (para_lt(f, g, part1d) - dealiased_product(f, g)).sup_norm() < 1e-13
-        assert para_gt(f, g, part1d).sup_norm() < 1e-13
+        assert (para_lt(f, g) - dealiased_product(f, g)).sup_norm() < 1e-13
+        assert para_gt(f, g).sup_norm() < 1e-13
 
 
 class TestNonlinearFunction:
@@ -105,8 +105,8 @@ class TestNonlinearFunction:
         f = rough_field(grid1d, 0.7, 12) * 0.5
         r = paralin_remainder(F, f)
         js = np.arange(2, part1d.j_max)
-        sf = np.polyfit(js, np.log2(block_sups(f, part1d)[3:part1d.j_max + 1]), 1)[0]
-        sr = np.polyfit(js, np.log2(block_sups(r, part1d)[3:part1d.j_max + 1]), 1)[0]
+        sf = np.polyfit(js, np.log2(block_sups(f)[3:part1d.j_max + 1]), 1)[0]
+        sr = np.polyfit(js, np.log2(block_sups(r)[3:part1d.j_max + 1]), 1)[0]
         assert sr < sf - 0.25
 
 
@@ -118,22 +118,22 @@ class TestTrilinear:
         # only the lowest blocks of g escape the telescoping
         lowg = SpectralField(grid1d, g.coeffs * part1d.low_mask(1))
         ref = dealiased_product(c, resonant(lowg, h, part1d)) * -1.0
-        assert (commutator_C(c, g, h, part1d) - ref).sup_norm() < 1e-12
+        assert (commutator_C(c, g, h) - ref).sup_norm() < 1e-12
 
     def test_pi_times_matches_definition(self, grid1d, part1d):
         f = rough_field(grid1d, 0.8, 15)
         u = rough_field(grid1d, 0.8, 16)
         g = rough_field(grid1d, -0.4, 17)
-        lhs = pi_times(f, u, g, part1d)
-        rhs = commutator_C(f, u, g, part1d) + commutator_C(u, f, g, part1d) \
+        lhs = pi_times(f, u, g)
+        rhs = commutator_C(f, u, g) + commutator_C(u, f, g) \
             + resonant(resonant(f, u, part1d), g, part1d)
         assert (lhs - rhs).sup_norm() < 1e-13
 
-    def test_pi_F_linear_function_vanishes(self, grid1d, part1d):
+    def test_pi_F_linear_function_vanishes(self, grid1d):
         F = poly_function([0.0, 3.0])
         f = rough_field(grid1d, 0.6, 18)
         g = rough_field(grid1d, -0.1, 19)
-        assert pi_F(F, f, g, part1d).sup_norm() < 1e-11
+        assert pi_F(F, f, g).sup_norm() < 1e-11
 
 
 def controlled_product_by_terms(P, w, eta, F, part):
@@ -143,9 +143,9 @@ def controlled_product_by_terms(P, w, eta, F, part):
     u, wb = Blocks(P.u, part), Blocks(w, part)
     Fu = Blocks(F(u), part)
     dFu = F.deriv(u)
-    out = para_lt(Fu, wb, part) + para_gt(Fu, wb, part) + pi_F(F, u, wb, part)
+    out = para_lt(Fu, wb) + para_gt(Fu, wb) + pi_F(F, u, wb)
     out = out + dealiased_product(dFu, resonant(P.usharp, wb, part))
-    out = out + dealiased_product(dFu, commutator_C(P.uprime, P.reference, wb, part))
+    out = out + dealiased_product(dFu, commutator_C(P.uprime, P.reference, wb))
     return out + dealiased_product(dealiased_product(dFu, P.uprime), eta)
 
 
@@ -169,7 +169,7 @@ class TestControlled:
         P = ParacontrolledField.build(up, ref, sharp)
         F = tanh_fn(0.7)
         eta = resonant(ref, w, part1d)
-        lhs = controlled_product(P, w, eta, F, part1d)
+        lhs = controlled_product(P, w, eta, F)
         rhs = dealiased_product(F(P.u), w)
         assert (lhs - rhs).sup_norm() < 1e-7 * max(rhs.sup_norm(), 1.0)
 
@@ -186,7 +186,7 @@ class TestControlled:
         P = ParacontrolledField.build(up, ref, sharp)
         F = tanh_fn(a)
         want = controlled_product_by_terms(P, w, eta, F, part)
-        got = controlled_product(P, w, eta, F, part)
+        got = controlled_product(P, w, eta, F)
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
 
 
@@ -205,14 +205,14 @@ class TestTimeMollified:
         # row n only looks backwards in time
         assert np.all(np.triu(w, k=1) == 0.0)
 
-    def test_constant_path_collapses_to_plain_paraproduct(self, grid2d, part2d):
+    def test_constant_path_collapses_to_plain_paraproduct(self, grid2d):
         f = rough_field(grid2d, 1.0, 27)
         g = rough_field(grid2d, -0.5, 28)
         times = np.linspace(0.0, 0.5, 9)
         fpath = FieldPath(times, [f] * 9)
         gpath = FieldPath(times, [g] * 9)
-        out = para_lt_time(fpath, gpath, part2d)
-        ref = para_lt(f, g, part2d)
+        out = para_lt_time(fpath, gpath)
+        ref = para_lt(f, g)
         assert max((h - ref).sup_norm() for h in out.fields) < 1e-12
 
     def test_matches_the_direct_definition(self, grid2d, part2d):
@@ -220,7 +220,7 @@ class TestTimeMollified:
         times = np.linspace(0.0, 0.5, 9)
         fpath = FieldPath(times, [rough_field(grid2d, 0.5, 40 + n) for n in range(9)])
         gpath = FieldPath(times, [rough_field(grid2d, -0.5, 60 + n) for n in range(9)])
-        out = para_lt_time(fpath, gpath, part2d)
+        out = para_lt_time(fpath, gpath)
         fc = fpath.coeff_array()
         ref = [SpectralField.zero(grid2d) for _ in times]
         for i in range(1, part2d.j_max + 1):
@@ -232,12 +232,12 @@ class TestTimeMollified:
         scale = max(r.sup_norm() for r in ref)
         assert max((h - r).sup_norm() for h, r in zip(out.fields, ref)) <= 1e-13 * scale
 
-    def test_switch_vanishes_for_constant_paths(self, grid2d, part2d):
+    def test_switch_vanishes_for_constant_paths(self, grid2d):
         f = rough_field(grid2d, 1.0, 29)
         g = rough_field(grid2d, -0.5, 30)
         times = np.linspace(0.0, 0.5, 9)
         sw = paraproduct_switch(FieldPath(times, [f] * 9),
-                                FieldPath(times, [g] * 9), part2d)
+                                FieldPath(times, [g] * 9))
         assert max(h.sup_norm() for h in sw.fields) < 1e-12
 
     def test_path_time_derivative_of_linear_path(self, grid2d):
@@ -247,11 +247,11 @@ class TestTimeMollified:
         d = path_time_derivative(path)
         assert max((h - f).sup_norm() for h in d.fields) < 1e-10
 
-    def test_heat_commutator_of_zero_path_is_zero(self, grid2d, part2d):
+    def test_heat_commutator_of_zero_path_is_zero(self, grid2d):
         times = np.linspace(0.0, 0.25, 5)
         z = FieldPath(times, [SpectralField.zero(grid2d)] * 5)
         g = FieldPath(times, [rough_field(grid2d, -0.5, 32)] * 5)
-        out = heat_para_commutator(z, g, part2d)
+        out = heat_para_commutator(z, g)
         assert max(h.sup_norm() for h in out.fields) == 0.0
 
     @pytest.mark.parametrize("dim, n", [(2, 32), (1, 64)])
@@ -267,10 +267,10 @@ class TestTimeMollified:
                 for a, s in ((0.5, 33), (-0.5, 34)))
         times = np.linspace(0.0, 0.25, 5)
         upath, vpath = FieldPath(times, [u] * 5), FieldPath(times, [v] * 5)
-        out = heat_para_commutator(upath, vpath, part)
-        ref = lap(para_lt(u, v, part)) - para_lt(u, lap(v), part)
+        out = heat_para_commutator(upath, vpath)
+        ref = lap(para_lt(u, v)) - para_lt(u, lap(v))
         assert max((h - ref).sup_norm() for h in out.fields) <= 1e-12 * ref.sup_norm()
-        rule = heat_commutator_product_rule(upath, vpath, part)
+        rule = heat_commutator_product_rule(upath, vpath)
         assert max((h - r).sup_norm() for h, r in zip(out.fields, rule.fields)) \
             <= 1e-12 * ref.sup_norm()
 
@@ -297,7 +297,7 @@ def test_bony_identity_random_fields(dim, n, seed):
     part = make_dyadic_partition(grid)
     f = rough_field(grid, 0.5, seed)
     g = rough_field(grid, -0.5, seed + 1)
-    total = para_lt(f, g, part) + para_gt(f, g, part) + resonant(f, g, part)
+    total = para_lt(f, g) + para_gt(f, g) + resonant(f, g, part)
     prod = dealiased_product(f, g)
     assert (total - prod).sup_norm() <= 1e-11 * max(prod.sup_norm(), 1e-6)
 
@@ -320,7 +320,7 @@ def test_blocks_equal_one_transform_per_block(dim, n, seed, channels, alpha):
     assert not f.is_hermitian()
     fb = Blocks(f, part)
     for j in part.blocks:
-        assert np.array_equal(fb.block(j), oversampled_values(lp_block(f, j, part)))
+        assert np.array_equal(fb.block(j), oversampled_values(lp_block(f, j)))
 
 
 @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
@@ -334,13 +334,13 @@ def test_prebuilt_blocks_match_plain_calls(grid_name, request):
     h = rough_field(grid, -0.3, 42)
     gb, hb = Blocks(g, part), Blocks(h, part)
     pairs = [
-        (para_lt(f, gb, part), para_lt(f, g, part)),
-        (para_lt(gb, f, part), para_lt(g, f, part)),
+        (para_lt(f, gb), para_lt(f, g)),
+        (para_lt(gb, f), para_lt(g, f)),
         (resonant(f, gb, part), resonant(f, g, part)),
         (resonant(gb, hb, part), resonant(g, h, part)),
-        (commutator_C(f, gb, hb, part), commutator_C(f, g, h, part)),
-        (commutator_C(gb, f, hb, part), commutator_C(g, f, h, part)),
-        (para_lt(f, gb, part), para_lt(f, g, part)),
+        (commutator_C(f, gb, hb), commutator_C(f, g, h)),
+        (commutator_C(gb, f, hb), commutator_C(g, f, h)),
+        (para_lt(f, gb), para_lt(f, g)),
     ]
     for held, plain in pairs:
         scale = np.max(np.abs(plain.coeffs))

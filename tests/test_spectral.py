@@ -92,11 +92,11 @@ class TestPartition:
         assert part1d.j_max == 5
         assert list(part1d.blocks) == list(range(-1, 6))
 
-    def test_single_mode_lands_in_its_block(self, part1d, grid1d):
+    def test_single_mode_lands_in_its_block(self, grid1d):
         # frequency 3 sits on the plateau of annulus 1, frequency 44 on
         # the plateau of annulus 5 (for the unit-period 256-point grid)
         f = SpectralField.from_function(grid1d, lambda x: np.cos(3 * x))
-        sups = block_sups(f, part1d)
+        sups = block_sups(f)
         assert sups[2] == pytest.approx(1.0, abs=1e-13)
         assert np.sum(sups > 1e-13) == 1
 
@@ -105,7 +105,7 @@ class TestPartition:
         f = rough_field(grid1d, 0.2, 3)
         acc = SpectralField(grid1d, f.coeffs * part1d.low_mask(2))
         for j in range(2, part1d.j_max + 1):
-            acc = acc + lp_block(f, j, part1d)
+            acc = acc + lp_block(f, j)
         assert np.max(np.abs(acc.coeffs - f.coeffs)) < 1e-13
 
 
@@ -145,9 +145,9 @@ class TestCalculus:
         assert np.max(np.abs(derivative(antiderivative(f), 0).coeffs
                              - f.coeffs)) < 1e-11
 
-    def test_besov_norm_of_single_mode(self, grid1d, part1d):
+    def test_besov_norm_of_single_mode(self, grid1d):
         f = SpectralField.from_function(grid1d, lambda x: np.cos(3 * x))
-        assert besov_norm(f, 2.0, part1d) == pytest.approx(4.0, abs=1e-12)
+        assert besov_norm(f, 2.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_dealiased_product_of_cosines_is_exact(self, grid1d):
         f = SpectralField.from_function(grid1d, lambda x: np.cos(7 * x))
@@ -171,7 +171,7 @@ def test_block_decomposition_reassembles(dim, n, seed, alpha):
     grid = TorusGrid(dim, n)
     part = make_dyadic_partition(grid)
     f = rough_field(grid, alpha, seed)
-    acc = sum((lp_block(f, j, part).coeffs for j in part.blocks))
+    acc = sum((lp_block(f, j).coeffs for j in part.blocks))
     assert np.max(np.abs(acc - f.coeffs)) < 1e-12
 
 
