@@ -185,8 +185,7 @@ def cmd_solve_rde(args) -> int:
     out = _outdir(args)
     E, cutoff = _rde_enhanced(args, args.seed, args.eps[0] if args.eps else None)
     F = _tanh_function(args.amplitude * args.lam ** args.alpha)
-    cfg = SolverConfig(alpha=args.alpha, T=args.horizon, M=args.time_steps,
-                       damping=args.damping)
+    cfg = SolverConfig(alpha=args.alpha, damping=args.damping)
     u, usharp, rep = solve_rde(args.u0, E, F, cfg, cutoff)
     save_field(out / "solution.field", u)
     save_field(out / "remainder.field", usharp)
@@ -351,71 +350,71 @@ def cmd_study(args) -> int:
 
 _RDE_N = 256  # 64 points leave one dyadic block on the --embedding times longer torus
 
+# every flag once, by dest; a subcommand adds only the flags its handler reads
+_FLAGS = {
+    "config": ("--config", dict(default=None, help="JSON file whose keys mirror the flags")),
+    "out": ("--out", dict(default="out")),
+    "n": ("--n", dict(type=int, default=64,
+                      help=f"grid points per axis (default 64; {_RDE_N} for the rough ODE)")),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "eps": ("--eps", dict(type=float, nargs="*", default=None)),
+    "mollifier": ("--mollifier", dict(choices=sorted(MOLLIFIERS), default="gauss")),
+    "seeds": ("--seeds", dict(type=int, default=20, help="number of seeds")),
+    "sigma": ("--sigma", dict(type=float, default=1.0)),
+    "horizon": ("--horizon", dict(type=float, default=0.25)),
+    "time_steps": ("--time-steps", dict(type=int, default=64)),
+    "hurst": ("--hurst", dict(type=float, default=0.75)),
+    "embedding": ("--embedding", dict(type=float, default=4.0,
+                                      help="time-line torus period divided by 2 pi")),
+    "support": ("--support", dict(type=float, default=2.0,
+                                  help="half-width of the time cutoff's support")),
+    "alpha": ("--alpha", dict(type=float, default=0.45)),
+    "lam": ("--lambda", dict(type=float, default=1.0, help="dyadic coupling scale")),
+    "u0": ("--u0", dict(type=float, default=0.3)),
+    "amplitude": ("--amplitude", dict(type=float, default=0.4,
+                                      help="scale of the built-in nonlinearity")),
+    "damping": ("--damping", dict(type=float, default=0.7)),
+}
+_DRIVER = ("n", "seed", "eps", "mollifier")
+_PATH = ("sigma", "horizon", "time_steps")  # the Burgers driver and the 2-d march
+_LINE = ("hurst", "embedding", "support")   # the rough ODE's driver
+_SOLVE = ("alpha", "lam", "amplitude", "damping")
 
-def _add_common(p: argparse.ArgumentParser, n: int | None = 64):
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file whose keys mirror the flags")
-    p.add_argument("--n", type=int, default=n,
-                   help=f"grid points per axis (default 64; {_RDE_N} for the rough ODE)")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.45)
-    p.add_argument("--hurst", type=float, default=0.75)
-    p.add_argument("--eps", type=float, nargs="*", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=20, help="number of seeds")
-    p.add_argument("--time-steps", dest="time_steps", type=int, default=64)
-    p.add_argument("--horizon", type=float, default=0.25)
-    p.add_argument("--mollifier", choices=sorted(MOLLIFIERS), default="gauss")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="dyadic coupling scale")
-    p.add_argument("--out", type=str, default="out")
-    p.add_argument("--u0", type=float, default=0.3)
-    p.add_argument("--amplitude", type=float, default=0.4,
-                   help="scale of the built-in nonlinearity")
-    p.add_argument("--damping", type=float, default=0.7)
-    p.add_argument("--embedding", type=float, default=4.0,
-                   help="time-line torus period divided by 2 pi")
-    p.add_argument("--support", type=float, default=2.0,
-                   help="half-width of the time cutoff's support")
+
+def _subcommand(sub, name: str, func, summary: str, *names: str, **defaults):
+    """A subparser with --config, --out and the named flags of `_FLAGS`."""
+    p = sub.add_parser(name, help=summary)
+    for dest in ("config", "out") + names:
+        flag, kwargs = _FLAGS[dest]
+        p.add_argument(flag, dest=dest, **kwargs)
+    p.set_defaults(func=func, **defaults)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="paracalc",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("noise", help="sample a driver and write it out")
+    p = _subcommand(sub, "noise", cmd_noise, "sample a driver and write it out",
+                    *_DRIVER, *_PATH, *_LINE)
     p.add_argument("--kind", choices=["pam", "burgers", "rde"], default="pam")
-    _add_common(p)
-    p.set_defaults(func=cmd_noise)
-
-    p = sub.add_parser("renorm", help="tabulate the diverging constant vs Monte Carlo")
-    _add_common(p)
-    p.set_defaults(func=cmd_renorm)
-
-    p = sub.add_parser("area", help="build an area and its block-decay table")
+    _subcommand(sub, "renorm", cmd_renorm, "tabulate the diverging constant vs Monte Carlo",
+                "n", "eps", "seeds", "mollifier")
+    p = _subcommand(sub, "area", cmd_area, "build an area and its block-decay table",
+                    *_DRIVER, *_PATH)
     p.add_argument("--kind", choices=["pam", "burgers"], default="pam")
-    _add_common(p)
-    p.set_defaults(func=cmd_area)
-
-    p = sub.add_parser("solve-rde", help="paracontrolled rough ODE solve")
-    _add_common(p, _RDE_N)
-    p.set_defaults(func=cmd_solve_rde)
-
-    p = sub.add_parser("solve-burgers", help="paracontrolled conservation-law solve")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve_burgers)
-
-    p = sub.add_parser("solve-pam", help="paracontrolled 2-d multiplicative heat solve")
+    _subcommand(sub, "solve-rde", cmd_solve_rde, "paracontrolled rough ODE solve",
+                *_DRIVER, *_LINE, *_SOLVE, "u0", n=_RDE_N)
+    _subcommand(sub, "solve-burgers", cmd_solve_burgers, "paracontrolled conservation-law solve",
+                *_DRIVER, *_PATH, *_SOLVE)
+    p = _subcommand(sub, "solve-pam", cmd_solve_pam,
+                    "paracontrolled 2-d multiplicative heat solve",
+                    *_DRIVER, *_PATH, *_SOLVE, "u0")
     p.add_argument("--gauge-check", action="store_true",
                    help="linear nonlinearity: verify the exponential gauge identity")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve_pam)
-
-    p = sub.add_parser("study", help="eps-ladder convergence study")
+    p = _subcommand(sub, "study", cmd_study, "eps-ladder convergence study", "n", "eps", "seeds",
+                    "mollifier", *_PATH, *_LINE, *_SOLVE, "u0", n=None)  # cmd_study resolves n
     p.add_argument("--equation", choices=["rde", "burgers", "pam"], required=True)
-    _add_common(p, None)
-    p.set_defaults(func=cmd_study)
     return ap
 
 

@@ -86,8 +86,8 @@ def pam_gt(t: float, grid: TorusGrid) -> float:
 def pam_c_eps(eps: float, psi: Mollifier, grid: TorusGrid) -> float:
     """Diverging constant of the mollified area:
     (2 pi)^-2 sum over nonzero k of |profile(eps |k|)|^2 / |k|^2."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:  # also rejects NaN
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     r = grid.k_abs()
     nz = r > 0
     w = np.asarray(psi(eps * r[nz]), dtype=np.float64)

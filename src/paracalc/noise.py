@@ -9,7 +9,6 @@ coefficients relate to stored ones by F u(k) = period^d c_k.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,8 +19,6 @@ from .grid import (FieldPath, SpectralField, TorusGrid, hermitian_conjugate,
                    TWO_PI)
 from .partition import radial_cutoff
 from .spectral import derivative, remove_mean
-
-log = logging.getLogger(__name__)
 
 
 def _generator(seed) -> np.random.Generator:
@@ -106,8 +103,8 @@ MOLLIFIERS = {m.name: m for m in (GAUSS_MOLLIFIER, BUMP_MOLLIFIER, DIRAC_MOLLIFI
 
 def mollify(f, eps: float, psi: Mollifier = GAUSS_MOLLIFIER):
     """Convolve with the rescaled kernel: multiply mode k by profile(eps|k|)."""
-    if eps <= 0:
-        raise ValueError("mollification scale must be positive")
+    if not 0 < eps < math.inf:  # also rejects NaN
+        raise ValueError(f"mollification scale must be positive and finite, got {eps}")
     if isinstance(f, FieldPath):
         return f.map(lambda g: mollify(g, eps, psi))
     m = psi(eps * f.grid.k_abs())
@@ -190,9 +187,8 @@ def fbm_path(hurst: float, n: int, T: float, channels: int = 1, seed=0):
     """Fractional Brownian motion on n+1 uniform nodes of [0, T], X(0) = 0.
 
     Increments are exact-in-law fractional Gaussian noise via the
-    Davies-Harte circulant embedding (the ring of lags 0 .. n, n - 1 .. 1);
-    if its spectrum dips negative the sampler falls back to a dense Cholesky
-    factorization (n <= 1024 only) and logs a warning saying so.
+    Davies-Harte circulant embedding (the ring of lags 0 .. n, n - 1 .. 1),
+    whose spectrum is nonnegative; a dip below -1e-12 raises ValueError.
     Returns (times, values) with values of shape (channels, n+1).
     """
     if not 0 < hurst < 1:
@@ -206,23 +202,14 @@ def fbm_path(hurst: float, n: int, T: float, channels: int = 1, seed=0):
     cov = _fgn_autocov(n + 1, hurst)
     ring = np.concatenate([cov, cov[n - 1:0:-1]])
     lam = np.real(np.fft.fft(ring))
-    if np.min(lam) >= -1e-12:
-        lam = np.clip(lam, 0.0, None)
-        m = 2 * n
-        a = rng.standard_normal((channels, m))
-        b = rng.standard_normal((channels, m))
-        z = (a + 1j * b) * np.sqrt(lam / (2.0 * m))
-        fgn = np.real(np.fft.fft(z, axis=-1))[:, :n] * math.sqrt(2.0)
-    else:
-        if n > 1024:
-            raise ValueError("circulant embedding failed and n too large for Cholesky")
-        log.warning("fbm_path: embedding not PSD (min eig %.2e), "
-                    "using Cholesky fallback", np.min(lam))
-        full = np.empty((n, n))
-        for r in range(n):
-            full[r] = cov[np.abs(np.arange(n) - r)]
-        chol = np.linalg.cholesky(full + 1e-12 * np.eye(n))
-        fgn = rng.standard_normal((channels, n)) @ chol.T
+    if np.min(lam) < -1e-12:
+        raise ValueError(f"fbm_path: circulant embedding not PSD (min eig {np.min(lam):.2e})")
+    lam = np.clip(lam, 0.0, None)
+    m = 2 * n
+    a = rng.standard_normal((channels, m))
+    b = rng.standard_normal((channels, m))
+    z = (a + 1j * b) * np.sqrt(lam / (2.0 * m))
+    fgn = np.real(np.fft.fft(z, axis=-1))[:, :n] * math.sqrt(2.0)
     x = np.concatenate([np.zeros((channels, 1)), np.cumsum(fgn, axis=1)], axis=1) * scale
     return np.arange(n + 1) * dt, x
 

@@ -268,7 +268,8 @@ def _qi_weights(times: np.ndarray, i: int, phi) -> np.ndarray:
     trapezoid quadrature; each row is renormalised to unit mass, which
     absorbs the quadrature error in the kernel's own mass.  Evaluations at
     times outside [0, T] clamp to the endpoint, hence weight accumulates
-    on column 0.  Kernels narrower than the step degrade to the identity.
+    on column 0.  Kernels narrower than the step, or whose taps all
+    vanish (on the kernel's zeros or by underflow), degrade to the identity.
     """
     nt = len(times)
     dt = times[1] - times[0]
@@ -310,13 +311,13 @@ class CausalAverage:
 
     def __init__(self, part: DyadicPartition, times: np.ndarray):
         self.times = times
-        dt = times[1] - times[0]
-        if 4.0 ** (-part.j_max) < dt:
-            i_star = int(math.floor(-math.log(dt) / math.log(4.0)))
-            log.warning("time step %.3g cannot resolve mollification below block %d; "
-                        "using unmollified values there", dt, i_star + 1)
         scales = range(1, part.j_max + 1)
         self.weights = [_qi_weights(times, i, causal_bump) for i in scales]
+        eye = np.eye(len(times))
+        unresolved = [i for i, w in zip(scales, self.weights) if np.array_equal(w, eye)]
+        if unresolved:
+            log.warning("time step %.3g cannot resolve mollification below block %d; "
+                        "using unmollified values there", times[1] - times[0], unresolved[0])
         self.lows = [part.low_mask(i - 1) for i in scales]
         self.hist = None
         self.node = None

@@ -36,8 +36,65 @@ class TestParsing:
             build_parser().parse_args([])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["renorm"])
+        args = build_parser().parse_args(["solve-pam"])
         assert args.n == 64 and args.alpha == 0.45 and args.lam == 1.0
+        assert build_parser().parse_args(["renorm"]).n == 64
+
+    DRIVER = ["n", "seed", "eps", "mollifier"]
+    FLAGS = {
+        "noise": ["kind", *DRIVER, "sigma", "horizon", "time_steps", "hurst", "embedding",
+                  "support"],
+        "renorm": ["n", "eps", "seeds", "mollifier"],
+        "area": ["kind", *DRIVER, "sigma", "horizon", "time_steps"],
+        "solve-rde": [*DRIVER, "hurst", "embedding", "support", "alpha", "lam", "u0",
+                      "amplitude", "damping"],
+        "solve-burgers": [*DRIVER, "sigma", "horizon", "time_steps", "alpha", "lam",
+                          "amplitude", "damping"],
+        "solve-pam": ["gauge_check", *DRIVER, "sigma", "horizon", "time_steps", "alpha",
+                      "lam", "u0", "amplitude", "damping"],
+        "study": ["equation", "n", "eps", "seeds", "mollifier", "sigma", "horizon",
+                  "time_steps", "hurst", "embedding", "support", "alpha", "lam", "u0",
+                  "amplitude", "damping"]}
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_each_subcommand_takes_the_flags_it_reads(self, command):
+        argv = [command] + (["--equation", "pam"] if command == "study" else [])
+        keys = set(vars(build_parser().parse_args(argv))) - {"command", "func"}
+        assert keys == {"config", "out", *self.FLAGS[command]}
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("argv, key, value", [
+        (["renorm", "--eps", "0.5"], "hurst", 0.9), (["noise"], "damping", 0.5),
+        (["solve-rde"], "time_steps", 0), (["solve-burgers"], "u0", 0.5)],
+        ids=["renorm-hurst", "noise-damping", "solve-rde-time-steps", "solve-burgers-u0"])
+    def test_a_flag_the_subcommand_does_not_read_exits_one(self, tmp_path, capsys, via,
+                                                            argv, key, value):
+        out, flag = tmp_path / "o", "--" + key.replace("_", "-")
+        if via == "flag":
+            extra = [flag, str(value)]
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({key: value}))
+            extra = ["--config", str(cfgfile)]
+        assert main(argv + extra + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"unrecognized arguments: {flag}" in err if via == "flag"
+                else err == f"error: unknown config key: {key}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, written", [
+        (["noise", "--kind", "pam", "--n", "16", "--eps", "nan"], "noise.field"),
+        (["noise", "--kind", "pam", "--n", "16", "--eps", "inf"], "noise.field"),
+        (["renorm", "--n", "32", "--eps", "nan", "--seeds", "2"], "renorm.csv"),
+        (["study", "--equation", "pam", "--n", "16", "--eps", "0.5", "nan", "--seeds", "1",
+          "--time-steps", "4"], "study.csv")],
+        ids=["noise-nan", "noise-inf", "renorm-nan", "study-nan"])
+    def test_a_nan_or_infinite_eps_exits_one(self, tmp_path, capsys, argv, written):
+        # eps <= 0 is false for NaN, which would run on into a NaN field
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / written).exists()
 
     def test_rough_ode_default_grid(self):
         # the time-line torus is --embedding times longer, so 64 points
@@ -306,6 +363,19 @@ class TestSolves:
         u = load_field(out / "solution.field")
         r = load_field(out / "remainder.field")
         assert u.grid.n == 256 and r.grid.n == 256
+
+    @pytest.mark.parametrize("argv, written", [
+        (["area", "--kind", "burgers"], ["area.field", "area_blocks.csv"]),
+        (["solve-burgers"], ["solution.field", "report.json"]),
+        (["solve-pam"], ["solution.field", "report.json"])],
+        ids=["area-burgers", "solve-burgers", "solve-pam"])
+    def test_a_small_run_succeeds(self, tmp_path, argv, written):
+        out = tmp_path / "o"
+        assert main(argv + ["--n", "32", "--time-steps", "8", "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == set(written)
+        if "report.json" in written:
+            assert json.loads((out / "report.json").read_text())["converged"] is True
+        assert load_field(out / written[0]).grid.n == 32
 
     def test_rde_solve_runs_at_its_defaults(self, tmp_path):
         out = tmp_path / "o"

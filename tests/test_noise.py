@@ -134,17 +134,15 @@ class TestFbm:
             _, x = fbm_path(0.95, n, 1.0, seed=10)
         assert x.shape == (1, n + 1) and caplog.text == ""
 
-    def test_cholesky_fallback_is_logged_not_printed(self, monkeypatch, capsys,
-                                                     caplog):
+    def test_a_ring_that_dips_raises(self, monkeypatch):
         # this autocovariance is positive definite, but its circulant
-        # embedding has the eigenvalue -0.2 (lag 4 closes the ring)
+        # embedding has the eigenvalue -0.2 (lag 4 closes the ring); the
+        # ring of fBm increments has no such dip for n = 2 .. 2^17 and
+        # H = 0.001 .. 0.999
         monkeypatch.setattr(noise, "_fgn_autocov",
                             lambda n, hurst: np.array([1.0, 0.8, 0.5, 0.3, 0.0]))
-        with caplog.at_level(logging.WARNING, logger="paracalc.noise"):
-            _, x = fbm_path(0.7, 4, 1.0, seed=9)
-        assert x.shape == (1, 5)
-        assert capsys.readouterr().out == ""
-        assert "Cholesky fallback" in caplog.text
+        with pytest.raises(ValueError, match=r"not PSD \(min eig -2.00e-01\)"):
+            fbm_path(0.7, 4, 1.0, seed=9)
 
 
 class TestMollifier:

@@ -276,8 +276,9 @@ class TestTimeMollified:
 
     def test_heat_commutator_averages_u_once(self, caplog):
         # both paraproducts of the commutator read one CausalAverage of u, so
-        # a step of 1/16, wider than the finest window 4^-3 at N = 64, is
-        # reported once per commutator
+        # a step of 1/16 is reported once per commutator; it is as wide as
+        # the window 4^-2 of block 2, whose kernel taps all fall on zeros of
+        # the kernel, so the unmollified blocks start at 2
         grid = TorusGrid(1, 64)
         times = np.arange(5) / 16
         upath, vpath = (FieldPath(times, [rough_field(grid, a, s + n) for n in range(5)])
@@ -285,7 +286,7 @@ class TestTimeMollified:
         with caplog.at_level(logging.WARNING, logger="paracalc.paraproducts"):
             heat_para_commutator(upath, vpath)
         assert [r.getMessage() for r in caplog.records] == [
-            "time step 0.0625 cannot resolve mollification below block 3; "
+            "time step 0.0625 cannot resolve mollification below block 2; "
             "using unmollified values there"]
 
 

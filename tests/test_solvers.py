@@ -629,19 +629,25 @@ class TestPam:
         for got, w in zip(ptt, want.fields):
             assert np.array_equal(got.coeffs, w.coeffs)
 
-    @pytest.mark.parametrize("M, warnings", [(4, 1), (16, 0)])
-    def test_unresolved_time_step_is_logged_once(self, caplog, M, warnings):
+    @pytest.mark.parametrize("n, T, M, step, block", [
+        pytest.param(32, 0.5, 4, "0.125", 2, id="4-1"),
+        pytest.param(32, 0.5, 16, None, None, id="16-0"),
+        pytest.param(32, 0.5, 8, "0.0625", 2, id="width-equals-step"),
+        pytest.param(64, 0.2499, 16, "0.0156", 3, id="width-just-above-step")])
+    def test_unresolved_time_step_is_logged_once(self, caplog, n, T, M, step, block):
         # at N = 32 the finest window is 4^-2 wide: a step of 1/8 cannot
-        # resolve it, a step of 1/32 can
-        grid = TorusGrid(2, 32)
+        # resolve it, a step of 1/32 can; a window as wide as the step
+        # (1/16), or a hair wider (4^-3 against 0.2499/16), puts every
+        # kernel tap on a zero of the kernel or below the smallest double
+        grid = TorusGrid(2, n)
         part = default_partition(grid)
         E = self._enhanced(grid, part)
-        cfg = SolverConfig(alpha=0.45, sigma=1.0, T=0.5, M=M)
+        cfg = SolverConfig(alpha=0.45, sigma=1.0, T=T, M=M)
         with caplog.at_level(logging.WARNING, logger="paracalc.paraproducts"):
             solve_pam(SpectralField.constant(grid, 0.3), E, tanh_fn(0.4), cfg, part=part)
         logged = [r.getMessage() for r in caplog.records if "cannot resolve" in r.getMessage()]
-        assert logged == ["time step 0.125 cannot resolve mollification below block 2; "
-                          "using unmollified values there"][:warnings]
+        assert logged == [f"time step {step} cannot resolve mollification below block "
+                          f"{block}; using unmollified values there"][:step is not None]
 
     @pytest.mark.parametrize("c_eps", [0.7, 0.0])
     def test_regularized_solve_matches_the_plain_product_drift(self, c_eps):
