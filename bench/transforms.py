@@ -6,12 +6,15 @@ Times `grid.oversampled_values`, `grid.field_from_oversampled`,
 values of all its blocks, and `paraproducts.para_lt` and
 `paraproducts.resonant` on two plain fields, all on one-channel fields at
 1-d N = 256, 1024 and 2-d N = 32, 64, 128.  At the 2-d sizes it also
-times one later-node call of the time-mollified paraproduct
+times the construction of a `paraproducts.CausalAverage` on the 257
+nodes of [0, 1] (M = 256), which builds the causal time-average kernel
+of every scale and transforms nothing.  And it times one later-node call
+of the time-mollified paraproduct
 `paraproducts.CausalAverage.paraproduct` with its second factor held
 warm, one later-node `solvers.pam_drift_sharp` call with its fixed
 holders warm, and one drift evaluation of the classical
-`solvers.solve_pam_regularized` (c_eps != 0, xi_eps held); their rows
-record the inverse and forward oversampled transform calls that one
+`solvers.solve_pam_regularized` (c_eps != 0, xi_eps held); these three
+rows record the inverse and forward oversampled transform calls that one
 evaluation makes and the channels they transform (j_max inverse and one
 forward for the paraproduct; the transform counts per drift evaluation
 of the two 2-d solvers).  Prints one JSON object:
@@ -40,6 +43,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import logging  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -200,6 +204,13 @@ def sweep() -> list:
         for name, fn in layers.items():
             rows.append({"layer": name, "dim": dim, "n": n, **per_call_us(fn)})
         if dim == 2:
+            # at N = 128 a step of 1/256 leaves block 4 unmollified, and
+            # each build would log that warning
+            times = np.arange(257) / 256
+            logging.getLogger("paracalc.paraproducts").setLevel(logging.ERROR)
+            rows.append({"layer": "paraproducts.CausalAverage", "dim": dim, "n": n,
+                         **per_call_us(lambda: CausalAverage(part, times))})
+            logging.getLogger("paracalc.paraproducts").setLevel(logging.NOTSET)
             drifts = {"paraproducts.CausalAverage.paraproduct":
                       later_paraproduct_call(grid, part, np.random.default_rng(n + 1)),
                       "solvers.pam_drift_sharp": later_drift_call(grid, part, rng),

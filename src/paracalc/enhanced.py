@@ -158,12 +158,12 @@ def _integrate_between(f: SpectralField, s: float, t: float) -> np.ndarray:
 
 
 def rough_area_check(u: SpectralField, v: SpectralField, eta: SpectralField,
-                     s: float, t: float, oversample: int = 64):
+                     s: float, t: float):
     """Two routes to the area of a pair of 1-d paths over [s, t].
 
     Formula route: integrate eta + u-below-dv + u-above-dv over [s, t]
     (exact mode integration) and subtract u(s)(v(t) - v(s)).  Quadrature
-    route: Simpson on a fine sampling of int (u(r) - u(s)) v'(r) dr.
+    route: Simpson on 64 N + 1 points of int (u(r) - u(s)) v'(r) dr.
     For smooth pairs with eta the resonant part of (u, dv) the two agree.
     """
     dv = derivative(v, 0)
@@ -172,7 +172,7 @@ def rough_area_check(u: SpectralField, v: SpectralField, eta: SpectralField,
     vs = v.eval_at(np.array([s, t]))
     a_formula = _integrate_between(integrand, s, t) - us * (vs[:, 1] - vs[:, 0])
 
-    npts = oversample * u.grid.n + 1
+    npts = 64 * u.grid.n + 1
     rs = np.linspace(s, t, npts)
     uvals = u.eval_at(rs)
     dvvals = dv.eval_at(rs)

@@ -140,10 +140,10 @@ class SpectralField:
         v = np.fft.ifftn(self.coeffs, axes=axes) * self.grid.n**self.grid.dim
         return np.real(v)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_hermitian(self) -> bool:
         hc = hermitian_conjugate(self.coeffs, self.grid.dim)
         scale = np.max(np.abs(self.coeffs)) or 1.0
-        return bool(np.max(np.abs(self.coeffs - hc)) <= tol * scale)
+        return bool(np.max(np.abs(self.coeffs - hc)) <= 1e-10 * scale)
 
     def mean(self) -> np.ndarray:
         """Spatial mean per channel (the zero mode)."""

@@ -238,6 +238,8 @@ def sample_line_path(grid: TorusGrid, hurst: float, seed, support: float = 2.0,
     Returns (ts, xs): node times m*h and matching path values, built by
     recentering a one-sided path so the grid nodes hit sample points exactly.
     """
+    if not 0 < support < math.inf:  # also rejects NaN
+        raise ValueError(f"support must be positive and finite, got {support}")
     h = grid.period / grid.n
     m0 = int(math.ceil(support / h)) + 1
     steps = 1 << int(math.ceil(math.log2(2 * m0)))

@@ -261,41 +261,29 @@ def _bump_mass() -> float:
 _CAUSAL_BUMP_MASS = _bump_mass()
 
 
-def _qi_weights(times: np.ndarray, i: int, phi) -> np.ndarray:
-    """Quadrature weights W with (Q_i f)(t_n) = sum_m W[n, m] f(t_m).
-
-    The kernel at scale 2^-2i is laid on the uniform path grid by
-    trapezoid quadrature; each row is renormalised to unit mass, which
-    absorbs the quadrature error in the kernel's own mass.  Evaluations at
-    times outside [0, T] clamp to the endpoint, hence weight accumulates
-    on column 0.  Kernels narrower than the step, or whose taps all
-    vanish (on the kernel's zeros or by underflow), degrade to the identity.
+def _qi_kernel(dt: float, i: int) -> np.ndarray:
+    """Taps K of the causal average at scale 2^-2i on a grid of step dt,
+    K[k] the weight of the value k steps back: trapezoid quadrature of the
+    kernel.  Kernels narrower than the step, or whose taps all vanish (on
+    the kernel's zeros or by underflow), degrade to the one tap of the
+    identity.
     """
-    nt = len(times)
-    dt = times[1] - times[0]
     width = 4.0 ** (-i)
     if width < dt:
-        return np.eye(nt)
-    w = np.zeros((nt, nt))
-    # kernel nodes relative to t, clamped into [0, T]
-    nodes = int(math.ceil(width / dt)) + 1
-    for n in range(nt):
-        t = times[n]
-        s = t - np.arange(nodes + 1) * dt
-        vals = phi((t - s) / width) / width
-        trap = np.full(len(s), dt)
-        trap[0] = trap[-1] = 0.5 * dt
-        contrib = vals * trap
-        idx = np.clip(np.rint((s - times[0]) / dt).astype(int), 0, nt - 1)
-        np.add.at(w[n], idx, contrib)
-        mass = w[n].sum()
-        if mass <= 0.0:
-            # kernel too narrow for the grid to see: degrade to identity
-            w[n] = 0.0
-            w[n, n] = 1.0
-        else:
-            w[n] /= mass
-    return w
+        return np.ones(1)
+    lags = np.arange(int(math.ceil(width / dt)) + 2) * dt
+    taps = causal_bump(lags / width) / width * dt
+    taps[[0, -1]] *= 0.5
+    return taps if taps.any() else np.ones(1)
+
+
+def _node_weights(kernel: np.ndarray, n: int, nodes: int) -> np.ndarray:
+    """Weights of the `nodes` grid nodes in the average at node n: the
+    kernel laid back from n, the taps that fall before time 0 added onto
+    node 0, renormalised to unit mass, which absorbs the quadrature error
+    in the kernel's own mass."""
+    w = np.bincount(np.maximum(n - np.arange(len(kernel)), 0), weights=kernel, minlength=nodes)
+    return w / w.sum()
 
 
 class CausalAverage:
@@ -312,16 +300,15 @@ class CausalAverage:
     def __init__(self, part: DyadicPartition, times: np.ndarray):
         self.times = times
         scales = range(1, part.j_max + 1)
-        self.weights = [_qi_weights(times, i, causal_bump) for i in scales]
-        eye = np.eye(len(times))
-        unresolved = [i for i, w in zip(scales, self.weights) if np.array_equal(w, eye)]
+        self.kernels = [_qi_kernel(times[1] - times[0], i) for i in scales]
+        unresolved = [i for i, k in zip(scales, self.kernels) if len(k) == 1]
         if unresolved:
             log.warning("time step %.3g cannot resolve mollification below block %d; "
                         "using unmollified values there", times[1] - times[0], unresolved[0])
         self.lows = [part.low_mask(i - 1) for i in scales]
         self.hist = None
         self.node = None
-        self.share = []     # the earlier nodes' share of each average at `node`
+        self.share = []     # per scale at `node`: the earlier nodes' share, node's weight
 
     def at(self, n: int, f: SpectralField) -> list[np.ndarray]:
         if self.hist is None:
@@ -329,12 +316,12 @@ class CausalAverage:
         if n != self.node:
             self.node = n
             self.share = []
-            for w in self.weights:
-                nz = np.nonzero(w[n, :n])[0]
-                self.share.append(np.tensordot(w[n, nz], self.hist[nz], axes=(0, 0)))
+            for k in self.kernels:
+                w = _node_weights(k, n, len(self.times))
+                nz = np.nonzero(w[:n])[0]
+                self.share.append((np.tensordot(w[nz], self.hist[nz], axes=(0, 0)), w[n]))
         self.hist[n] = f.coeffs
-        return [(s + w[n, n] * self.hist[n]) * low
-                for s, w, low in zip(self.share, self.weights, self.lows)]
+        return [(s + wn * self.hist[n]) * low for (s, wn), low in zip(self.share, self.lows)]
 
     def paraproduct(self, n: int, f: SpectralField, g: Blocks) -> SpectralField:
         """Record f at node n, as `at` does, and return the time-mollified

@@ -55,8 +55,8 @@ def _symbol(grid: TorusGrid, axis: int | None, power: float) -> np.ndarray:
     return np.broadcast_to(sym, grid.shape)
 
 
-def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * _symbol(f.grid, axis, order))
+def derivative(f: SpectralField, axis: int = 0) -> SpectralField:
+    return SpectralField(f.grid, f.coeffs * _symbol(f.grid, axis, 1))
 
 
 def fractional_laplacian(f: SpectralField, sigma: float) -> SpectralField:
@@ -64,15 +64,14 @@ def fractional_laplacian(f: SpectralField, sigma: float) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * _symbol(f.grid, None, 2.0 * sigma))
 
 
-def antiderivative(f: SpectralField, axis: int = 0) -> SpectralField:
-    """Periodic antiderivative along one axis, normalised to vanish at x=0.
+def antiderivative(f: SpectralField) -> SpectralField:
+    """Periodic antiderivative along the first axis, normalised to vanish at x=0.
 
     The input must have zero mean along that axis; otherwise no periodic
     antiderivative exists and a ValueError is raised.  Use
     `remove_mean` first when the mean is an expected byproduct.
     """
-    mesh = f.grid.freq_mesh()
-    k = np.broadcast_to(mesh[axis], f.grid.shape)
+    k = np.broadcast_to(f.grid.freq_mesh()[0], f.grid.shape)
     zero = k == 0
     mean_mass = np.max(np.abs(f.coeffs[:, zero]))
     scale = max(np.max(np.abs(f.coeffs)), 1e-300)

@@ -96,6 +96,19 @@ class TestParsing:
         assert capsys.readouterr().err.startswith("error:")
         assert not (out / written).exists()
 
+    @pytest.mark.parametrize("support", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv, written", [
+        (["noise", "--kind", "rde"], "noise.field"),
+        (["solve-rde"], "solution.field")], ids=["noise", "solve-rde"])
+    def test_a_support_not_positive_and_finite_exits_one(self, tmp_path, capsys, argv,
+                                                          written, support):
+        # 0 would sample an all-zero driver; -1, nan and inf used to fail
+        # inside math.log2 or int() with no word of the flag
+        out = tmp_path / "o"
+        assert main(argv + ["--n", "64", "--support", support, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: support must be positive")
+        assert not (out / written).exists()
+
     def test_rough_ode_default_grid(self):
         # the time-line torus is --embedding times longer, so 64 points
         # would leave a single dyadic block

@@ -16,7 +16,7 @@ from paracalc import (Blocks, NonlinearFunction, ParacontrolledField, SpectralFi
                       poly_function, resonant)
 from paracalc.grid import FieldPath, oversampled_values
 from paracalc.evolution import SemigroupSpec, apply_L, path_time_derivative
-from paracalc.paraproducts import _qi_weights
+from paracalc.paraproducts import CausalAverage, _node_weights, _qi_kernel
 from paracalc.spectral import block_sups, default_partition, lp_block, make_dyadic_partition
 
 from conftest import rough_field
@@ -190,6 +190,44 @@ class TestControlled:
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(np.abs(want.coeffs))
 
 
+def qi_weights_by_rows(times, i):
+    """Quadrature weights W with (Q_i f)(t_n) = sum_m W[n, m] f(t_m), built
+    row by row from the definition Q_i f(t) = int 4^i phi(4^i (t - s))
+    f(s v 0) ds: the trapezoid rule on the lags 0 .. ceil(4^-i / dt) + 1
+    steps back from t_n, times before 0 clamped onto node 0, each row
+    renormalised to unit mass; a window narrower than the step, or a row
+    of vanishing taps, gives the identity."""
+    nt = len(times)
+    dt = times[1] - times[0]
+    width = 4.0 ** (-i)
+    if width < dt:
+        return np.eye(nt)
+    w = np.zeros((nt, nt))
+    nodes = int(math.ceil(width / dt)) + 1
+    for n in range(nt):
+        t = times[n]
+        s = t - np.arange(nodes + 1) * dt
+        trap = np.full(len(s), dt)
+        trap[0] = trap[-1] = 0.5 * dt
+        contrib = causal_bump((t - s) / width) / width * trap
+        idx = np.clip(np.rint((s - times[0]) / dt).astype(int), 0, nt - 1)
+        np.add.at(w[n], idx, contrib)
+        mass = w[n].sum()
+        if mass <= 0.0:
+            w[n] = 0.0
+            w[n, n] = 1.0
+        else:
+            w[n] /= mass
+    return w
+
+
+def kernel_weights(times, i):
+    """The weights of `CausalAverage` at scale i as a matrix, row n the
+    kernel laid back from node n and clamped at node 0."""
+    kernel = _qi_kernel(times[1] - times[0], i)
+    return np.array([_node_weights(kernel, n, len(times)) for n in range(len(times))])
+
+
 class TestTimeMollified:
     def test_causal_bump_is_a_density_on_unit_interval(self):
         x = np.linspace(-0.5, 1.5, 4001)
@@ -200,10 +238,27 @@ class TestTimeMollified:
 
     def test_quadrature_rows_are_causal_and_normalised(self):
         times = np.linspace(0.0, 1.0, 33)
-        w = _qi_weights(times, 2, causal_bump)
+        w = kernel_weights(times, 2)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
         # row n only looks backwards in time
         assert np.all(np.triu(w, k=1) == 0.0)
+
+    @pytest.mark.parametrize("n, T, M", [
+        pytest.param(32, 0.5, 4, id="width-below-step"),
+        pytest.param(32, 0.5, 8, id="width-equals-step"),
+        pytest.param(64, 0.2499, 16, id="width-just-above-step"),
+        pytest.param(64, 1.0, 1024, id="M-1024")])
+    def test_node_weights_match_the_per_row_quadrature(self, n, T, M):
+        # one kernel per scale, laid back from each node and clamped at
+        # node 0, gives the weights the quadrature of the definition does
+        part = default_partition(TorusGrid(2, n))
+        times = np.arange(M + 1) * (T / M)
+        avg = CausalAverage(part, times)
+        for i, kernel in enumerate(avg.kernels, start=1):
+            ref = qi_weights_by_rows(times, i)
+            for node in range(M + 1):
+                got = _node_weights(kernel, node, M + 1)
+                assert np.max(np.abs(got - ref[node])) <= 1e-15
 
     def test_constant_path_collapses_to_plain_paraproduct(self, grid2d):
         f = rough_field(grid2d, 1.0, 27)
@@ -224,7 +279,7 @@ class TestTimeMollified:
         fc = fpath.coeff_array()
         ref = [SpectralField.zero(grid2d) for _ in times]
         for i in range(1, part2d.j_max + 1):
-            q = np.tensordot(_qi_weights(times, i, causal_bump), fc, axes=(1, 0))
+            q = np.tensordot(kernel_weights(times, i), fc, axes=(1, 0))
             for n, g in enumerate(gpath.fields):
                 ref[n] = ref[n] + dealiased_product(
                     SpectralField(grid2d, q[n] * part2d.low_mask(i - 1)),

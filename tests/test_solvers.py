@@ -25,7 +25,7 @@ import paracalc.solvers
 import paracalc.spectral
 from conftest import rough_field
 from paracalc.grid import FieldPath, field_from_oversampled, oversampled_values
-from paracalc.paraproducts import CausalAverage
+from paracalc.paraproducts import CausalAverage, _node_weights
 from paracalc.solvers import burgers_drift, pam_drift_sharp, solve_rde_resonant_fp
 from paracalc.spectral import antiderivative, block_sups, default_partition
 from paracalc.partition import radial_cutoff
@@ -598,8 +598,8 @@ class TestPam:
         final = rng.standard_normal((9, 1) + grid.shape) + 0j
 
         def full(n):
-            return [np.tensordot(w[n], final, axes=(0, 0)) * part.low_mask(i - 1)
-                    for i, w in enumerate(avg.weights, start=1)]
+            return [np.tensordot(_node_weights(k, n, 9), final, axes=(0, 0))
+                    * part.low_mask(i - 1) for i, k in enumerate(avg.kernels, start=1)]
 
         for n in range(9):
             avg.at(n, SpectralField(grid, 2.0 * final[n]))
