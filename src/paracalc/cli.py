@@ -128,16 +128,17 @@ def cmd_renorm(args) -> int:
     grid = TorusGrid(2, args.n)
     psi = MOLLIFIERS[args.mollifier]
     out = _outdir(args)
+    consts = [pam_c_eps(eps, psi, grid) for eps in args.eps]
+    per_eps = [[] for _ in args.eps]
+    for s in range(args.seeds):  # one noise and one lift per seed, for every eps
+        xi = spatial_white_noise(grid, s)
+        theta = pam_theta(xi)
+        for eps, samples in zip(args.eps, per_eps):
+            area = resonant(mollify(theta, eps, psi), mollify(xi, eps, psi))
+            samples.append(float(area.values().mean()))
     rows = []
     ok = True
-    for eps in args.eps:
-        c = pam_c_eps(eps, psi, grid)
-        samples = []
-        for s in range(args.seeds):
-            xi = spatial_white_noise(grid, s)
-            area = resonant(mollify(pam_theta(xi), eps, psi),
-                            mollify(xi, eps, psi))
-            samples.append(float(area.values().mean()))
+    for eps, c, samples in zip(args.eps, consts, per_eps):
         mean = float(np.mean(samples))
         se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
         rows.append((float(eps), c, mean, se))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import FieldPath, SpectralField, TorusGrid
-from .spectral import _symbol
+from .spectral import _symbol, fractional_laplacian
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,10 @@ class SolverReport:
     iterations: int
     residual: float
     norms: dict = field(default_factory=dict)
-    advice: str = ""
+
+    @property
+    def advice(self) -> str:
+        return "" if self.converged else _ADVICE
 
     def to_json(self) -> str:
         return json.dumps({"converged": bool(self.converged),
@@ -93,7 +96,7 @@ class NonConvergence(RuntimeError):
 
     def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(f"{message}; {_ADVICE}")
-        self.report = SolverReport(False, iterations, residual, advice=_ADVICE)
+        self.report = SolverReport(False, iterations, residual)
 
 
 def damped_fixed_point(step, x: SpectralField, fp_tol: float, fp_max: int,
@@ -187,6 +190,4 @@ def apply_L(path: FieldPath, spec: SemigroupSpec) -> FieldPath:
     (-Laplacian)^sigma.  Diagnostic; the solvers work in mild form."""
     if len(path) < 3:
         raise ValueError("need at least three time nodes for second-order differences")
-    ddt = path_time_derivative(path)
-    mu = spec.symbol()
-    return ddt + path.map(lambda f: SpectralField(f.grid, f.coeffs * mu))
+    return path_time_derivative(path) + path.map(lambda f: fractional_laplacian(f, spec.sigma))

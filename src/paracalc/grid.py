@@ -379,13 +379,12 @@ def save_field(path, f: SpectralField | FieldPath):
     times]}, then complex128 little-endian coefficients in lattice row-major
     order (time-major for paths).
     """
+    header = {"dim": f.grid.dim, "N": f.grid.n, "period": f.grid.period,
+              "channels": f.channels}
     if isinstance(f, FieldPath):
-        header = {"dim": f.grid.dim, "N": f.grid.n, "period": f.grid.period,
-                  "channels": f.channels, "times": list(map(float, f.times))}
+        header["times"] = list(map(float, f.times))
         data = f.coeff_array()
     else:
-        header = {"dim": f.grid.dim, "N": f.grid.n, "period": f.grid.period,
-                  "channels": f.channels}
         data = f.coeffs
     with open(path, "wb") as fh:
         fh.write(_HEADER_MAGIC)

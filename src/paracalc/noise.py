@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .evolution import SemigroupSpec
 from .grid import (FieldPath, SpectralField, TorusGrid, hermitian_conjugate,
                    TWO_PI)
 from .partition import radial_cutoff
@@ -28,27 +29,13 @@ def _generator(seed) -> np.random.Generator:
 
 # -- Hermitian lattice bookkeeping ------------------------------------
 
-def _self_conjugate_mask(grid: TorusGrid) -> np.ndarray:
-    """Lattice points with k = -k mod N (their coefficients must be real)."""
-    n = grid.n
-    axis = np.zeros(n, dtype=bool)
-    axis[0] = axis[n // 2] = True
-    if grid.dim == 1:
-        return axis
-    return axis[:, None] & axis[None, :]
-
-def _primary_mask(grid: TorusGrid) -> np.ndarray:
-    """One representative per conjugate pair {k, -k}, excluding fixed points."""
-    n, d = grid.n, grid.dim
-    idx = np.arange(n)
-    conj = (-idx) % n
-    if d == 1:
-        flat = idx
-        cflat = conj
-    else:
-        flat = (idx[:, None] * n + idx[None, :])
-        cflat = (conj[:, None] * n + conj[None, :])
-    return (flat < cflat)
+def _pairing(grid: TorusGrid):
+    """(primary, self-conjugate) masks: one representative per conjugate
+    pair {k, -k}, and the points with k = -k mod N (real coefficients),
+    found by comparing each flat lattice index with its conjugate's."""
+    flat = np.arange(grid.n ** grid.dim).reshape(grid.shape)
+    conj = hermitian_conjugate(flat, grid.dim)
+    return flat < conj, flat == conj
 
 
 def hermitian_gaussian(grid: TorusGrid, std: np.ndarray | float,
@@ -62,8 +49,7 @@ def hermitian_gaussian(grid: TorusGrid, std: np.ndarray | float,
     shape = (channels,) + grid.shape
     a = rng.standard_normal(shape)
     b = rng.standard_normal(shape)
-    prim = _primary_mask(grid)
-    selfc = _self_conjugate_mask(grid)
+    prim, selfc = _pairing(grid)
     c = np.zeros(shape, dtype=np.complex128)
     c[:, prim] = (a[:, prim] + 1j * b[:, prim]) * math.sqrt(0.5)
     c[:, selfc] = a[:, selfc]
@@ -154,9 +140,11 @@ def burgers_theta_path(grid: TorusGrid, sigma: float, T: float, M: int,
         raise ValueError("this driver lives on the 1-torus")
     if not (sigma > 0.5 and T > 0 and M >= 1):
         raise ValueError(f"need sigma > 1/2, T > 0 and M >= 1, got {sigma}, {T}, {M}")
+    if not math.isfinite(T):
+        raise ValueError(f"horizon must be finite, got {T}")
+    mu = SemigroupSpec(sigma, grid).symbol()  # checks sigma <= 1
     rng = _generator(seed)
     dt = T / M
-    mu = grid.k_abs() ** (2.0 * sigma)
     decay = np.exp(-dt * mu)
     # stored-coefficient increment std dev; zero mode gets the BM increment
     var = np.empty(grid.shape)

@@ -30,8 +30,9 @@ log = logging.getLogger(__name__)
 class NonlinearFunction:
     """Scalar composition nonlinearity F with its derivative F'.
 
-    F' is validated against central finite differences of F at
-    registration, so a mistyped derivative fails fast.
+    F and F' must be real and finite, and F' is validated against central
+    finite differences of F, on check points in [-2, 2] at registration,
+    so a complex or non-finite coupling or a mistyped derivative fails fast.
     """
 
     def __init__(self, f, d1, name="F"):
@@ -39,6 +40,10 @@ class NonlinearFunction:
         self.d1 = d1
         self.name = name
         x = np.random.default_rng(0).uniform(-2.0, 2.0, size=64)
+        for g in (f, d1):
+            v = np.asarray(g(x))
+            if np.iscomplexobj(v) or not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} and its derivative must be real and finite")
         h = 1e-5
         fd = (f(x + h) - f(x - h)) / (2 * h)
         if np.max(np.abs(fd - d1(x))) > 1e-4 * (np.max(np.abs(fd)) + 1.0):
@@ -69,8 +74,7 @@ class Blocks:
     transformed in one `oversampled_values` call on the stacked masked
     coefficients and kept, so a holder built once for a field that stays
     fixed (the noise and its lift in a solver) serves every later product
-    with that field without a transform.  Low sums S_j f are running sums
-    of the block values, exact by linearity.
+    with that field without a transform.
     `para_lt`, `para_gt`, `resonant`, `commutator_C` and `pi_F` take a
     holder in place of any field argument and build one for a plain field
     on the holder's partition; `dealiased_product`, `apply_pointwise` and
@@ -102,15 +106,6 @@ class Blocks:
             self._blocks = v.reshape(masks.shape[:1] + f.coeffs.shape[:1] + v.shape[1:])
         return self._blocks[j + 1]
 
-    def lows(self, j: int):
-        """Values of S_0 f, ..., S_(j-1) f, each the sum of the blocks below."""
-        acc = self.block(-1)
-        out = [acc]
-        for i in range(j - 1):
-            acc = acc + self.block(i)
-            out.append(acc)
-        return out
-
     def values(self) -> np.ndarray:
         """Values of f itself."""
         if self._values is None:
@@ -131,11 +126,13 @@ def para_lt(f, g) -> SpectralField:
 
     f and g are fields or their `Blocks`."""
     fb, gb = _holders(f, g)
-    # S_{j-1} vanishes for j <= 0, so the sum starts at block index 1
-    lows = fb.lows(fb.part.j_max)
-    acc = lows[0] * gb.block(1)
+    # S_{j-1} vanishes for j <= 0, so the sum starts at block index 1;
+    # low is the running sum S_{j-1} f of the blocks below j - 1
+    low = fb.block(-1)
+    acc = low * gb.block(1)
     for j in range(2, fb.part.j_max + 1):
-        acc += lows[j - 1] * gb.block(j)
+        low = low + fb.block(j - 2)
+        acc += low * gb.block(j)
     return field_from_oversampled(fb.grid, acc)
 
 

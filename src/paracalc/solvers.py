@@ -10,6 +10,7 @@ renormalized one.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,9 @@ class SolverConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        # `not >` also rejects a NaN tolerance or horizon
+        # `not >` also rejects a NaN tolerance, regularity or horizon
         if not (self.fp_tol > 0 and self.fp_max >= 1 and 0 < self.damping <= 1
-                and self.M >= 1 and self.T > 0):
+                and self.M >= 1 and 0 < self.T < math.inf and 0 < self.alpha < 1):
             raise ValueError(f"bad solver configuration: {self}")
 
 
@@ -171,7 +172,8 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
     Each step applies the trapezoid-exponential rule with a damped inner
     fixed point for the implicit endpoint of the drift.  A drift
     evaluation (`burgers_drift`) makes 4 transform calls; the area
-    eta - theta @ d_x theta is held per node.
+    eta - theta @ d_x theta is held per node.  cfg.T and cfg.M must match
+    the driver path's horizon and step count, or ValueError is raised.
     """
     if E.kind != "burgers":
         raise ValueError("solve_burgers expects path enhanced data")
@@ -181,6 +183,9 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
     if not (cfg.sigma > 5.0 / 6.0):
         raise ValueError("need sigma > 5/6")
     M = len(theta_path) - 1
+    if cfg.M != M or not math.isclose(cfg.T, theta_path.times[-1]):
+        raise ValueError(f"config has T = {cfg.T}, M = {cfg.M}; the driver path "
+                         f"has T = {theta_path.times[-1]}, M = {M}")
     theta = [f.channel(0) for f in theta_path.fields]
     eta = [f.channel(0) for f in eta_path.fields]
 

@@ -8,8 +8,8 @@ import types
 import numpy as np
 import pytest
 
-from paracalc import (GAUSS_MOLLIFIER, SpectralField, TorusGrid, apply_pointwise, besov_norm,
-                      burgers_theta_path, dealiased_product, derivative,
+from paracalc import (GAUSS_MOLLIFIER, FieldPath, SpectralField, TorusGrid, apply_pointwise,
+                      besov_norm, burgers_theta_path, dealiased_product, derivative,
                       load_field, mollify, pam_c_eps, radial_cutoff, rde_driver,
                       sample_line_path, solve_pam_regularized, spatial_white_noise,
                       trapezoid_exponential_path)
@@ -332,6 +332,23 @@ class TestRenorm:
             "error: renorm needs at least two seeds for a standard error\n"
         assert not (out / "renorm.csv").exists()
 
+    def test_one_noise_and_one_lift_per_seed(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name):
+            orig = getattr(cli, name)
+
+            def call(*args):
+                calls.append(name)
+                return orig(*args)
+            return call
+
+        for name in ("spatial_white_noise", "pam_theta"):
+            monkeypatch.setattr(cli, name, counted(name))
+        assert main(["renorm", "--n", "32", "--eps", "0.5", "0.25", "0.125", "--seeds", "3",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert calls == ["spatial_white_noise", "pam_theta"] * 3
+
     def test_bitwise_reproducible_across_thread_settings(self, tmp_path):
         argv = ["renorm", "--n", "32", "--eps", "0.5", "0.25", "--seeds", "5"]
         outs = []
@@ -364,6 +381,24 @@ class TestArea:
         assert all(float(r[1]) >= 0.0 for r in rows)
         f = load_field(out / "area.field")
         assert f.grid == TorusGrid(2, 32)
+
+
+# small runs of each solve, and inputs that must exit 1 before any output
+SMALL_SOLVES = {"solve-rde": ["solve-rde"],
+                "solve-burgers": ["solve-burgers", "--n", "32", "--time-steps", "8"],
+                "solve-pam": ["solve-pam", "--n", "32", "--time-steps", "8"]}
+BAD_INPUTS = [
+    *[[*argv, flag, v] for argv in SMALL_SOLVES.values()
+      for flag, vals in (("--lambda", ("-1", "nan", "inf")), ("--amplitude", ("nan", "inf")),
+                         ("--alpha", ("nan", "inf", "1e6"))) for v in vals],
+    *[["study", "--equation", e, "--eps", "0.5", "0.25", "--seeds", "1", *extra,
+       "--lambda", "-1"]
+      for e, extra in (("rde", []), ("burgers", ["--n", "32"]),
+                       ("pam", ["--n", "32", "--time-steps", "4"]))],
+    ["noise", "--kind", "burgers", "--horizon", "inf"],
+    ["area", "--kind", "burgers", "--horizon", "inf"],
+    ["solve-burgers", "--horizon", "inf"],
+    ["noise", "--kind", "burgers", "--sigma", "1e6"]]
 
 
 class TestSolves:
@@ -411,6 +446,31 @@ class TestSolves:
         rep = json.loads((out / "report.json").read_text())
         assert rep["converged"] is False and "halve lambda" in rep["advice"]
         assert 1 <= rep["iterations"] <= max_iterations
+
+    @pytest.mark.parametrize("argv", BAD_INPUTS,
+                             ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+    def test_a_complex_or_non_finite_input_exits_one(self, tmp_path, capsys, argv):
+        # (-1)^alpha is complex, which used to end in a TypeError traceback from
+        # rfft; a NaN or infinite coupling exited 2 as a failed solve; a NaN or
+        # huge alpha, an infinite horizon and sigma = 1e6 wrote non-finite numbers
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", list(SMALL_SOLVES))
+    @pytest.mark.parametrize("edge", [["--lambda", "0"], ["--amplitude", "-1"]],
+                             ids=["lambda-0", "amplitude-minus-1"])
+    def test_an_edge_coupling_writes_finite_numbers(self, tmp_path, command, edge):
+        out = tmp_path / "o"
+        assert main(SMALL_SOLVES[command] + edge + ["--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["converged"] is True
+        assert all(map(math.isfinite, [rep["residual"], *rep["norms"].values()]))
+        for path in out.glob("*.field"):
+            f = load_field(path)
+            assert np.all(np.isfinite(f.coeff_array() if isinstance(f, FieldPath) else f.coeffs))
 
     def test_solve_pam_honours_sigma(self, tmp_path, capsys):
         # the paracontrolled 2-d solver is for the Laplacian only

@@ -12,6 +12,7 @@ from paracalc import (BUMP_MOLLIFIER, DIRAC_MOLLIFIER, GAUSS_MOLLIFIER,
                       burgers_theta_path, default_time_cutoff, derivative,
                       fbm_path, mollify, pam_theta, rde_driver,
                       sample_line_path, spatial_white_noise)
+from paracalc.grid import hermitian_conjugate
 from paracalc.noise import _fgn_autocov
 from paracalc.partition import radial_cutoff
 
@@ -59,6 +60,19 @@ class TestWhiteNoise:
         assert th.mean()[0] == 0.0
 
 
+@pytest.mark.parametrize("dim, n", [(1, 16), (1, 32), (2, 16), (2, 32)])
+def test_pairing_splits_the_lattice_into_pairs_and_fixed_points(dim, n):
+    grid = TorusGrid(dim, n)
+    prim, selfc = noise._pairing(grid)
+    k = np.stack(np.broadcast_arrays(*grid.freq_mesh()))
+    # k = -k mod N exactly where every component is 0 or -N/2
+    assert np.array_equal(selfc, np.all((k == 0) | (k == -n // 2), axis=0))
+    # each pair {k, -k} has one representative: prim, its mirror and the
+    # fixed points cover the lattice once
+    mirror = hermitian_conjugate(prim, dim)
+    assert np.array_equal(prim.astype(int) + mirror + selfc, np.ones(grid.shape, int))
+
+
 class TestStochasticConvolution:
     def test_starts_at_zero(self):
         grid = TorusGrid(1, 32)
@@ -69,6 +83,13 @@ class TestStochasticConvolution:
         grid = TorusGrid(1, 32)
         with pytest.raises(ValueError):
             burgers_theta_path(grid, 0.5, 0.5, 8, 1, 0)
+
+    def test_rejects_sigma_above_one_and_an_infinite_horizon(self):
+        grid = TorusGrid(1, 32)
+        with pytest.raises(ValueError, match=r"outside \(1/2, 1\]"):
+            burgers_theta_path(grid, 1e6, 0.5, 8, 1, 0)
+        with pytest.raises(ValueError, match="horizon must be finite, got inf"):
+            burgers_theta_path(grid, 0.9, math.inf, 8, 1, 0)
 
     def test_mode_variance_matches_ou_law(self):
         # Var F theta_t(k) = 2 pi (1 - e^(-2 t mu)) / (2 mu), mu = |k|^(2 sigma)

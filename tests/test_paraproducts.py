@@ -92,6 +92,13 @@ class TestNonlinearFunction:
         with pytest.raises(TypeError):
             NonlinearFunction(np.tanh)
 
+    @pytest.mark.parametrize("a", [(-1.0) ** 0.45, math.nan, math.inf],
+                             ids=["complex", "nan", "inf"])
+    def test_registration_rejects_complex_or_non_finite_values(self, a):
+        # (-1)^alpha is complex: a negative coupling scale used to reach rfft
+        with pytest.raises(ValueError, match="must be real and finite"):
+            NonlinearFunction(lambda x: a * np.tanh(x), lambda x: a / np.cosh(x) ** 2)
+
     def test_polynomial_evaluation(self, grid1d):
         F = poly_function([0.0, 0.0, 1.0])  # x^2
         f = SpectralField.from_function(grid1d, lambda x: np.cos(3 * x))

@@ -1,5 +1,7 @@
 """Paracontrolled solvers checked against classical reference integrators."""
 
+import dataclasses
+import json
 import logging
 import math
 import sys
@@ -24,6 +26,7 @@ import paracalc.grid
 import paracalc.solvers
 import paracalc.spectral
 from conftest import rough_field
+from paracalc.evolution import SolverReport
 from paracalc.grid import FieldPath, field_from_oversampled, oversampled_values
 from paracalc.paraproducts import CausalAverage, _node_weights
 from paracalc.solvers import burgers_drift, pam_drift_sharp, solve_rde_resonant_fp
@@ -290,6 +293,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(alpha=0.5, **bad)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1e6, math.nan, math.inf])
+    def test_rejects_regularity_outside_zero_one(self, alpha):
+        # a NaN or huge alpha used to give NaN or infinite norms in report.json
+        with pytest.raises(ValueError, match="bad solver configuration"):
+            SolverConfig(alpha=alpha)
+
+    def test_report_advice_follows_convergence(self):
+        assert [f.name for f in dataclasses.fields(SolverReport)] \
+            == ["converged", "iterations", "residual", "norms"]
+        assert SolverReport(True, 3, 1e-12).advice == ""
+        assert "halve lambda" in json.loads(SolverReport(False, 3, 1.0).to_json())["advice"]
+
 
 class TestRoughOde:
     def _enhanced(self, eps=None, seed=3):
@@ -438,6 +453,18 @@ class TestBurgers:
         with pytest.raises(ValueError):
             solve_burgers(SpectralField.zero(grid), E, tanh_fn(), cfg)
 
+    @pytest.mark.parametrize("T, M", [(0.25, 8), (0.5, 4), (0.25 * (1 + 1e-6), 4)])
+    def test_rejects_a_config_off_the_driver_path(self, T, M):
+        # the march runs on the path's nodes, so a config that names another
+        # horizon or step count would be ignored without a word
+        grid = TorusGrid(1, 64)
+        times = np.linspace(0.0, 0.25, 5)
+        zp = FieldPath(times, [SpectralField.zero(grid)] * 5)
+        E = EnhancedNoise("burgers", zp, zp, zp)
+        cfg = SolverConfig(alpha=0.45, sigma=0.9, T=T, M=M)
+        with pytest.raises(ValueError, match="the driver path has T = 0.25, M = 4"):
+            solve_burgers(SpectralField.zero(grid), E, tanh_fn(), cfg)
+
     def test_stall_raises_with_rescaling_advice(self):
         grid = TorusGrid(1, 128)
         M, T = 4, 0.25
@@ -572,6 +599,26 @@ class TestPam:
             ref = solve_pam_regularized(u0, E.xi, 0.0, F, cfg)
             errs.append(max((u_path[n] - ref[n]).sup_norm() for n in range(M + 1)))
         assert errs[0] / errs[1] >= 3.5
+
+    def test_second_order_on_the_criterion_5_config(self):
+        # criterion 5's 2-d leg: its 1e-4 bound sits far above the error, so
+        # it cannot see a first-order time difference; the error ratios can
+        # (about 3.8 and 3.9 here, 1.97 with a first-order difference)
+        grid = TorusGrid(2, 64)
+        part = default_partition(grid)
+        xi = spatial_white_noise(grid, 5)
+        xi = SpectralField(grid, xi.coeffs * (grid.k_abs() <= 8)) * 3.0
+        theta = pam_theta(xi)
+        E = EnhancedNoise("pam", xi, theta, resonant(theta, xi, part) - 0.2, 0.2)
+        u0 = SpectralField.constant(grid, 0.3)
+        errs = []
+        for M in (32, 64, 128):
+            cfg = SolverConfig(alpha=0.45, sigma=1.0, T=0.25, M=M, fp_tol=1e-11,
+                               damping=1.0)
+            u_path, _, _ = solve_pam(u0, E, tanh_fn(0.4), cfg, part=part)
+            ref = solve_pam_regularized(u0, xi, 0.2, tanh_fn(0.4), cfg)
+            errs.append(max((u_path[n] - ref[n]).sup_norm() for n in range(M + 1)))
+        assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
     def test_zero_nonlinearity_gives_pure_heat_flow(self):
         grid = TorusGrid(2, 32)
@@ -734,11 +781,12 @@ class TestPam:
         monkeypatch.setattr(paracalc.solvers, "pam_drift_sharp", counted)
         grid = TorusGrid(2, 32)
         part = default_partition(grid)
-        E = self._enhanced(grid, part)
-        F = NonlinearFunction(lambda x: x * math.nan, lambda x: x * math.nan)
+        # a NaN nonlinearity is rejected when it is registered, so the
+        # non-finite residual comes from NaN noise
+        E = self._enhanced(grid, part, amp=math.nan)
         cfg = SolverConfig(alpha=0.45, sigma=1.0, T=0.1, M=4, fp_max=50)
         with pytest.raises(RuntimeError, match="halve lambda"):
-            solve_pam(SpectralField.constant(grid, 0.3), E, F, cfg, part=part)
+            solve_pam(SpectralField.constant(grid, 0.3), E, tanh_fn(0.4), cfg, part=part)
         assert len(calls) <= 3
 
     def test_requires_the_laplacian(self):
@@ -776,7 +824,8 @@ class TestPam:
                                     0.5, poly_function([0.0, 1.0]), cfg)
         assert abs(out[-1].mean()[0] - 0.3 * math.exp(-0.25)) <= 1e-4
 
-    @pytest.mark.parametrize("M, T", [(0, 1.0), (-2, 1.0), (8, 0.0), (8, -1.0), (8, math.nan)])
+    @pytest.mark.parametrize("M, T", [(0, 1.0), (-2, 1.0), (8, 0.0), (8, -1.0), (8, math.nan),
+                                      (8, math.inf)])
     def test_solver_config_rejects_bad_time_grids(self, M, T):
         with pytest.raises(ValueError, match="bad solver configuration"):
             SolverConfig(alpha=0.45, M=M, T=T)
