@@ -139,7 +139,7 @@ def later_regularized_drift(grid, rng):
     u = SpectralField.from_values(grid, 0.3 + 0.1 * rng.standard_normal(grid.shape))
     drifts = []
     march = paracalc.solvers.trapezoid_exponential_path
-    paracalc.solvers.trapezoid_exponential_path = lambda g, s, u0, drift, *a, **k: \
+    paracalc.solvers.trapezoid_exponential_path = lambda s, u0, drift, *a, **k: \
         (drifts.append(drift), 0, 0.0)
     try:
         solve_pam_regularized(u, xi, 0.7, poly_function([0.0, 1.0, 0.0, -0.1]),

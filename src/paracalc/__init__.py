@@ -11,7 +11,7 @@ from .paraproducts import (Blocks, NonlinearFunction, ParacontrolledField, bony_
                            paralin_remainder, paraproduct_switch, pi_F, pi_times,
                            poly_function, resonant)
 from .noise import (BUMP_MOLLIFIER, DIRAC_MOLLIFIER, GAUSS_MOLLIFIER, MOLLIFIERS,
-                    Mollifier, burgers_theta_path, default_time_cutoff,
+                    Mollifier, burgers_theta_path, time_cutoff,
                     fbm_path, mollify, pam_theta, rde_driver, sample_line_path,
                     spatial_white_noise)
 from .enhanced import (EnhancedNoise, burgers_area, enhanced_translate,

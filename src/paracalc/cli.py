@@ -29,7 +29,6 @@ from .grid import SpectralField, TorusGrid, apply_pointwise, dealiased_product, 
 from .noise import (MOLLIFIERS, burgers_theta_path, mollify, pam_theta,
                     rde_driver, sample_line_path, spatial_white_noise)
 from .paraproducts import NonlinearFunction, resonant, poly_function
-from .partition import radial_cutoff
 from .solvers import SolverConfig, solve_burgers, solve_pam, solve_pam_regularized, solve_rde
 from .spectral import besov_norm, block_sups, derivative
 
@@ -86,20 +85,19 @@ def _burgers_theta(args):
 
 def _rde_theta(args, seed: int, eps: float | None):
     """The localized line driver on the time-line torus, mollified at eps
-    if given, and its time cutoff."""
+    if given."""
     grid = TorusGrid(1, args.n, 2 * math.pi * args.embedding)
-    cutoff = lambda t: radial_cutoff(t, args.support / 2.0, args.support)
     ts, xs = sample_line_path(grid, args.hurst, seed, support=args.support)
-    theta = rde_driver(ts, xs, grid, cutoff).theta
+    theta = rde_driver(ts, xs, grid, args.support).theta
     if eps:
         theta = mollify(theta, eps, MOLLIFIERS[args.mollifier])
-    return theta, cutoff
+    return theta
 
 
 def _rde_enhanced(args, seed: int, eps: float | None):
-    theta, cutoff = _rde_theta(args, seed, eps)
+    theta = _rde_theta(args, seed, eps)
     xi = derivative(theta, 0)
-    return EnhancedNoise("rde", xi, theta, rde_area(theta, xi)), cutoff
+    return EnhancedNoise("rde", xi, theta, rde_area(theta, xi))
 
 
 # -- subcommands ------------------------------------------------------
@@ -113,7 +111,7 @@ def cmd_noise(args) -> int:
     elif args.kind == "burgers":
         f = _burgers_theta(args)
     else:  # rde
-        f = _rde_theta(args, args.seed, args.eps[0] if args.eps else None)[0]
+        f = _rde_theta(args, args.seed, args.eps[0] if args.eps else None)
     save_field(out / "noise.field", f)
     (out / "noise.json").write_text(json.dumps(_meta(args), indent=2, sort_keys=True))
     print(f"wrote {out / 'noise.field'}")
@@ -184,10 +182,10 @@ def cmd_area(args) -> int:
 
 def cmd_solve_rde(args) -> int:
     out = _outdir(args)
-    E, cutoff = _rde_enhanced(args, args.seed, args.eps[0] if args.eps else None)
+    E = _rde_enhanced(args, args.seed, args.eps[0] if args.eps else None)
     F = _tanh_function(args.amplitude * args.lam ** args.alpha)
     cfg = SolverConfig(alpha=args.alpha, damping=args.damping)
-    u, usharp, rep = solve_rde(args.u0, E, F, cfg, cutoff)
+    u, usharp, rep = solve_rde(args.u0, E, F, cfg, args.support)
     save_field(out / "solution.field", u)
     save_field(out / "remainder.field", usharp)
     (out / "report.json").write_text(rep.to_json())
@@ -260,32 +258,33 @@ def _study_rde(args, lam: float, seed: int, eps_list):
     sols = []
     F = _tanh_function(args.amplitude * lam ** args.alpha)
     for eps in eps_list:
-        E, cutoff = _rde_enhanced(args, seed, eps)
+        E = _rde_enhanced(args, seed, eps)
         cfg = SolverConfig(alpha=args.alpha, fp_tol=1e-8, fp_max=120,
                            damping=args.damping)
-        sols.append(solve_rde(args.u0, E, F, cfg, cutoff)[0])
+        sols.append(solve_rde(args.u0, E, F, cfg, args.support)[0])
     return [besov_norm(a - b, args.alpha) for a, b in zip(sols, sols[1:])]
 
 
 def _study_burgers(args, lam: float, seed: int, eps_list):
-    grid = TorusGrid(1, args.n)
-    theta = burgers_theta_path(grid, args.sigma, args.horizon,
-                               args.time_steps, 1, seed)
-    psi = MOLLIFIERS[args.mollifier]
-    G = _cos_function(args.amplitude * lam ** args.alpha)
     # classical mollified solves by explicit ETD2, L w = G(u) d_x u with
     # u = theta_eps + w, one eps per channel of one march: with
     # fp_tol = math.inf each step makes one corrector, so the channels
     # never wait on each other's fixed point
+    grid = TorusGrid(1, args.n)
+    theta = burgers_theta_path(grid, args.sigma, args.horizon, args.time_steps, 1, seed)
+    cfg = SolverConfig(alpha=args.alpha, sigma=args.sigma, T=args.horizon,
+                       M=args.time_steps, fp_tol=math.inf, damping=1.0)
+    psi = MOLLIFIERS[args.mollifier]
+    G = _cos_function(args.amplitude * lam ** cfg.alpha)
     paths = [mollify(theta, eps, psi).fields for eps in eps_list]
     thc = [SpectralField(grid, np.concatenate([p[n].coeffs[:1] for p in paths]))
            for n in range(len(paths[0]))]
     dth = [derivative(f, 0) for f in thc]
     drift = lambda n, w: dealiased_product(apply_pointwise(G.f, thc[n] + w),
                                            dth[n] + derivative(w, 0))
-    sol = trapezoid_exponential_path(grid, args.sigma, SpectralField.zero(grid, len(eps_list)),
-                                     drift, args.horizon, len(thc) - 1, fp_tol=math.inf)[0]
-    return [max(besov_norm(u.channel(k) - u.channel(k + 1), args.alpha)
+    sol = trapezoid_exponential_path(cfg.sigma, SpectralField.zero(grid, len(eps_list)), drift,
+                                     cfg.T, cfg.M, fp_tol=cfg.fp_tol, damping=cfg.damping)[0]
+    return [max(besov_norm(u.channel(k) - u.channel(k + 1), cfg.alpha)
                 for u in sol.fields)
             for k in range(len(eps_list) - 1)]
 

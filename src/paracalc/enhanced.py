@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
+from .evolution import heat_apply
 from .grid import FieldPath, SpectralField, TorusGrid, TWO_PI
 from .noise import Mollifier, mollify, pam_theta
 from .partition import DyadicPartition
-from .spectral import antiderivative, derivative
+from .spectral import _symbol, antiderivative, derivative
 from .paraproducts import Blocks, para_lt, para_gt, resonant
 
 
@@ -79,7 +80,7 @@ def pam_gt(t: float, grid: TorusGrid) -> float:
     (2 pi)^-2 sum over nonzero lattice k of exp(-t|k|^2)."""
     if t <= 0:
         raise ValueError("the heat constant needs t > 0")
-    r2 = grid.k_abs() ** 2
+    r2 = _symbol(grid, None, 2.0)
     return float(np.sum(np.exp(-t * r2[r2 > 0])) / TWO_PI**2)
 
 
@@ -88,7 +89,7 @@ def pam_c_eps(eps: float, psi: Mollifier, grid: TorusGrid) -> float:
     (2 pi)^-2 sum over nonzero k of |profile(eps |k|)|^2 / |k|^2."""
     if not 0 < eps < math.inf:  # also rejects NaN
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    r = grid.k_abs()
+    r = _symbol(grid, None, 1.0)
     nz = r > 0
     w = np.asarray(psi(eps * r[nz]), dtype=np.float64)
     return float(np.sum(w * w / r[nz] ** 2) / TWO_PI**2)
@@ -104,22 +105,19 @@ def pam_renormalized_area(xi: SpectralField, eps: float, psi: Mollifier) -> Spec
                                          area.channels)
 
 
-def pam_area_by_time_integral(xi: SpectralField, t_min: float = 1e-4,
-                              t_max: float = 50.0, nodes: int = 129) -> SpectralField:
+def pam_area_by_time_integral(xi: SpectralField) -> SpectralField:
     """Cross-check constructor of the renormalized area as the time integral
-    of (P_t xi @ xi - g_t), by Simpson quadrature on a log-spaced t grid.
+    of (P_t xi @ xi - g_t), by Simpson quadrature on 257 log-spaced t in [1e-5, 80].
 
     The grid truncation makes both the integrand and its subtracted mean
-    finite, so the integral converges as t_min -> 0 like the resolved
+    finite, so the integral converges as t -> 0 like the resolved
     ultraviolet tail; used for diagnostics, not as the primary object.
     """
     grid = xi.grid
-    ts = np.exp(np.linspace(math.log(t_min), math.log(t_max), nodes))
-    r2 = grid.k_abs() ** 2
+    ts = np.exp(np.linspace(math.log(1e-5), math.log(80.0), 257))
     samples = []
     for t in ts:
-        pt = SpectralField(grid, xi.coeffs * np.exp(-t * r2))
-        f = resonant(pt, xi) - SpectralField.constant(grid, pam_gt(t, grid))
+        f = resonant(heat_apply(xi, t, 1.0), xi) - SpectralField.constant(grid, pam_gt(t, grid))
         samples.append(f.coeffs)
     vals = np.stack(samples)  # integrate each coefficient over t
     out = simpson(vals, x=ts, axis=0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import FieldPath, SpectralField, TorusGrid
-from .spectral import _symbol, fractional_laplacian
+from .spectral import _symbol
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,11 @@ class SemigroupSpec:
         return (np.exp(-z), *_duhamel_weights(z, dt))
 
 
-def heat_apply(f: SpectralField, t: float, spec: SemigroupSpec) -> SpectralField:
-    """Semigroup P_t: multiply mode k by exp(-t |k|^(2 sigma))."""
+def heat_apply(f: SpectralField, t: float, sigma: float) -> SpectralField:
+    """Semigroup P_t on f's grid: multiply mode k by exp(-t |k|^(2 sigma))."""
     if t < 0:
         raise ValueError("the semigroup only runs forward")
-    return SpectralField(f.grid, f.coeffs * np.exp(-t * spec.symbol()))
+    return SpectralField(f.grid, f.coeffs * np.exp(-t * SemigroupSpec(sigma, f.grid).symbol()))
 
 
 def _duhamel_weights(z: np.ndarray, dt: float):
@@ -126,8 +126,7 @@ def damped_fixed_point(step, x: SpectralField, fp_tol: float, fp_max: int,
     raise NonConvergence(f"{where}: fixed point stalled at residual {res:.3g}", k, res)
 
 
-def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
-                               drift, T: float, M: int,
+def trapezoid_exponential_path(sigma: float, u0: SpectralField, drift, T: float, M: int,
                                fp_tol: float = 1e-12, fp_max: int = 50,
                                damping: float = 1.0, blowup: float = 1e8):
     """Mild-form march of L u = N(u), L = d/dt + (-Laplacian)^sigma, by the
@@ -138,12 +137,15 @@ def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
     by `damped_fixed_point`; fp_tol = math.inf keeps the first corrector,
     which is explicit ETD2 (Cox & Matthews 2002).
 
-    Returns (path, worst inner iteration count, worst final residual).
-    Raises NonConvergence when a step's fixed point fails or the solution
-    leaves the blow-up bound, and ValueError when M < 1.
+    Returns (path on u0's grid, worst inner iteration count, worst final
+    residual).  Raises NonConvergence when a step's fixed point fails or the
+    solution leaves the blow-up bound, ValueError when M < 1 or u0 is not finite.
     """
     if M < 1:
         raise ValueError(f"need at least one time step, got {M}")
+    if not np.all(np.isfinite(u0.coeffs)):
+        raise ValueError("the initial value must be finite")
+    grid = u0.grid
     dt = T / M
     decay, A, B = SemigroupSpec(sigma, grid).step_weights(dt)
     fields = [u0]
@@ -164,12 +166,12 @@ def trapezoid_exponential_path(grid: TorusGrid, sigma: float, u0: SpectralField,
     return FieldPath(np.arange(M + 1) * dt, fields), worst_it, worst_res
 
 
-def duhamel(v_path: FieldPath, spec: SemigroupSpec) -> FieldPath:
+def duhamel(v_path: FieldPath, sigma: float) -> FieldPath:
     """V(t) = int_0^t P_(t-s) v(s) ds along the path's time grid: the march
     from zero with the drift v, which ignores its field."""
     M = len(v_path) - 1
     path, _, _ = trapezoid_exponential_path(
-        spec.grid, spec.sigma, SpectralField.zero(spec.grid, v_path.channels),
+        sigma, SpectralField.zero(v_path.grid, v_path.channels),
         lambda n, _: v_path[n], M * v_path.dt, M, fp_tol=math.inf, blowup=math.inf)
     return FieldPath(v_path.times, path.fields)
 
@@ -185,9 +187,10 @@ def path_time_derivative(path: FieldPath) -> FieldPath:
     return FieldPath.from_coeff_array(path.times, path.grid, out)
 
 
-def apply_L(path: FieldPath, spec: SemigroupSpec) -> FieldPath:
+def apply_L(path: FieldPath, sigma: float) -> FieldPath:
     """Discrete parabolic operator: finite-difference d/dt plus spectral
     (-Laplacian)^sigma.  Diagnostic; the solvers work in mild form."""
     if len(path) < 3:
         raise ValueError("need at least three time nodes for second-order differences")
-    return path_time_derivative(path) + path.map(lambda f: fractional_laplacian(f, spec.sigma))
+    mu = SemigroupSpec(sigma, path.grid).symbol()
+    return path_time_derivative(path) + path.map(lambda f: SpectralField(f.grid, f.coeffs * mu))

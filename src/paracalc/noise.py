@@ -19,7 +19,7 @@ from .evolution import SemigroupSpec
 from .grid import (FieldPath, SpectralField, TorusGrid, hermitian_conjugate,
                    TWO_PI)
 from .partition import radial_cutoff
-from .spectral import derivative, remove_mean
+from .spectral import _symbol, derivative, remove_mean
 
 
 def _generator(seed) -> np.random.Generator:
@@ -93,7 +93,7 @@ def mollify(f, eps: float, psi: Mollifier = GAUSS_MOLLIFIER):
         raise ValueError(f"mollification scale must be positive and finite, got {eps}")
     if isinstance(f, FieldPath):
         return f.map(lambda g: mollify(g, eps, psi))
-    m = psi(eps * f.grid.k_abs())
+    m = psi(eps * _symbol(f.grid, None, 1.0))
     return SpectralField(f.grid, f.coeffs * m)
 
 
@@ -119,7 +119,7 @@ def pam_theta(xi: SpectralField) -> SpectralField:
     F theta(k) = F xi(k)/|k|^2 with zero mean."""
     if np.max(np.abs(xi.mean())) > 1e-12:
         raise ValueError("lift requires mean-zero input")
-    r2 = xi.grid.k_abs() ** 2
+    r2 = _symbol(xi.grid, None, 2.0)
     c = np.zeros_like(xi.coeffs)
     nz = r2 > 0
     c[:, nz] = xi.coeffs[:, nz] / r2[nz]
@@ -202,9 +202,9 @@ def fbm_path(hurst: float, n: int, T: float, channels: int = 1, seed=0):
     return np.arange(n + 1) * dt, x
 
 
-def default_time_cutoff(t) -> np.ndarray:
-    """Smooth cutoff in time: 1 on [-1, 1], supported in [-2, 2]."""
-    return radial_cutoff(t, 1.0, 2.0)
+def time_cutoff(t, support: float = 2.0) -> np.ndarray:
+    """Smooth cutoff in time: 1 on [-support/2, support/2], 0 off (-support, support)."""
+    return radial_cutoff(t, support / 2, support)
 
 
 def centered_time(grid: TorusGrid) -> np.ndarray:
@@ -238,12 +238,12 @@ def sample_line_path(grid: TorusGrid, hurst: float, seed, support: float = 2.0,
 
 
 def rde_driver(ts: np.ndarray, xs: np.ndarray, grid: TorusGrid,
-               cutoff=default_time_cutoff) -> RdeDriver:
+               support: float = 2.0) -> RdeDriver:
     """Localize a line path onto the time-line torus and differentiate.
 
     `ts, xs` are path samples at the grid spacing as from
-    `sample_line_path`; the path is multiplied by the compactly supported
-    cutoff, wrapped onto the torus (coordinate x <-> time in
+    `sample_line_path`; the path is multiplied by `time_cutoff` of the
+    given support, wrapped onto the torus (coordinate x <-> time in
     [-period/2, period/2)), band-limited by projection, and mean-adjusted.
     xi is the spectral derivative of theta.
     """
@@ -251,7 +251,7 @@ def rde_driver(ts: np.ndarray, xs: np.ndarray, grid: TorusGrid,
         raise ValueError("line drivers live on the 1-torus")
     h = grid.period / grid.n
     t = centered_time(grid)
-    phi = cutoff(t)
+    phi = time_cutoff(t, support)
     if phi[np.abs(np.abs(t) - grid.period / 2) < 2 * h].max() > 1e-14:
         raise ValueError("cutoff support overflows the embedding torus")
     vals = np.zeros((xs.shape[0], grid.n))

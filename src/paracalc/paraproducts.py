@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import SemigroupSpec, apply_L
+from .evolution import apply_L
 from .grid import (FieldPath, SpectralField, apply_pointwise, dealiased_product,
                    field_from_oversampled, oversampled_values)
 from .partition import DyadicPartition, smoothstep
@@ -360,6 +360,5 @@ def heat_para_commutator(upath: FieldPath, vpath: FieldPath) -> FieldPath:
     L(u << v) - u << (Lv), with L = d/dt - Laplacian as `apply_L` takes it
     (second-order finite differences in time, so at least three nodes).
     Both paraproducts share one `CausalAverage` of u."""
-    heat = SemigroupSpec(1.0, upath.grid)
-    uv, ulv = _para_lt_times(upath, [vpath, apply_L(vpath, heat)])
-    return apply_L(uv, heat) - ulv
+    uv, ulv = _para_lt_times(upath, [vpath, apply_L(vpath, 1.0)])
+    return apply_L(uv, 1.0) - ulv

@@ -20,7 +20,7 @@ from .evolution import (SemigroupSpec, SolverReport, damped_fixed_point,
                         trapezoid_exponential_path)
 from .grid import (FieldPath, SpectralField, TorusGrid, dealiased_product,
                    field_from_oversampled, oversampled_values)
-from .noise import centered_time, default_time_cutoff
+from .noise import centered_time, time_cutoff
 from .paraproducts import Blocks, CausalAverage, NonlinearFunction, para_gt, para_lt, resonant
 from .partition import DyadicPartition, radial_cutoff
 from .spectral import (antiderivative, besov_norm, default_partition, derivative,
@@ -65,22 +65,29 @@ def _closed_antiderivative(f: SpectralField, bump: SpectralField,
 
 
 def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
-              cfg: SolverConfig, cutoff=default_time_cutoff,
+              cfg: SolverConfig, support: float = 2.0,
               part: DyadicPartition | None = None):
     """Damped Picard iteration for the localized rough ODE
-    du/dt = cutoff * F(u) * xi on the time-line torus.
+    du/dt = cutoff * F(u) * xi on the time-line torus, cutoff = time_cutoff(t, support).
 
     The iteration updates the whole trajectory at once: assemble the
     remainder's driving term from the current iterate, integrate it, and
     rebuild u from the paracontrolled ansatz
     u = cutoff * (F(u) below theta) + usharp.
+
+    Raises ValueError for a non-finite u0 and unless 0 < support <= period/4:
+    a wider cutoff reaches `_seam_bump`, and the answer is silently wrong.
     """
     if E.kind != "rde":
         raise ValueError("solve_rde expects line-driver enhanced data")
+    if not math.isfinite(u0):
+        raise ValueError(f"the initial value must be finite, got {u0}")
     grid = E.xi.grid
+    if not 0 < support <= grid.period / 4:  # also rejects NaN
+        raise ValueError(f"support {support} not in (0, period/4 = {grid.period / 4:.6g}]")
     xi, theta = E.xi, E.theta
     eta = E.eta.channel(0) if E.eta.channels > 1 else E.eta
-    phi = SpectralField.from_values(grid, cutoff(centered_time(grid)))
+    phi = SpectralField.from_values(grid, time_cutoff(centered_time(grid), support))
     bump, bump_mean = _seam_bump(grid)
     xi_b, theta_b, phi_b = (Blocks(f, part) for f in (xi, theta, phi))
     area = Blocks(eta - resonant(theta_b, xi_b), part)
@@ -179,7 +186,6 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
         raise ValueError("solve_burgers expects path enhanced data")
     theta_path: FieldPath = E.theta
     eta_path: FieldPath = E.eta
-    grid = theta_path.grid
     if not (cfg.sigma > 5.0 / 6.0):
         raise ValueError("need sigma > 5/6")
     M = len(theta_path) - 1
@@ -195,7 +201,7 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
         return Blocks(eta[n] - resonant(theta[n], derivative(theta[n], 0), part), part)
 
     w_path, worst_it, worst_res = trapezoid_exponential_path(
-        grid, cfg.sigma, u0, lambda n, w: burgers_drift(w, theta[n], held(n), G),
+        cfg.sigma, u0, lambda n, w: burgers_drift(w, theta[n], held(n), G),
         M * theta_path.dt, M, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
         damping=cfg.damping)
     u_path = FieldPath(theta_path.times, [a + b for a, b in zip(theta, w_path.fields)])
@@ -260,6 +266,8 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
         raise ValueError("solve_pam expects 2-d static enhanced data")
     if cfg.sigma != 1.0:
         raise ValueError("the 2-d solver is specific to sigma = 1")
+    if not np.all(np.isfinite(u0.coeffs)):
+        raise ValueError("the initial value must be finite")
     xi, theta, eta = E.xi, E.theta, E.eta
     grid = xi.grid
     part = part or default_partition(grid)
@@ -310,11 +318,10 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
 
 
 def solve_pam_regularized(u0: SpectralField, xi_eps: SpectralField, c_eps: float,
-                          F: NonlinearFunction, cfg: SolverConfig,
-                          blowup: float = 1e6) -> FieldPath:
+                          F: NonlinearFunction, cfg: SolverConfig) -> FieldPath:
     """Classical reference solve of the renormalized regularized equation
     L u = F(u) xi_eps - c_eps F'(u) F(u), by the implicit
-    trapezoid-exponential rule (each step iterated to convergence).
+    trapezoid-exponential rule (each step iterated to convergence, blow-up bound 1e6).
 
     xi_eps is held for the whole solve.  A drift evaluation makes 4 transform
     calls: u inverse, F(u) and F'(u) forward and inverse as two channels (F(u)
@@ -328,6 +335,6 @@ def solve_pam_regularized(u0: SpectralField, xi_eps: SpectralField, c_eps: float
         out = g[:1] * xi_values
         return field_from_oversampled(u.grid, out - c_eps * (g[1:] * g[:1]) if c_eps else out)
 
-    return trapezoid_exponential_path(xi_eps.grid, cfg.sigma, u0, drift, cfg.T, cfg.M,
+    return trapezoid_exponential_path(cfg.sigma, u0, drift, cfg.T, cfg.M,
                                       fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
-                                      damping=cfg.damping, blowup=blowup)[0]
+                                      damping=cfg.damping, blowup=1e6)[0]

@@ -92,7 +92,7 @@ def test_criterion_02_closed_form_constants():
         xi = spatial_white_noise(grid, s)
         for t in ts:
             acc[t].append(float(
-                resonant(heat_apply(xi, t, spec), xi, part).values().mean()))
+                resonant(heat_apply(xi, t, spec.sigma), xi, part).values().mean()))
     devs = []
     for t in ts:
         se = np.std(acc[t], ddof=1) / math.sqrt(len(acc[t]))
@@ -278,7 +278,7 @@ def test_criterion_06_estimate_exponents():
     for sigma, beta in ((1.0, 0.5), (1.0, 1.0), (0.75, 0.75)):
         spec = SemigroupSpec(sigma, grid)
         f = synthetic(grid, -0.6)
-        ys = [math.log(besov_norm(heat_apply(f, t, spec), -0.6 + beta))
+        ys = [math.log(besov_norm(heat_apply(f, t, spec.sigma), -0.6 + beta))
               for t in ts]
         slope = np.polyfit(np.log(ts), ys, 1)[0]
         target = -beta / (2.0 * sigma)
@@ -288,7 +288,7 @@ def test_criterion_06_estimate_exponents():
     # strong continuity: (P_t - I) loses delta derivatives at rate t^(delta/2)
     spec = SemigroupSpec(1.0, grid)
     f = synthetic(grid, 0.9)
-    ys = [math.log(besov_norm(heat_apply(f, t, spec) - f, 0.1))
+    ys = [math.log(besov_norm(heat_apply(f, t, spec.sigma) - f, 0.1))
           for t in ts]
     slope = np.polyfit(np.log(ts), ys, 1)[0]
     ok &= abs(slope - 0.4) <= 0.04

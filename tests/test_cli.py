@@ -10,7 +10,7 @@ import pytest
 
 from paracalc import (GAUSS_MOLLIFIER, FieldPath, SpectralField, TorusGrid, apply_pointwise,
                       besov_norm, burgers_theta_path, dealiased_product, derivative,
-                      load_field, mollify, pam_c_eps, radial_cutoff, rde_driver,
+                      load_field, mollify, pam_c_eps, rde_driver,
                       sample_line_path, solve_pam_regularized, spatial_white_noise,
                       trapezoid_exponential_path)
 from paracalc import cli
@@ -300,7 +300,7 @@ class TestNoise:
         assert main(["noise", "--kind", "rde", "--seed", "4", "--out", str(out)] + extra) == 0
         grid = TorusGrid(1, 64, 8 * np.pi)
         ts, xs = sample_line_path(grid, 0.75, 4, support=support)
-        ref = rde_driver(ts, xs, grid, lambda t: radial_cutoff(t, support / 2, support)).theta
+        ref = rde_driver(ts, xs, grid, support).theta
         if eps:
             ref = mollify(ref, eps, GAUSS_MOLLIFIER)
         assert np.array_equal(load_field(out / "noise.field").coeffs, ref.coeffs)
@@ -398,7 +398,15 @@ BAD_INPUTS = [
     ["noise", "--kind", "burgers", "--horizon", "inf"],
     ["area", "--kind", "burgers", "--horizon", "inf"],
     ["solve-burgers", "--horizon", "inf"],
-    ["noise", "--kind", "burgers", "--sigma", "1e6"]]
+    ["noise", "--kind", "burgers", "--sigma", "1e6"],
+    ["solve-rde", "--support", "7"],
+    ["study", "--equation", "rde", "--eps", "0.5", "0.25", "--seeds", "1", "--support", "7"],
+    [*SMALL_SOLVES["solve-pam"], "--u0", "nan"],
+    ["solve-rde", "--u0", "inf"],
+    ["study", "--equation", "pam", "--eps", "0.5", "0.25", "--seeds", "1", "--n", "32",
+     "--time-steps", "4", "--u0", "inf"],
+    *[["study", "--equation", "burgers", "--eps", "0.5", "0.25", "--seeds", "1", "--n", "32",
+       "--alpha", v] for v in ("nan", "1e6")]]
 
 
 class TestSolves:
@@ -452,7 +460,9 @@ class TestSolves:
     def test_a_complex_or_non_finite_input_exits_one(self, tmp_path, capsys, argv):
         # (-1)^alpha is complex, which used to end in a TypeError traceback from
         # rfft; a NaN or infinite coupling exited 2 as a failed solve; a NaN or
-        # huge alpha, an infinite horizon and sigma = 1e6 wrote non-finite numbers
+        # huge alpha, an infinite horizon and sigma = 1e6 wrote non-finite numbers;
+        # a rough-ODE window past a quarter period (support 7 at embedding 4)
+        # returned a wrong solution; a non-finite --u0 exited 2 as a failed solve
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -527,7 +537,7 @@ def study_burgers_one_eps_at_a_time(args, lam, seed, eps_list):
         dth = [derivative(f, 0) for f in thc]
         drift = lambda n, w: dealiased_product(apply_pointwise(G.f, thc[n] + w),
                                                dth[n] + derivative(w, 0))
-        sols.append(trapezoid_exponential_path(grid, args.sigma, SpectralField.zero(grid),
+        sols.append(trapezoid_exponential_path(args.sigma, SpectralField.zero(grid),
                                                drift, args.horizon, len(thc) - 1,
                                                fp_tol=math.inf)[0])
     return [max(besov_norm(x - y, args.alpha) for x, y in zip(a.fields, b.fields))

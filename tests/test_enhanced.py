@@ -71,7 +71,7 @@ class TestPamArea:
         # integrating the heat-smoothed pairing over all t reproduces the
         # unmollified renormalized area on the truncated lattice
         xi = spatial_white_noise(grid2d, 1)
-        via_integral = pam_area_by_time_integral(xi, 1e-5, 80.0, 257)
+        via_integral = pam_area_by_time_integral(xi)
         direct = resonant(pam_theta(xi), xi, part2d) \
             - pam_c_eps(1.0, DIRAC_MOLLIFIER, grid2d)
         scale = max(direct.sup_norm(), 1.0)

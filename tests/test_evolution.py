@@ -30,7 +30,7 @@ class TestHeatApply:
     def test_single_mode_decay(self, grid1d):
         spec = SemigroupSpec(0.9, grid1d)
         f = SpectralField.from_function(grid1d, lambda x: np.cos(4 * x))
-        g = heat_apply(f, 0.3, spec)
+        g = heat_apply(f, 0.3, spec.sigma)
         w = math.exp(-0.3 * 4.0 ** 1.8)
         assert g.coeffs[0, 4] == pytest.approx(0.5 * w, rel=1e-13)
 
@@ -38,19 +38,19 @@ class TestHeatApply:
         spec = SemigroupSpec(1.0, grid1d)
         f = rough_field(grid1d, 0.5, 0)
         with pytest.raises(ValueError):
-            heat_apply(f, -0.1, spec)
+            heat_apply(f, -0.1, spec.sigma)
 
     def test_semigroup_law(self, grid1d):
         spec = SemigroupSpec(0.8, grid1d)
         f = rough_field(grid1d, 0.2, 1)
-        a = heat_apply(heat_apply(f, 0.1, spec), 0.25, spec)
-        b = heat_apply(f, 0.35, spec)
+        a = heat_apply(heat_apply(f, 0.1, spec.sigma), 0.25, spec.sigma)
+        b = heat_apply(f, 0.35, spec.sigma)
         assert (a - b).sup_norm() < 1e-13
 
     def test_preserves_the_mean(self, grid2d):
         f = rough_field(grid2d, 0.4, 2) + 1.5
         spec = SemigroupSpec(1.0, grid2d)
-        assert heat_apply(f, 2.0, spec).mean()[0] == pytest.approx(
+        assert heat_apply(f, 2.0, spec.sigma).mean()[0] == pytest.approx(
             f.mean()[0], rel=1e-13)
 
 
@@ -80,7 +80,7 @@ class TestDuhamel:
         spec = SemigroupSpec(0.75, grid1d)
         f = rough_field(grid1d, 0.5, 3) + 0.7
         times = np.linspace(0.0, 0.5, 9)
-        out = duhamel(FieldPath(times, [f] * 9), spec)
+        out = duhamel(FieldPath(times, [f] * 9), spec.sigma)
         mu = spec.symbol()
         t = times[-1]
         fac = np.where(mu > 0, -np.expm1(-t * np.where(mu > 0, mu, 1.0))
@@ -92,7 +92,7 @@ class TestDuhamel:
         f = rough_field(grid1d, 0.5, 4)
         times = np.linspace(0.0, 0.4, 17)
         path = FieldPath(times, [f * t for t in times])
-        out = duhamel(path, spec)
+        out = duhamel(path, spec.sigma)
         mu = spec.symbol()
         t = times[-1]
         nz = mu > 0
@@ -104,7 +104,7 @@ class TestDuhamel:
         spec = SemigroupSpec(1.0, grid2d)
         times = np.linspace(0.0, 0.1, 5)
         path = FieldPath(times, [rough_field(grid2d, 0.5, s) for s in range(5)])
-        out = duhamel(path, spec)
+        out = duhamel(path, spec.sigma)
         assert out[0].sup_norm() == 0.0
 
     def test_equals_the_per_mode_recurrence(self, grid2d):
@@ -119,7 +119,7 @@ class TestDuhamel:
         ref = np.zeros_like(arr)
         for n in range(12):
             ref[n + 1] = ref[n] * np.exp(-z) + arr[n] * (A - B) + arr[n + 1] * B
-        out = duhamel(FieldPath.from_coeff_array(times, grid2d, arr), spec)
+        out = duhamel(FieldPath.from_coeff_array(times, grid2d, arr), spec.sigma)
         assert np.array_equal(out.times, times)
         assert np.max(np.abs(out.coeff_array() - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -130,7 +130,7 @@ class TestApplyL:
         times = np.array([0.0, 0.1])
         path = FieldPath(times, [rough_field(grid1d, 0.5, 0)] * 2)
         with pytest.raises(ValueError):
-            apply_L(path, spec)
+            apply_L(path, spec.sigma)
 
     def test_heat_flow_is_annihilated(self, grid1d):
         # u(t) = P_t u0 solves L u = 0; only the finite-difference time
@@ -138,8 +138,8 @@ class TestApplyL:
         spec = SemigroupSpec(1.0, grid1d)
         f = SpectralField.from_function(grid1d, lambda x: np.cos(3 * x))
         times = np.linspace(0.0, 0.2, 41)
-        path = FieldPath(times, [heat_apply(f, t, spec) for t in times])
-        out = apply_L(path, spec)
+        path = FieldPath(times, [heat_apply(f, t, spec.sigma) for t in times])
+        out = apply_L(path, spec.sigma)
         # interior nodes use central differences, the endpoints one-sided
         assert max(h.sup_norm() for h in out.fields[1:-1]) < 5e-3
         assert max(h.sup_norm() for h in out.fields) < 2e-2
@@ -150,6 +150,6 @@ class TestApplyL:
         g = SpectralField.from_function(grid1d, lambda x: np.cos(2 * x))
         times = np.linspace(0.0, 0.3, 121)
         path = FieldPath(times, [g * math.sin(3.0 * t) for t in times])
-        out = apply_L(duhamel(path, spec), spec)
+        out = apply_L(duhamel(path, spec.sigma), spec.sigma)
         err = max((out[n] - path[n]).sup_norm() for n in range(5, len(times)))
         assert err < 2e-3

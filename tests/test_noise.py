@@ -9,12 +9,11 @@ import pytest
 from paracalc import noise
 from paracalc import (BUMP_MOLLIFIER, DIRAC_MOLLIFIER, GAUSS_MOLLIFIER,
                       Mollifier, SpectralField, TorusGrid,
-                      burgers_theta_path, default_time_cutoff, derivative,
+                      burgers_theta_path, derivative,
                       fbm_path, mollify, pam_theta, rde_driver,
-                      sample_line_path, spatial_white_noise)
+                      sample_line_path, spatial_white_noise, time_cutoff)
 from paracalc.grid import hermitian_conjugate
 from paracalc.noise import _fgn_autocov
-from paracalc.partition import radial_cutoff
 
 TWO_PI = 2 * math.pi
 
@@ -216,13 +215,12 @@ class TestLineDriver:
     def test_rejects_cutoff_wider_than_the_torus(self):
         grid = TorusGrid(1, 64, TWO_PI)
         ts, xs = sample_line_path(grid, 0.75, 12, support=4.0)
-        wide = lambda t: radial_cutoff(t, 3.0, 4.0)
         with pytest.raises(ValueError):
-            rde_driver(ts, xs, grid, wide)
+            rde_driver(ts, xs, grid, support=4.0)
 
     def test_default_cutoff_shape(self):
         t = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
-        v = default_time_cutoff(t)
+        v = time_cutoff(t)
         assert np.all(v[:3] == 1.0)
         assert 0 < v[3] < 1
         assert np.all(v[4:] == 0.0)

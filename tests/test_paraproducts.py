@@ -15,7 +15,7 @@ from paracalc import (Blocks, NonlinearFunction, ParacontrolledField, SpectralFi
                       paralin_remainder, paraproduct_switch, pi_F, pi_times,
                       poly_function, resonant)
 from paracalc.grid import FieldPath, oversampled_values
-from paracalc.evolution import SemigroupSpec, apply_L, path_time_derivative
+from paracalc.evolution import apply_L, path_time_derivative
 from paracalc.paraproducts import CausalAverage, _node_weights, _qi_kernel
 from paracalc.spectral import block_sups, default_partition, lp_block, make_dyadic_partition
 
@@ -28,7 +28,7 @@ def heat_commutator_product_rule(upath, vpath):
     product resolved on the grid, so it is a reference for band-limited
     fields only: it drops the gradients of the Nyquist modes."""
     grid = upath.grid
-    acc = para_lt_time(apply_L(upath, SemigroupSpec(1.0, grid)), vpath)
+    acc = para_lt_time(apply_L(upath, 1.0), vpath)
     for ax in range(grid.dim):
         du = upath.map(lambda f, ax=ax: derivative(f, ax))
         dv = vpath.map(lambda f, ax=ax: derivative(f, ax))

@@ -367,6 +367,16 @@ class TestRoughOde:
         ss = np.polyfit(js, np.log2(block_sups(usharp)[3:]), 1)[0]
         assert ss < su - 0.8
 
+    def test_window_reaches_at_most_a_quarter_period(self):
+        # `_seam_bump` closes the antiderivative on |t| > period/4, so a wider
+        # cutoff overlaps it and the solve would return a wrong trajectory
+        E, part = self._enhanced(eps=0.25)
+        edge = E.xi.grid.period / 4
+        cfg = SolverConfig(alpha=0.45, damping=0.7)
+        assert solve_rde(0.3, E, tanh_fn(0.4), cfg, edge, part)[2].converged
+        with pytest.raises(ValueError, match="period/4"):
+            solve_rde(0.3, E, tanh_fn(0.4), cfg, math.nextafter(edge, math.inf), part)
+
     def test_report_carries_advice_when_stalled(self):
         E, part = self._enhanced()
         cfg = SolverConfig(alpha=0.45, damping=0.9, fp_tol=1e-12, fp_max=2)
@@ -439,7 +449,7 @@ class TestBurgers:
                            damping=1.0)
         w_path, u_path, rep = solve_burgers(w0, E, G, cfg, part=part)
         drift = lambda n, u: dealiased_product(G(u), derivative(u, 0))
-        ref, _, _ = trapezoid_exponential_path(grid, sigma, w0, drift, T, M,
+        ref, _, _ = trapezoid_exponential_path(sigma, w0, drift, T, M,
                                                fp_tol=1e-12)
         assert max((w_path[n] - ref[n]).sup_norm() for n in range(M + 1)) < 1e-13
         assert max((u_path[n] - w_path[n]).sup_norm() for n in range(M + 1)) < 1e-14
@@ -631,7 +641,7 @@ class TestPam:
                                           part=part)
         spec = SemigroupSpec(1.0, grid)
         for n, t in enumerate(u_path.times):
-            assert (u_path[n] - heat_apply(u0, t, spec)).sup_norm() < 1e-13
+            assert (u_path[n] - heat_apply(u0, t, spec.sigma)).sup_norm() < 1e-13
             assert (u_path[n] - sharp_path[n]).sup_norm() < 1e-14
 
     def test_causal_average_is_frozen_share_plus_current_node(self):
@@ -715,7 +725,7 @@ class TestPam:
                 out = out - c_eps * (oversampled_values(F.deriv(u)) * fu)
             return field_from_oversampled(grid, out)
 
-        ref, _, _ = trapezoid_exponential_path(grid, 1.0, u0, drift, cfg.T, cfg.M,
+        ref, _, _ = trapezoid_exponential_path(1.0, u0, drift, cfg.T, cfg.M,
                                                fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
                                                damping=cfg.damping, blowup=1e6)
         out = solve_pam_regularized(u0, xi, c_eps, F, cfg)
@@ -728,7 +738,7 @@ class TestPam:
         # channels of one call, and the summed products once
         drifts = []
         monkeypatch.setattr(paracalc.solvers, "trapezoid_exponential_path",
-                            lambda grid, sigma, u0, drift, *a, **k:
+                            lambda sigma, u0, drift, *a, **k:
                             (drifts.append(drift), 0, 0.0))
         grid = TorusGrid(2, 32)
         xi = mollify(spatial_white_noise(grid, 3), 0.25, BUMP_MOLLIFIER)
@@ -812,7 +822,7 @@ class TestPam:
         cfg = SolverConfig(alpha=0.45, sigma=1.0, T=2.0, M=16, fp_tol=1e-10)
         with pytest.raises(RuntimeError):
             solve_pam_regularized(SpectralField.constant(grid, 5.0), xi, 0.0,
-                                  poly_function([0.0, 1.0]), cfg, blowup=1e3)
+                                  poly_function([0.0, 1.0]), cfg)
 
     def test_regularized_solver_runs_below_the_dyadic_partition(self):
         # the classical solve uses no dyadic blocks, so a grid too coarse
@@ -834,7 +844,7 @@ class TestPam:
     def test_march_rejects_non_positive_step_counts(self, M):
         grid = TorusGrid(1, 16)
         with pytest.raises(ValueError, match="at least one time step"):
-            trapezoid_exponential_path(grid, 1.0, SpectralField.zero(grid), lambda n, u: u,
+            trapezoid_exponential_path(1.0, SpectralField.zero(grid), lambda n, u: u,
                                        1.0, M)
 
 
@@ -844,11 +854,11 @@ class TestReferenceIntegrators:
         w0 = SpectralField.from_function(
             grid, lambda x: 0.5 * np.sin(x) + 0.2 * np.cos(3 * x))
         path, _, _ = trapezoid_exponential_path(
-            grid, 1.0, w0, lambda n, u: SpectralField.zero(grid), 0.5, 8,
+            1.0, w0, lambda n, u: SpectralField.zero(grid), 0.5, 8,
             fp_tol=math.inf)
         spec = SemigroupSpec(1.0, grid)
         for n, t in enumerate(path.times):
-            assert (path[n] - heat_apply(w0, t, spec)).sup_norm() < 1e-14
+            assert (path[n] - heat_apply(w0, t, spec.sigma)).sup_norm() < 1e-14
 
     def test_etd2_second_order_on_a_scalar_mode(self):
         # logistic-type source on the zero mode: halving the step shrinks
@@ -860,7 +870,7 @@ class TestReferenceIntegrators:
                         rtol=1e-12, atol=1e-14).y[0, -1]
         errs = []
         for M in (8, 16, 32):
-            path, _, _ = trapezoid_exponential_path(grid, 1.0, u0, source, 1.0, M,
+            path, _, _ = trapezoid_exponential_path(1.0, u0, source, 1.0, M,
                                                     fp_tol=math.inf)
             errs.append(abs(path[-1].mean()[0] - ref))
         assert errs[0] / errs[1] > 3.0
@@ -875,7 +885,7 @@ class TestReferenceIntegrators:
             return u * -1.0
 
         path, iterations, _ = trapezoid_exponential_path(
-            grid, 1.0, SpectralField.constant(grid, 1.0), drift, 1.0, 4,
+            1.0, SpectralField.constant(grid, 1.0), drift, 1.0, 4,
             fp_tol=math.inf)
         assert nodes == [0, 1, 1, 2, 2, 3, 3, 4]
         assert iterations == 1 and len(path) == 5
@@ -889,7 +899,7 @@ class TestReferenceIntegrators:
             return u * math.nan
 
         with pytest.raises(NonConvergence, match="step 0: fixed point diverged at residual nan"):
-            trapezoid_exponential_path(grid, 1.0, SpectralField.constant(grid, 1.0),
+            trapezoid_exponential_path(1.0, SpectralField.constant(grid, 1.0),
                                        drift, 1.0, 4)
         assert nodes == [0, 1]
 
@@ -898,7 +908,7 @@ class TestReferenceIntegrators:
         # the previous one, but passes four times the smallest one at the 4th
         grid = TorusGrid(1, 32)
         with pytest.raises(NonConvergence, match="step 0: fixed point diverged") as exc:
-            trapezoid_exponential_path(grid, 1.0, SpectralField.constant(grid, 1.0),
+            trapezoid_exponential_path(1.0, SpectralField.constant(grid, 1.0),
                                        lambda n, u: u * 20.0, 1.0, 4, fp_max=200,
                                        damping=0.5)
         assert exc.value.report.iterations <= 6
@@ -910,14 +920,14 @@ class TestReferenceIntegrators:
         with pytest.raises(ValueError, match="fp_max"):
             damped_fixed_point(lambda u: u, u0, 1e-12, fp_max, 1.0, "test")
         with pytest.raises(ValueError, match="fp_max"):
-            trapezoid_exponential_path(grid, 1.0, u0, lambda n, u: u * -1.0, 1.0, 4,
+            trapezoid_exponential_path(1.0, u0, lambda n, u: u * -1.0, 1.0, 4,
                                        fp_max=fp_max)
 
     def test_blowup_raises_non_convergence(self):
         grid = TorusGrid(1, 32)
         # each explicit step multiplies the mean by 18.5, past 100 at step 1
         with pytest.raises(NonConvergence, match="step 1: solution exceeded the blow-up bound") as exc:
-            trapezoid_exponential_path(grid, 1.0, SpectralField.constant(grid, 1.0),
+            trapezoid_exponential_path(1.0, SpectralField.constant(grid, 1.0),
                                        lambda n, u: u * 20.0, 1.0, 4, fp_tol=math.inf,
                                        blowup=100.0)
         assert exc.value.report.converged is False and exc.value.report.iterations == 1
