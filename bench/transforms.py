@@ -17,7 +17,11 @@ holders warm, and one drift evaluation of the classical
 rows record the inverse and forward oversampled transform calls that one
 evaluation makes and the channels they transform (j_max inverse and one
 forward for the paraproduct; the transform counts per drift evaluation
-of the two 2-d solvers).  Prints one JSON object:
+of the two 2-d solvers).  Two march-step rows time whole 2-d solves per
+time step and count their drift evaluations per step:
+`solve_pam_regularized` at the PAM study's config (N = 64, 32 steps,
+fp_tol 1e-10, damping 1) and `solve_pam` at perfbench's pam2d config
+(N = 64, 8 steps, fp_tol 1e-11, damping 1).  Prints one JSON object:
 the machine facts and, per layer and size, the median and quartiles of
 the per-call time over the repeats.  The sweep owns its process, as the
 CLI does, so it runs under the CLI's allocator policy
@@ -32,7 +36,7 @@ prints to stderr every row whose median is 10 % or more above that
 record's, and exits 1 if there is one.
 
 Each repeat makes enough calls to last about 0.1 s; the whole sweep takes
-about 30 s.
+about 35 s.
 """
 
 import os
@@ -50,7 +54,8 @@ import sys  # noqa: E402
 import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
@@ -60,11 +65,15 @@ import paracalc.grid  # noqa: E402
 import paracalc.solvers  # noqa: E402
 from paracalc.grid import (SpectralField, TorusGrid, dealiased_product,  # noqa: E402
                            field_from_oversampled, oversampled_values)
-from paracalc.noise import pam_theta  # noqa: E402
+from paracalc.enhanced import pam_c_eps  # noqa: E402
+from paracalc.noise import (BUMP_MOLLIFIER, mollify, pam_theta,  # noqa: E402
+                            spatial_white_noise)
 from paracalc.paraproducts import (Blocks, CausalAverage, para_lt,  # noqa: E402
                                    poly_function, resonant)
-from paracalc.solvers import SolverConfig, pam_drift_sharp, solve_pam_regularized  # noqa: E402
+from paracalc.solvers import (SolverConfig, pam_drift_sharp, solve_pam,  # noqa: E402
+                              solve_pam_regularized)
 from paracalc.spectral import default_partition, remove_mean  # noqa: E402
+import workloads  # noqa: E402  (perfbench's)
 
 SIZES = [(1, 256), (1, 1024), (2, 32), (2, 64), (2, 128)]
 REPEATS = 7
@@ -150,6 +159,59 @@ def later_regularized_drift(grid, rng):
     return lambda: drift(1, u)
 
 
+def regularized_study_solve():
+    """(steps, solve): `solve_pam_regularized` at the PAM study's config,
+    N = 64 and 32 steps to T = 1/4, on the white noise of seed 0
+    bump-mollified at eps = 1/8 with its constant, F = 0.4 tanh, u0 = 0.3,
+    fp_tol 1e-10, damping 1."""
+    grid = TorusGrid(2, 64)
+    xi = mollify(spatial_white_noise(grid, 0), 0.125, BUMP_MOLLIFIER)
+    c = pam_c_eps(0.125, BUMP_MOLLIFIER, grid)
+    cfg = SolverConfig(alpha=0.45, T=0.25, M=32, fp_tol=1e-10, damping=1.0)
+    u0, F = SpectralField.constant(grid, 0.3), paracalc.cli._tanh_function(0.4)
+    return cfg.M, lambda: solve_pam_regularized(u0, xi, c, F, cfg)
+
+
+def pam2d_solve():
+    """(steps, solve): `solve_pam` on the inputs of perfbench's pam2d
+    workload at seed 1 (N = 64, 8 steps of 1/512, fp_tol 1e-11, damping 1)."""
+    E, part, cfg, u0, F = workloads.Pam2d().build(1)[1]
+    return cfg.M, lambda: solve_pam(u0, E, F, cfg, part=part)
+
+
+def drift_evaluations(solve) -> int:
+    """Drift evaluations of one solve: its `pam_drift_sharp` calls and its
+    calls of the drift it hands `trapezoid_exponential_path`."""
+    count = [0]
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    drift = paracalc.solvers.pam_drift_sharp
+    march = paracalc.solvers.trapezoid_exponential_path
+    paracalc.solvers.pam_drift_sharp = counted(drift)
+    paracalc.solvers.trapezoid_exponential_path = \
+        lambda sigma, u0, fn, *a, **k: march(sigma, u0, counted(fn), *a, **k)
+    try:
+        solve()
+    finally:
+        paracalc.solvers.pam_drift_sharp = drift
+        paracalc.solvers.trapezoid_exponential_path = march
+    return count[0]
+
+
+def per_step(steps: int, solve) -> dict:
+    """Time per step of a solve (median and quartiles over the repeats) and
+    its drift evaluations per step."""
+    t = per_call_us(solve)
+    return {"steps": steps, **{k: round(v / steps, 2) if k.endswith("_us") else v
+                               for k, v in t.items()},
+            "drift_evals_per_step": round(drift_evaluations(solve) / steps, 3)}
+
+
 def _channels(name, args) -> int:
     """Channels of one oversampled transform call's input."""
     if name == "oversampled_values":
@@ -219,6 +281,9 @@ def sweep() -> list:
             for name, fn in drifts.items():
                 rows.append({"layer": name, "dim": dim, "n": n,
                              **per_call_us(fn), **transform_counts(fn)})
+    for name, (steps, solve) in {"solvers.solve_pam_regularized.step": regularized_study_solve(),
+                                 "solvers.solve_pam.step": pam2d_solve()}.items():
+        rows.append({"layer": name, "dim": 2, "n": 64, **per_step(steps, solve)})
     return rows
 
 

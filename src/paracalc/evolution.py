@@ -133,9 +133,12 @@ def trapezoid_exponential_path(sigma: float, u0: SpectralField, drift, T: float,
     trapezoid-exponential rule, exact per Fourier mode in the linear part.
 
     `drift(n, u)` is N at time node n for the field u there.  Each step
-    starts from the explicit predictor and solves for the implicit endpoint
-    by `damped_fixed_point`; fp_tol = math.inf keeps the first corrector,
-    which is explicit ETD2 (Cox & Matthews 2002).
+    solves for its implicit endpoint by `damped_fixed_point`; fp_tol =
+    math.inf keeps the first corrector from the explicit predictor, which
+    is explicit ETD2 (Cox & Matthews 2002).  A finite fp_tol starts step
+    n >= 1 from the extrapolated drift 2 N_n - N_(n-1), and the drift the
+    corrector last computed, within fp_tol of the accepted node, is the
+    next step's left drift: no drift is evaluated at an accepted node.
 
     Returns (path on u0's grid, worst inner iteration count, worst final
     residual).  Raises NonConvergence when a step's fixed point fails or the
@@ -148,16 +151,26 @@ def trapezoid_exponential_path(sigma: float, u0: SpectralField, drift, T: float,
     grid = u0.grid
     dt = T / M
     decay, A, B = SemigroupSpec(sigma, grid).step_weights(dt)
+    implicit = math.isfinite(fp_tol)
     fields = [u0]
     u = u0
+    d1 = drift(0, u0).coeffs  # the latest drift: node 0's, then each corrector's
     worst_it, worst_res = 0, 0.0
     for n in range(M):
-        d0 = drift(n, u).coeffs
+        if n:
+            d_prev = d0
+        d0 = drift(n, u).coeffs if n and not implicit else d1
         base = u.coeffs * decay + d0 * (A - B)
-        u, k, res = damped_fixed_point(
-            lambda v: SpectralField(grid, base + drift(n + 1, v).coeffs * B),
-            SpectralField(grid, u.coeffs * decay + d0 * A), fp_tol, fp_max, damping,
-            f"step {n}")
+        start = (base + (2.0 * d0 - d_prev) * B if n and implicit
+                 else u.coeffs * decay + d0 * A)
+
+        def corrector(v: SpectralField) -> SpectralField:
+            nonlocal d1
+            d1 = drift(n + 1, v).coeffs
+            return SpectralField(grid, base + d1 * B)
+
+        u, k, res = damped_fixed_point(corrector, SpectralField(grid, start), fp_tol,
+                                       fp_max, damping, f"step {n}")
         if not np.max(np.abs(u.coeffs)) <= blowup:
             raise NonConvergence(f"step {n}: solution exceeded the blow-up bound "
                                  f"{blowup:.3g}", k, res)

@@ -213,6 +213,11 @@ def centered_time(grid: TorusGrid) -> np.ndarray:
     return np.where(x < grid.period / 2, x, x - grid.period)
 
 
+def _check_support(support: float):
+    if not 0 < support < math.inf:  # also rejects NaN
+        raise ValueError(f"support must be positive and finite, got {support}")
+
+
 class RdeDriver(NamedTuple):
     xi: SpectralField
     theta: SpectralField
@@ -226,8 +231,7 @@ def sample_line_path(grid: TorusGrid, hurst: float, seed, support: float = 2.0,
     Returns (ts, xs): node times m*h and matching path values, built by
     recentering a one-sided path so the grid nodes hit sample points exactly.
     """
-    if not 0 < support < math.inf:  # also rejects NaN
-        raise ValueError(f"support must be positive and finite, got {support}")
+    _check_support(support)
     h = grid.period / grid.n
     m0 = int(math.ceil(support / h)) + 1
     steps = 1 << int(math.ceil(math.log2(2 * m0)))
@@ -249,6 +253,7 @@ def rde_driver(ts: np.ndarray, xs: np.ndarray, grid: TorusGrid,
     """
     if grid.dim != 1:
         raise ValueError("line drivers live on the 1-torus")
+    _check_support(support)
     h = grid.period / grid.n
     t = centered_time(grid)
     phi = time_cutoff(t, support)

@@ -258,9 +258,11 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
 
     Marches the remainder with the exact per-mode exponential rule and
     rebuilds u = ptt + usharp, ptt = F(u) << theta, through a damped inner
-    fixed point at each node.  The final drift evaluation at each accepted
-    node gives that node's ptt, and the last two are kept for the time
-    difference in the heat defect of `pam_drift_sharp`.
+    fixed point at each node, started from 2 u_n - u_(n-1) from node 2 on.
+    The node keeps the drift and ptt of the fixed point's last evaluation,
+    within fp_tol of the accepted value, so no drift is evaluated at an
+    accepted node; the last two ptt are kept for the time difference in
+    the heat defect of `pam_drift_sharp`.
     """
     if E.kind != "pam":
         raise ValueError("solve_pam expects 2-d static enhanced data")
@@ -280,27 +282,27 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     avg = CausalAverage(part, times)
 
     u = u0
-    drift0, ptt0 = pam_drift_sharp(avg, 0, u, *held, (), F)
-    usharp = u0 - ptt0
-    past = (ptt0.coeffs,)
+    drift, ptt = pam_drift_sharp(avg, 0, u, *held, (), F)
+    usharp = u0 - ptt
+    past = (ptt.coeffs,)
     u_fields = [u]
     sharp_fields = [usharp]
     worst_res = 0.0
     worst_it = 0
     for n in range(cfg.M):
-        base = usharp.coeffs * decay + drift0.coeffs * (A - B)
+        base = usharp.coeffs * decay + drift.coeffs * (A - B)
 
         def step(v: SpectralField) -> SpectralField:
-            drift1, ptt1 = pam_drift_sharp(avg, n + 1, v, *held, past, F)
-            return ptt1 + SpectralField(grid, base + drift1.coeffs * B)
+            nonlocal drift, ptt
+            drift, ptt = pam_drift_sharp(avg, n + 1, v, *held, past, F)
+            return ptt + SpectralField(grid, base + drift.coeffs * B)
 
-        u_next, k, res = damped_fixed_point(step, u, cfg.fp_tol, cfg.fp_max, cfg.damping,
-                                            f"node {n + 1}")
-        drift1, ptt1 = pam_drift_sharp(avg, n + 1, u_next, *held, past, F)
-        past = (ptt1.coeffs, past[0])
-        usharp = SpectralField(grid, base + drift1.coeffs * B)
-        u = ptt1 + usharp
-        drift0 = drift1
+        start = u * 2.0 - u_fields[-2] if n else u
+        _, k, res = damped_fixed_point(step, start, cfg.fp_tol, cfg.fp_max, cfg.damping,
+                                       f"node {n + 1}")
+        past = (ptt.coeffs, past[0])
+        usharp = SpectralField(grid, base + drift.coeffs * B)
+        u = ptt + usharp
         u_fields.append(u)
         sharp_fields.append(usharp)
         worst_res = max(worst_res, res)

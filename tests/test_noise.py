@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ class TestLineDriver:
         ts, xs = sample_line_path(grid, 0.75, 12, support=4.0)
         with pytest.raises(ValueError):
             rde_driver(ts, xs, grid, support=4.0)
+
+    @pytest.mark.parametrize("support", [0.0, -1.0, math.nan, math.inf])
+    def test_driver_rejects_a_bad_support(self, support):
+        # a zero support divided by zero in the cutoff and gave an all-zero
+        # driver; a negative or NaN one was blamed on the torus
+        grid = TorusGrid(1, 256, 4 * TWO_PI)
+        ts, xs = sample_line_path(grid, 0.75, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="support must be positive and finite, got"):
+                rde_driver(ts, xs, grid, support=support)
 
     def test_default_cutoff_shape(self):
         t = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])

@@ -22,6 +22,7 @@ from paracalc import (BUMP_MOLLIFIER, Blocks, EnhancedNoise, NonConvergence,
                       solve_burgers, solve_pam, solve_pam_regularized,
                       solve_rde, spatial_white_noise,
                       trapezoid_exponential_path)
+import paracalc.evolution
 import paracalc.grid
 import paracalc.solvers
 import paracalc.spectral
@@ -781,6 +782,37 @@ class TestPam:
         for inverse, forward in per_call[1:]:
             assert inverse <= 8 and forward <= 6
 
+    def test_one_drift_evaluation_per_inner_iteration(self, monkeypatch):
+        # criterion 5's 2-d config: node 0's drift, then one evaluation per
+        # inner iteration of each node's fixed point, none again at the
+        # accepted node (49 calls at the pam2d config made 34)
+        calls, its = [], []
+        fixed_point = paracalc.solvers.damped_fixed_point
+
+        def counted_drift(*args, **kwargs):
+            calls.append(args[1])
+            return pam_drift_sharp(*args, **kwargs)
+
+        def counted_fixed_point(*args):
+            out = fixed_point(*args)
+            its.append(out[1])
+            return out
+
+        monkeypatch.setattr(paracalc.solvers, "pam_drift_sharp", counted_drift)
+        monkeypatch.setattr(paracalc.solvers, "damped_fixed_point", counted_fixed_point)
+        grid = TorusGrid(2, 64)
+        part = default_partition(grid)
+        xi = spatial_white_noise(grid, 5)
+        xi = SpectralField(grid, xi.coeffs * (grid.k_abs() <= 8)) * 3.0
+        theta = pam_theta(xi)
+        E = EnhancedNoise("pam", xi, theta, resonant(theta, xi, part) - 0.2, 0.2)
+        cfg = SolverConfig(alpha=0.45, sigma=1.0, T=0.25, M=128, fp_tol=1e-11,
+                           damping=1.0)
+        solve_pam(SpectralField.constant(grid, 0.3), E, tanh_fn(0.4), cfg, part=part)
+        assert len(its) == 128
+        assert len(calls) == 1 + sum(its)
+        assert calls == [0] + [n + 1 for n, k in enumerate(its) for _ in range(k)]
+
     def test_non_finite_residual_stops_the_solve_at_once(self, monkeypatch):
         calls = []
 
@@ -889,6 +921,63 @@ class TestReferenceIntegrators:
             fp_tol=math.inf)
         assert nodes == [0, 1, 1, 2, 2, 3, 3, 4]
         assert iterations == 1 and len(path) == 5
+
+    def test_implicit_march_evaluates_the_drift_only_in_its_correctors(self, monkeypatch):
+        # with fp_tol finite the corrector's last drift is the next step's
+        # left drift: one evaluation at node 0, then only the k evaluations
+        # of node n + 1 inside step n's corrector, none again at the
+        # accepted node
+        its = []
+        fixed_point = paracalc.evolution.damped_fixed_point
+
+        def counted(*args):
+            out = fixed_point(*args)
+            its.append(out[1])
+            return out
+
+        monkeypatch.setattr(paracalc.evolution, "damped_fixed_point", counted)
+        grid = TorusGrid(1, 32)
+        u0 = SpectralField.from_function(grid, lambda x: 0.5 * np.sin(x) + 0.2 * np.cos(3 * x))
+        nodes = []
+
+        def drift(n, u):
+            nodes.append(n)
+            return u * 1.0 - poly_function([0.0, 0.0, 1.0])(u)
+
+        trapezoid_exponential_path(1.0, u0, drift, 0.5, 8, fp_tol=1e-12)
+        assert len(its) == 8 and min(its) >= 2
+        assert nodes == [0] + [n + 1 for n, k in enumerate(its) for _ in range(k)]
+
+    def test_implicit_march_agrees_with_a_tight_solve(self):
+        # the extrapolated start and the reused corrector drift move the
+        # march by no more than its tolerance allows: against the march at
+        # fp_tol 1e-14, and against the trapezoid rule that evaluates the
+        # drift afresh at every accepted node (a drift reused from the first
+        # corrector, not the last, misses it by 3.8e-8)
+        grid = TorusGrid(2, 32)
+        xi = mollify(spatial_white_noise(grid, 3), 0.25, BUMP_MOLLIFIER)
+        u0, F = SpectralField.constant(grid, 0.3), tanh_fn(0.4)
+        a, b = (solve_pam_regularized(u0, xi, 0.7, F,
+                                      SolverConfig(alpha=0.45, T=0.25, M=16, fp_tol=tol,
+                                                   damping=1.0)).coeff_array()
+                for tol in (1e-10, 1e-14))
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+
+        def drift(c):
+            u = SpectralField(grid, c)
+            fu = oversampled_values(F(u))
+            return field_from_oversampled(grid, fu * oversampled_values(xi) - 0.7 * (
+                oversampled_values(F.deriv(u)) * fu)).coeffs
+
+        decay, A, B = SemigroupSpec(1.0, grid).step_weights(0.25 / 16)
+        ref = [u0.coeffs]
+        for n in range(16):
+            base = ref[-1] * decay + drift(ref[-1]) * (A - B)
+            c = ref[-1]
+            for _ in range(60):
+                c = base + drift(c) * B
+            ref.append(c)
+        assert np.max(np.abs(a - np.stack(ref))) <= 1e-9 * np.max(np.abs(b))
 
     def test_non_finite_drift_raises_at_once(self):
         grid = TorusGrid(1, 32)
