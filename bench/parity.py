@@ -16,9 +16,12 @@ one copy of the script runs an older checkout.  `--against MANIFEST`
 prints, per output file, "byte-identical" or the largest relative
 difference from the file of the same run next to MANIFEST: of the
 coefficients of a field snapshot, relative to their largest modulus, or
-of the numbers of a CSV or JSON file, each relative to its own size.  It
-also names every changed exit code, stdout, stderr and iteration count,
-and exits 1 if anything differs.  The check informs a review; it gates
+of the numbers of a CSV or JSON file, each relative to its own size.  A
+`report.json`'s fixed-point `residual` is left out of that difference and
+printed apart as "residual a -> b": it sits at the tolerance level, where
+a move of 1e-9 is a relative difference of order 1.  The script also names
+every changed exit code, stdout, stderr and iteration count, and exits 1
+if anything differs.  The check informs a review; it gates
 nothing.
 """
 
@@ -85,7 +88,8 @@ def run_all(out: Path) -> dict:
 
 def _numbers(path: Path):
     """The numbers of a field snapshot's coefficients, or of a CSV or JSON
-    file, as a flat complex array, and whether they are coefficients."""
+    file (but for a report's residual), as a flat complex array, and
+    whether they are coefficients."""
     from paracalc import FieldPath, load_field
     if path.suffix == ".field":
         f = load_field(path)
@@ -95,7 +99,7 @@ def _numbers(path: Path):
 
         def walk(x):
             if isinstance(x, dict):
-                for k in sorted(x):
+                for k in sorted(set(x) - {"residual"}):
                     walk(x[k])
             elif isinstance(x, list):
                 for v in x:
@@ -133,6 +137,11 @@ def relative_difference(a: Path, b: Path) -> float:
     return float(np.max(diff / np.maximum(np.abs(y), 1e-300)))
 
 
+def residual(path: Path):
+    """The fixed-point residual of a `report.json`, or None."""
+    return json.loads(path.read_text()).get("residual") if path.name == "report.json" else None
+
+
 def compare(out: Path, mine: dict, against: Path) -> int:
     theirs = json.loads(against.read_text())
     base = against.parent
@@ -155,8 +164,13 @@ def compare(out: Path, mine: dict, against: Path) -> int:
             elif run["files"][fname] == other["files"][fname]:
                 print(f"{name}/{fname}: byte-identical")
             else:
-                d = relative_difference(out / name / fname, base / name / fname)
-                print(f"{name}/{fname}: differs, max relative difference {d:.3g}")
+                here, there = out / name / fname, base / name / fname
+                d = relative_difference(here, there)
+                was, now = residual(there), residual(here)
+                but = "" if was is None else " but for the residual"
+                print(f"{name}/{fname}: differs, max relative difference {d:.3g}{but}")
+                if was is not None:
+                    print(f"{name}/{fname}: residual {was!r} -> {now!r}")
                 changed += 1
     print(f"parity: {'all byte-identical' if not changed else f'{changed} differences'}")
     return 1 if changed else 0

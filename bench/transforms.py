@@ -3,12 +3,16 @@
 
 Times `grid.oversampled_values`, `grid.field_from_oversampled`,
 `grid.dealiased_product`, a fresh `paraproducts.Blocks` holder with the
-values of all its blocks, and `paraproducts.para_lt` and
-`paraproducts.resonant` on two plain fields, all on one-channel fields at
-1-d N = 256, 1024 and 2-d N = 32, 64, 128.  At the 2-d sizes it also
-times the construction of a `paraproducts.CausalAverage` on the 257
-nodes of [0, 1] (M = 256), which builds the causal time-average kernel
-of every scale and transforms nothing.  And it times one later-node call
+values of all its blocks, `paraproducts.para_lt` and
+`paraproducts.resonant` on two plain fields and `paraproducts.commutator_C`
+on three, all on one-channel fields at 1-d N = 256, 1024 and 2-d N = 32,
+64, 128.  It times `grid.SpectralField.eval_at` at one point, as the
+rough ODE's classical check calls it, at 1-d N = 512 and 2-d N = 32, 64,
+and at the 64 N + 1 points of `enhanced.rough_area_check` at 1-d
+N = 256.  At the 2-d sizes it also times the construction of a
+`paraproducts.CausalAverage` on the 257 nodes of [0, 1] (M = 256), which
+builds the causal time-average kernel of every scale and transforms
+nothing.  And it times one later-node call
 of the time-mollified paraproduct
 `paraproducts.CausalAverage.paraproduct` with its second factor held
 warm, one later-node `solvers.pam_drift_sharp` call with its fixed
@@ -36,7 +40,7 @@ prints to stderr every row whose median is 10 % or more above that
 record's, and exits 1 if there is one.
 
 Each repeat makes enough calls to last about 0.1 s; the whole sweep takes
-about 35 s.
+about 45 s.
 """
 
 import os
@@ -68,14 +72,16 @@ from paracalc.grid import (SpectralField, TorusGrid, dealiased_product,  # noqa:
 from paracalc.enhanced import pam_c_eps  # noqa: E402
 from paracalc.noise import (BUMP_MOLLIFIER, mollify, pam_theta,  # noqa: E402
                             spatial_white_noise)
-from paracalc.paraproducts import (Blocks, CausalAverage, para_lt,  # noqa: E402
-                                   poly_function, resonant)
+from paracalc.paraproducts import (Blocks, CausalAverage, commutator_C,  # noqa: E402
+                                   para_lt, poly_function, resonant)
 from paracalc.solvers import (SolverConfig, pam_drift_sharp, solve_pam,  # noqa: E402
                               solve_pam_regularized)
 from paracalc.spectral import default_partition, remove_mean  # noqa: E402
 import workloads  # noqa: E402  (perfbench's)
 
 SIZES = [(1, 256), (1, 1024), (2, 32), (2, 64), (2, 128)]
+# (dim, n, points) of the point-evaluation rows
+EVAL_SIZES = [(1, 512, 1), (1, 256, 64 * 256 + 1), (2, 32, 1), (2, 64, 1)]
 REPEATS = 7
 REPEAT_S = 0.1
 REGRESSION = 0.10  # a row regresses when its median grows by this share or more
@@ -254,6 +260,7 @@ def sweep() -> list:
         part = default_partition(grid)
         f = SpectralField.from_values(grid, rng.standard_normal(grid.shape))
         g = SpectralField.from_values(grid, rng.standard_normal(grid.shape))
+        h = SpectralField.from_values(grid, rng.standard_normal(grid.shape))
         fine = oversampled_values(f)
         layers = {
             "grid.oversampled_values": lambda: oversampled_values(f),
@@ -262,6 +269,7 @@ def sweep() -> list:
             "paraproducts.Blocks": lambda: all_blocks(f, part),
             "paraproducts.para_lt": lambda: para_lt(f, g),
             "paraproducts.resonant": lambda: resonant(f, g, part),
+            "paraproducts.commutator_C": lambda: commutator_C(f, g, h),
         }
         for name, fn in layers.items():
             rows.append({"layer": name, "dim": dim, "n": n, **per_call_us(fn)})
@@ -281,6 +289,12 @@ def sweep() -> list:
             for name, fn in drifts.items():
                 rows.append({"layer": name, "dim": dim, "n": n,
                              **per_call_us(fn), **transform_counts(fn)})
+    for dim, n, points in EVAL_SIZES:
+        grid = TorusGrid(dim, n)
+        f = SpectralField.from_values(grid, rng.standard_normal(grid.shape))
+        xs = [np.linspace(0.3, 1.7, points) for _ in range(dim)]
+        rows.append({"layer": "grid.SpectralField.eval_at", "dim": dim, "n": n,
+                     "points": points, **per_call_us(lambda: f.eval_at(*xs))})
     for name, (steps, solve) in {"solvers.solve_pam_regularized.step": regularized_study_solve(),
                                  "solvers.solve_pam.step": pam2d_solve()}.items():
         rows.append({"layer": name, "dim": 2, "n": 64, **per_step(steps, solve)})

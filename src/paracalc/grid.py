@@ -13,6 +13,7 @@ the covariance formulas is F u(k) = period^d * c_k.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -85,6 +86,15 @@ def hermitian_conjugate(coeffs: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _held_freqs(grid: TorusGrid) -> np.ndarray:
+    """i k along one axis, held per grid and read-only since it is shared:
+    k = 0 .. n/2 in 1-d (`eval_at`'s half spectrum), FFT order in 2-d."""
+    k = 1j * (np.arange(grid.n // 2 + 1) * grid.base_freq if grid.dim == 1 else grid.axis_freqs())
+    k.flags.writeable = False
+    return k
+
+
 class SpectralField:
     """Real field on a torus held as Hermitian-symmetric Fourier coefficients.
 
@@ -153,21 +163,24 @@ class SpectralField:
         return float(np.max(np.abs(self.values())))
 
     def eval_at(self, *xs) -> np.ndarray:
-        """Evaluate the trigonometric polynomial at arbitrary points.
-
-        Accepts one scalar/array per axis; returns shape
-        (channels,) + broadcast shape.  Intended for 1-d diagnostics and
-        oracles; cost is O(N^d) per point.
-        """
-        mesh = self.grid.freq_mesh()
-        phase = 0.0
-        for ax, x in enumerate(xs):
-            x = np.asarray(x, dtype=np.float64)
-            phase = phase + np.multiply.outer(x, np.broadcast_to(mesh[ax], self.grid.shape))
-        ker = np.exp(1j * phase)
-        out = np.tensordot(ker, self.coeffs, axes=(tuple(range(-self.grid.dim, 0)),
-                                                   tuple(range(1, self.grid.dim + 1))))
-        return np.real(np.moveaxis(out, -1, 0))
+        """The real part of sum_k c_k exp(i <k, x>) over the whole lattice,
+        Nyquist modes included, at one scalar/array per axis broadcast
+        together; shape (channels,) + broadcast shape.  Per point, 1-d pairs
+        c_k with conj c_(-k) on the half spectrum: n/2 + 1 exponentials and
+        products.  2-d contracts one kernel per axis: 2n exponentials, n^2
+        products."""
+        c, k = self.coeffs, _held_freqs(self.grid)
+        if self.grid.dim == 1:
+            x, h = np.asarray(*xs, dtype=np.float64), self.grid.n // 2
+            p = c[:, : h + 1].copy()
+            p[:, 1:h] += np.conj(c[:, :h:-1])
+            p[:, h] = np.conj(c[:, h])  # unpaired, its sine term kept off the grid
+            out = p @ np.exp(np.multiply.outer(k, x.ravel()))
+        else:
+            x, y = np.broadcast_arrays(*xs)
+            rows, cols = (np.exp(np.multiply.outer(z.ravel(), k)) for z in (x, y))
+            out = (rows[:, None] @ (c @ cols.T).transpose(2, 1, 0))[:, 0].T
+        return out.real.reshape(c.shape[:1] + x.shape)
 
     # -- arithmetic ---------------------------------------------------
 

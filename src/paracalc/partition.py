@@ -17,10 +17,7 @@ from .grid import TorusGrid
 
 def _h(x: np.ndarray) -> np.ndarray:
     """exp(-1/x) for x > 0, zero otherwise (all derivatives vanish at 0)."""
-    out = np.zeros_like(x, dtype=np.float64)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
+    return np.exp(-1.0 / np.where(x > 0, x, 1e-300))
 
 
 def smoothstep(x) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Grids, dyadic partitions and elementary spectral calculus."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from paracalc import (SpectralField, TorusGrid, antiderivative, besov_norm,
                       save_field, smoothstep)
 from paracalc.grid import (FieldPath, _negate_rows, apply_pointwise,
                           field_from_oversampled, oversampled_values)
+from paracalc.noise import centered_time, time_cutoff
 
 from conftest import rough_field
 
@@ -41,6 +43,40 @@ class TestGrid:
         f = rough_field(grid1d, 0.5, 1)
         x = grid1d.points()[0][:7]
         assert np.max(np.abs(f.eval_at(x) - f.values()[:, :7])) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), log_n=st.integers(4, 5),
+           channels=st.integers(1, 3), period=st.sampled_from([2 * np.pi, 3.0, 8 * np.pi]),
+           points=st.sampled_from(["scalar", "one", "broadcast", "64N+1"]),
+           seed=st.integers(0, 10_000))
+    def test_eval_at_is_the_literal_lattice_sum(self, dim, log_n, channels, period,
+                                                points, seed):
+        # random coefficients, neither Hermitian nor with real Nyquist entries,
+        # against Re sum_k c_k exp(i <k, x>) over the fftfreq lattice; N <= 32
+        # keeps the literal 64N + 1-point kernel of a 2-d grid at 33 MB
+        grid = TorusGrid(dim, 2**log_n, period)
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((channels,) + grid.shape) \
+            + 1j * rng.standard_normal((channels,) + grid.shape)
+        assert np.all(c[(slice(None),) + (grid.n // 2,) * dim].imag != 0)
+        f = SpectralField(grid, c)
+        lo, hi = -2 * period, 2 * period
+        xs = {"scalar": lambda: [float(rng.uniform(lo, hi)) for _ in range(dim)],
+              "one": lambda: [rng.uniform(lo, hi, 1) for _ in range(dim)],
+              "broadcast": lambda: ([rng.uniform(lo, hi, (5, 3))] if dim == 1 else
+                                    [rng.uniform(lo, hi, (5, 1)), rng.uniform(lo, hi, 3)]),
+              "64N+1": lambda: [np.linspace(rng.uniform(lo, 0), rng.uniform(0, hi),
+                                            64 * grid.n + 1) for _ in range(dim)]}[points]()
+        got = f.eval_at(*xs)
+        xb = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in xs))
+        k = np.meshgrid(*[grid.axis_freqs()] * dim, indexing="ij")
+        phase = sum(np.multiply.outer(x, kk.ravel()) for x, kk in zip(xb, k))
+        want = np.moveaxis(np.real(np.exp(1j * phase) @ c.reshape(channels, -1).T), -1, 0)
+        assert got.shape == want.shape == (channels,) + xb[0].shape
+        # relative to sum |c_k|, the largest a value can be
+        scale = np.abs(c).reshape(channels, -1).sum(axis=1)
+        err = np.abs(got - want).reshape(channels, -1).max(axis=1)
+        assert np.all(err <= 1e-13 * scale)
 
     def test_constant_field(self, grid2d):
         f = SpectralField.constant(grid2d, 2.5)
@@ -74,6 +110,20 @@ class TestPartition:
         assert np.all(v[:3] == 1.0)
         assert 0.0 < v[3] < 1.0
         assert np.all(v[4:] == 0.0)
+
+    def test_cutoffs_keep_their_bytes(self):
+        # sha256 of the partition masks and of the rough ODE's time cutoff: a
+        # rewrite of the cutoff arithmetic must leave every bit in place (exp
+        # is their one transcendental call, so an exp that rounds differently
+        # changes them too)
+        digests = [hashlib.sha256(make_dyadic_partition(g).masks.tobytes()).hexdigest()
+                   for g in (TorusGrid(1, 512), TorusGrid(2, 64))]
+        t = centered_time(TorusGrid(1, 512, 8 * math.pi))
+        digests.append(hashlib.sha256(time_cutoff(t).tobytes()).hexdigest())
+        assert digests == [
+            "fae5e5814e32dc710446edcd86d80d1d597eda60ff21f18fa9f03bdce5ae7308",
+            "577c29225cec0132afe7f63ede0db8f93840a720a0e22752fd46d7c4103ac9b7",
+            "75a3c6eb6268f0cd4aaa23eaa38d3da012bcc3d2fb952c372d5152ff2bce54d6"]
 
     def test_partition_of_unity_is_exact(self, grid1d, part1d):
         total = part1d.masks.sum(axis=0)
