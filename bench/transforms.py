@@ -12,7 +12,8 @@ and at the 64 N + 1 points of `enhanced.rough_area_check` at 1-d
 N = 256.  At the 2-d sizes it also times the construction of a
 `paraproducts.CausalAverage` on the 257 nodes of [0, 1] (M = 256), which
 builds the causal time-average kernel of every scale and transforms
-nothing.  And it times one later-node call
+nothing, and `partition.make_dyadic_partition` of the grid.  And it
+times one later-node call
 of the time-mollified paraproduct
 `paraproducts.CausalAverage.paraproduct` with its second factor held
 warm, one later-node `solvers.pam_drift_sharp` call with its fixed
@@ -21,11 +22,14 @@ holders warm, and one drift evaluation of the classical
 rows record the inverse and forward oversampled transform calls that one
 evaluation makes and the channels they transform (j_max inverse and one
 forward for the paraproduct; the transform counts per drift evaluation
-of the two 2-d solvers).  Two march-step rows time whole 2-d solves per
-time step and count their drift evaluations per step:
-`solve_pam_regularized` at the PAM study's config (N = 64, 32 steps,
-fp_tol 1e-10, damping 1) and `solve_pam` at perfbench's pam2d config
-(N = 64, 8 steps, fp_tol 1e-11, damping 1).  Prints one JSON object:
+of the two 2-d solvers).  Step rows time whole marches per time step
+and count their drift evaluations and transform calls and channels
+per step, set-up included: `solve_pam_regularized` at the PAM study's
+config (N = 64, 32 steps, fp_tol 1e-10, damping 1), `solve_pam` at
+perfbench's pam2d config (N = 64, 8 steps, fp_tol 1e-11, damping 1) and
+`evolution.duhamel` over 16 steps of 1/512 at every size above.  The
+transform counts are differences of the tally `grid.tally`, which the
+two oversampled transforms keep themselves.  Prints one JSON object:
 the machine facts and, per layer and size, the median and quartiles of
 the per-call time over the repeats.  The sweep owns its process, as the
 CLI does, so it runs under the CLI's allocator policy
@@ -65,15 +69,18 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import paracalc.cli  # noqa: E402
+import paracalc.evolution  # noqa: E402
 import paracalc.grid  # noqa: E402
 import paracalc.solvers  # noqa: E402
-from paracalc.grid import (SpectralField, TorusGrid, dealiased_product,  # noqa: E402
-                           field_from_oversampled, oversampled_values)
+from paracalc.grid import (FieldPath, SpectralField, TorusGrid,  # noqa: E402
+                           dealiased_product, field_from_oversampled, oversampled_values)
 from paracalc.enhanced import pam_c_eps  # noqa: E402
+from paracalc.evolution import duhamel  # noqa: E402
 from paracalc.noise import (BUMP_MOLLIFIER, mollify, pam_theta,  # noqa: E402
                             spatial_white_noise)
 from paracalc.paraproducts import (Blocks, CausalAverage, commutator_C,  # noqa: E402
                                    para_lt, poly_function, resonant)
+from paracalc.partition import make_dyadic_partition  # noqa: E402
 from paracalc.solvers import (SolverConfig, pam_drift_sharp, solve_pam,  # noqa: E402
                               solve_pam_regularized)
 from paracalc.spectral import default_partition, remove_mean  # noqa: E402
@@ -82,6 +89,7 @@ import workloads  # noqa: E402  (perfbench's)
 SIZES = [(1, 256), (1, 1024), (2, 32), (2, 64), (2, 128)]
 # (dim, n, points) of the point-evaluation rows
 EVAL_SIZES = [(1, 512, 1), (1, 256, 64 * 256 + 1), (2, 32, 1), (2, 64, 1)]
+DUHAMEL_STEPS = 16
 REPEATS = 7
 REPEAT_S = 0.1
 REGRESSION = 0.10  # a row regresses when its median grows by this share or more
@@ -185,9 +193,10 @@ def pam2d_solve():
     return cfg.M, lambda: solve_pam(u0, E, F, cfg, part=part)
 
 
-def drift_evaluations(solve) -> int:
-    """Drift evaluations of one solve: its `pam_drift_sharp` calls and its
-    calls of the drift it hands `trapezoid_exponential_path`."""
+def solve_work(solve) -> dict:
+    """Drift evaluations of one solve (its `pam_drift_sharp` calls and its
+    calls of the drift it hands `trapezoid_exponential_path`) and its
+    `transform_counts`."""
     count = [0]
 
     def counted(fn):
@@ -196,60 +205,39 @@ def drift_evaluations(solve) -> int:
             return fn(*args, **kwargs)
         return wrapped
 
+    def marching(sigma, u0, fn, *args, **kwargs):
+        return march(sigma, u0, counted(fn), *args, **kwargs)
+
     drift = paracalc.solvers.pam_drift_sharp
-    march = paracalc.solvers.trapezoid_exponential_path
+    march = paracalc.evolution.trapezoid_exponential_path
     paracalc.solvers.pam_drift_sharp = counted(drift)
-    paracalc.solvers.trapezoid_exponential_path = \
-        lambda sigma, u0, fn, *a, **k: march(sigma, u0, counted(fn), *a, **k)
+    paracalc.solvers.trapezoid_exponential_path = marching
+    paracalc.evolution.trapezoid_exponential_path = marching  # duhamel's march
     try:
-        solve()
+        work = transform_counts(solve)
     finally:
         paracalc.solvers.pam_drift_sharp = drift
         paracalc.solvers.trapezoid_exponential_path = march
-    return count[0]
+        paracalc.evolution.trapezoid_exponential_path = march
+    return {"drift_evals": count[0], **work}
 
 
 def per_step(steps: int, solve) -> dict:
-    """Time per step of a solve (median and quartiles over the repeats) and
-    its drift evaluations per step."""
+    """Time per step of a solve (median and quartiles over the repeats),
+    its drift evaluations and its transform counts per step, set-up
+    included."""
     t = per_call_us(solve)
     return {"steps": steps, **{k: round(v / steps, 2) if k.endswith("_us") else v
                                for k, v in t.items()},
-            "drift_evals_per_step": round(drift_evaluations(solve) / steps, 3)}
-
-
-def _channels(name, args) -> int:
-    """Channels of one oversampled transform call's input."""
-    if name == "oversampled_values":
-        return args[0].channels
-    grid, values = args
-    return values.shape[0] if values.ndim > grid.dim else 1
+            **{f"{k}_per_step": round(v / steps, 3) for k, v in solve_work(solve).items()}}
 
 
 def transform_counts(fn) -> dict:
     """Inverse and forward oversampled transform calls made by one call of
-    fn, and the channels they transform."""
-    names = {"inverse": "oversampled_values", "forward": "field_from_oversampled"}
-    counts = dict.fromkeys([*names, *(f"{k}_channels" for k in names)], 0)
-    patched = []
-    for kind, name in names.items():
-        orig = getattr(paracalc.grid, name)
-
-        def counted(*args, kind=kind, name=name, orig=orig, **kwargs):
-            counts[kind] += 1
-            counts[f"{kind}_channels"] += _channels(name, args)
-            return orig(*args, **kwargs)
-
-        for mod in [m for k, m in sys.modules.items() if k.split(".")[0] == "paracalc"]:
-            if getattr(mod, name, None) is orig:
-                patched.append((mod, name, orig))
-                setattr(mod, name, counted)
-    try:
-        fn()
-    finally:
-        for mod, name, orig in patched:
-            setattr(mod, name, orig)
-    return counts
+    fn, and the channels they transform: the difference of `grid.tally`."""
+    before = dict(paracalc.grid.tally)
+    fn()
+    return {k: v - before[k] for k, v in paracalc.grid.tally.items()}
 
 
 def sweep() -> list:
@@ -281,6 +269,8 @@ def sweep() -> list:
             rows.append({"layer": "paraproducts.CausalAverage", "dim": dim, "n": n,
                          **per_call_us(lambda: CausalAverage(part, times))})
             logging.getLogger("paracalc.paraproducts").setLevel(logging.NOTSET)
+            rows.append({"layer": "partition.make_dyadic_partition", "dim": dim, "n": n,
+                         **per_call_us(lambda: make_dyadic_partition(grid))})
             drifts = {"paraproducts.CausalAverage.paraproduct":
                       later_paraproduct_call(grid, part, np.random.default_rng(n + 1)),
                       "solvers.pam_drift_sharp": later_drift_call(grid, part, rng),
@@ -298,6 +288,13 @@ def sweep() -> list:
     for name, (steps, solve) in {"solvers.solve_pam_regularized.step": regularized_study_solve(),
                                  "solvers.solve_pam.step": pam2d_solve()}.items():
         rows.append({"layer": name, "dim": 2, "n": 64, **per_step(steps, solve)})
+    for dim, n in SIZES:
+        grid = TorusGrid(dim, n)
+        path = FieldPath(np.arange(DUHAMEL_STEPS + 1) / 512, [
+            SpectralField.from_values(grid, rng.standard_normal(grid.shape))
+            for _ in range(DUHAMEL_STEPS + 1)])
+        rows.append({"layer": "evolution.duhamel.step", "dim": dim, "n": n,
+                     **per_step(DUHAMEL_STEPS, lambda: duhamel(path, 1.0))})
     return rows
 
 

@@ -217,13 +217,17 @@ def _check_same_grid(f: SpectralField, g: SpectralField):
 
 # -- dealiased pointwise algebra --------------------------------------
 
+# Calls and channels of the two transforms below; never reset, so read differences.
+tally = dict.fromkeys(("inverse", "inverse_channels", "forward", "forward_channels"), 0)
+
+
 def _negate_rows(x: np.ndarray) -> np.ndarray:
     """x at row -i mod n for each row i, on the second-to-last axis."""
     return np.concatenate((x[..., :1, :], x[..., :0:-1, :]), axis=-2)
 
 
 def oversampled_values(f: SpectralField) -> np.ndarray:
-    """Real-space samples on a twice finer grid (exact interpolation).
+    """Exact real-space samples on a twice finer grid; counted in `tally`.
 
     The coefficients are first projected onto their Hermitian part
     (c(k) + conj c(-k)) / 2, which is what the real part of the complex
@@ -241,6 +245,8 @@ def oversampled_values(f: SpectralField) -> np.ndarray:
     n, d = f.grid.n, f.grid.dim
     m, h = 2 * n, n // 2
     c = f.coeffs
+    tally["inverse"] += 1
+    tally["inverse_channels"] += c.shape[0]
     # Hermitian part on the half spectrum of the last axis, c(-k) read by
     # reversed slices; its Nyquist column is split, the -n/2 half being
     # implied by the real transform
@@ -260,7 +266,7 @@ def oversampled_values(f: SpectralField) -> np.ndarray:
 
 
 def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField:
-    """Project real fine-grid samples back onto the grid's spectrum.
+    """Project real fine-grid samples onto the grid's spectrum; counted in `tally`.
 
     The adjoint of the padding in `oversampled_values`: the fine +n/2 and
     -n/2 slots of each axis fold into the coarse Nyquist coefficient, and
@@ -277,6 +283,8 @@ def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField
         raise ValueError(f"samples of shape {values.shape} are not on the {m}^{d} grid")
     if values.ndim == d:
         values = values[None]
+    tally["forward"] += 1
+    tally["forward_channels"] += values.shape[0]
     t = np.fft.rfft(values, norm="forward")[..., : h + 1]
     if d == 2:
         v = np.fft.fft(t, axis=-2, norm="forward")

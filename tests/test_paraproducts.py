@@ -277,6 +277,17 @@ class TestTimeMollified:
         ref = para_lt(f, g)
         assert max((h - ref).sup_norm() for h in out.fields) < 1e-12
 
+    def test_acts_channel_by_channel(self, grid2d):
+        times = np.linspace(0.0, 0.5, 9)
+        fpath = FieldPath(times, [rough_field(grid2d, 0.5, 70 + n, channels=2) for n in range(9)])
+        gpath = FieldPath(times, [rough_field(grid2d, -0.5, 80 + n) for n in range(9)])
+        out = para_lt_time(fpath, gpath)
+        for c in (0, 1):
+            ref = para_lt_time(fpath.map(lambda f: f.channel(c)), gpath)
+            scale = np.max(np.abs(ref.coeff_array()))
+            assert np.max(np.abs(out.coeff_array()[:, c:c + 1] - ref.coeff_array())) \
+                <= 1e-14 * scale
+
     def test_matches_the_direct_definition(self, grid2d, part2d):
         # full quadrature rows and one dealiased product per block
         times = np.linspace(0.0, 0.5, 9)

@@ -181,6 +181,32 @@ def compare_pam_drifts(held, theta_xi, F, part, seed, reference, rtol=1e-13):
             assert_close(g, w, rtol)
 
 
+def test_pam_drift_acts_channel_by_channel():
+    # every other drift test is one-channel, where a drift that read only
+    # channel 0 of F(u) or F'(u) passes; each channel of a two-channel u,
+    # with its own history, must give what a one-channel call gives
+    grid = TorusGrid(2, 32)
+    part = default_partition(grid)
+    theta, xi, eta = (rough_field(grid, al, k) for k, al in enumerate((0.9, -1.1, -0.2)))
+    held = [Blocks(f, part) for f in (theta, xi, eta)]
+    theta_xi = Blocks(resonant(theta, xi, part), part)
+    F = tanh_fn(0.7)
+    times = np.arange(4) / 64.0
+    avgs = [CausalAverage(part, times) for _ in range(3)]  # the pair, channel 0, channel 1
+    pasts = [{}, {}, {}]
+    for k, node in enumerate((0, 1, 1, 2, 3)):
+        u = rough_field(grid, 0.9, 10 + k, channels=2)
+        got = []
+        for avg, past, v in zip(avgs, pasts, (u, u.channel(0), u.channel(1))):
+            got.append(pam_drift_sharp(avg, node, v, *held, theta_xi,
+                                       tuple(past[m] for m in (node - 1, node - 2) if m >= 0),
+                                       F))
+            past[node] = got[-1][1].coeffs
+        for c in (0, 1):
+            for g, w in zip(got[0], got[c + 1]):
+                assert_close(g.channel(c), w, 1e-14)
+
+
 @pytest.mark.parametrize("dim, n", [(2, 32), (1, 64)])
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 10_000), a=st.floats(0.1, 2.0))
@@ -567,6 +593,49 @@ def test_a_fresh_partition_solves_as_the_default(setup, monkeypatch):
     assert built == []
     assert output_bytes(fresh) == output_bytes(call(None))
     assert built == [grid]
+
+
+def criterion_5_pam_solve():
+    """Criterion 5's 2-d leg: band-limited noise at N = 64, c = 0.2, 128 steps."""
+    grid = TorusGrid(2, 64)
+    xi = spatial_white_noise(grid, 5)
+    xi = SpectralField(grid, xi.coeffs * (grid.k_abs() <= 8)) * 3.0
+    theta = pam_theta(xi)
+    E = EnhancedNoise("pam", xi, theta, resonant(theta, xi) - 0.2, 0.2)
+    cfg = SolverConfig(alpha=0.45, sigma=1.0, T=0.25, M=128, fp_tol=1e-11, damping=1.0)
+    u0 = SpectralField.constant(grid, 0.3)
+    return grid, lambda part: solve_pam(u0, E, tanh_fn(0.4), cfg, part=part)
+
+
+def tally_difference(fn) -> dict:
+    """What one call of fn adds to `grid.tally`."""
+    before = dict(paracalc.grid.tally)
+    fn()
+    return {k: v - before[k] for k, v in paracalc.grid.tally.items()}
+
+
+class TestTransformTally:
+    @pytest.mark.parametrize("setup", [criterion_5_pam_solve, rde_solve], ids=["pam", "rde"])
+    def test_solves_count_as_the_rebinding_does(self, setup, monkeypatch):
+        # the transforms count themselves through any wrapper put around
+        # them, so the tally and the rebinding count see the same calls
+        _, solve = setup()
+        calls = count_transforms(monkeypatch)
+        work = tally_difference(lambda: solve(None))
+        assert work["inverse"] == calls["oversampled_values"] > 0
+        assert work["forward"] == calls["field_from_oversampled"] > 0
+
+    def test_channels_of_known_calls(self):
+        grid = TorusGrid(2, 32)
+        f, g = rough_field(grid, 0.5, 1), rough_field(grid, -0.5, 2)
+        j_max = default_partition(grid).j_max
+        assert tally_difference(lambda: Blocks(f).block(0)) == {
+            "inverse": 1, "inverse_channels": j_max + 2, "forward": 0, "forward_channels": 0}
+        assert tally_difference(lambda: dealiased_product(f, g)) == {
+            "inverse": 2, "inverse_channels": 2, "forward": 1, "forward_channels": 1}
+        pair = rough_field(grid, 0.5, 3, channels=2)
+        assert tally_difference(lambda: dealiased_product(pair, g)) == {
+            "inverse": 2, "inverse_channels": 3, "forward": 1, "forward_channels": 2}
 
 
 class TestPam:
