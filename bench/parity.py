@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Parity check of the CLI's outputs against another source tree.
 
-Runs a fixed list of 17 small CLI runs in one process, each into its own
+Runs a fixed list of 19 small CLI runs in one process, each into its own
 directory under `--out`, and writes `manifest.json` there: per run the
 argv, the exit code, stdout without its `wrote ...` lines (they name the
 output directory), stderr, the `report.json` iteration count and the
@@ -47,7 +47,9 @@ RUNS = {
     "solve-rde": ["solve-rde"],
     "solve-rde-n256-seed1": ["solve-rde", "--n", "256", "--seed", "1"],
     "solve-rde-support": ["solve-rde", "--support", "1.5", "--embedding", "2"],
+    "solve-rde-eps": ["solve-rde", "--eps", "0.25"],
     "solve-burgers": ["solve-burgers"],
+    "solve-burgers-eps": ["solve-burgers", "--eps", "0.25"],
     "solve-burgers-diverges": ["solve-burgers", "--n", "64", "--sigma", "0.9",
                                "--time-steps", "8", "--amplitude", "200"],
     "solve-pam": ["solve-pam", "--n", "32"],

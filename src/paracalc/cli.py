@@ -5,8 +5,8 @@ All output is CSV/JSON plus the binary field snapshot format.  Exit codes:
 0 on success (and all built-in checks passing), 2 when a check fails or a
 solve does not converge (its report.json then says converged: false),
 1 on usage or runtime errors.  Runs are bit-reproducible for a fixed
-configuration and seed list; PARACALC_THREADS is read and recorded but
-execution is sequential, so the value cannot affect results.
+configuration and seed list.  Execution is sequential; `noise` records
+PARACALC_THREADS in its noise.json, and the value cannot affect results.
 """
 
 from __future__ import annotations
@@ -74,28 +74,28 @@ def _meta(args) -> dict:
     return d
 
 
-def _burgers_theta(args):
-    """The Burgers driver path of --seed, mollified at the first --eps if given."""
-    theta = burgers_theta_path(TorusGrid(1, args.n), args.sigma, args.horizon,
-                               args.time_steps, 1, args.seed)
-    if args.eps:
-        theta = mollify(theta, args.eps[0], MOLLIFIERS[args.mollifier])
-    return theta
+def _first_eps(args, default: float | None = None) -> float | None:
+    """The first --eps, or `default` when none is given."""
+    return args.eps[0] if args.eps else default
 
 
-def _rde_theta(args, seed: int, eps: float | None):
-    """The localized line driver on the time-line torus, mollified at eps
-    if given."""
-    grid = TorusGrid(1, args.n, 2 * math.pi * args.embedding)
-    ts, xs = sample_line_path(grid, args.hurst, seed, support=args.support)
-    theta = rde_driver(ts, xs, grid, args.support).theta
-    if eps:
-        theta = mollify(theta, eps, MOLLIFIERS[args.mollifier])
-    return theta
+def _driver(args, kind: str, seed: int, eps: float | None):
+    """The driver of `kind` for `seed`: PAM's spatial white noise, the
+    Burgers path or the rough ODE's localized line driver on the time-line
+    torus, mollified with --mollifier at `eps` unless it is None."""
+    if kind == "pam":
+        f = spatial_white_noise(TorusGrid(2, args.n), seed)
+    elif kind == "burgers":
+        f = burgers_theta_path(TorusGrid(1, args.n), args.sigma, args.horizon,
+                               args.time_steps, 1, seed)
+    else:  # rde
+        grid = TorusGrid(1, args.n, 2 * math.pi * args.embedding)
+        ts, xs = sample_line_path(grid, args.hurst, seed, support=args.support)
+        f = rde_driver(ts, xs, grid, args.support).theta
+    return f if eps is None else mollify(f, eps, MOLLIFIERS[args.mollifier])
 
 
-def _rde_enhanced(args, seed: int, eps: float | None):
-    theta = _rde_theta(args, seed, eps)
+def _rde_enhanced(theta: SpectralField) -> EnhancedNoise:
     xi = derivative(theta, 0)
     return EnhancedNoise("rde", xi, theta, rde_area(theta, xi))
 
@@ -104,14 +104,7 @@ def _rde_enhanced(args, seed: int, eps: float | None):
 
 def cmd_noise(args) -> int:
     out = _outdir(args)
-    if args.kind == "pam":
-        f = spatial_white_noise(TorusGrid(2, args.n), args.seed)
-        if args.eps:
-            f = mollify(f, args.eps[0], MOLLIFIERS[args.mollifier])
-    elif args.kind == "burgers":
-        f = _burgers_theta(args)
-    else:  # rde
-        f = _rde_theta(args, args.seed, args.eps[0] if args.eps else None)
+    f = _driver(args, args.kind, args.seed, _first_eps(args))
     save_field(out / "noise.field", f)
     (out / "noise.json").write_text(json.dumps(_meta(args), indent=2, sort_keys=True))
     print(f"wrote {out / 'noise.field'}")
@@ -129,7 +122,7 @@ def cmd_renorm(args) -> int:
     consts = [pam_c_eps(eps, psi, grid) for eps in args.eps]
     per_eps = [[] for _ in args.eps]
     for s in range(args.seeds):  # one noise and one lift per seed, for every eps
-        xi = spatial_white_noise(grid, s)
+        xi = _driver(args, "pam", s, None)
         theta = pam_theta(xi)
         for eps, samples in zip(args.eps, per_eps):
             area = resonant(mollify(theta, eps, psi), mollify(xi, eps, psi))
@@ -162,13 +155,13 @@ def cmd_renorm(args) -> int:
 def cmd_area(args) -> int:
     out = _outdir(args)
     if args.kind == "burgers":
-        area = burgers_area(_burgers_theta(args))
+        area = burgers_area(_driver(args, "burgers", args.seed, _first_eps(args)))
         save_field(out / "area.field", area)
         sups = block_sups(area[-1])
     else:
-        xi = spatial_white_noise(TorusGrid(2, args.n), args.seed)
-        eps = args.eps[0] if args.eps else 0.25
-        area = pam_renormalized_area(xi, eps, MOLLIFIERS[args.mollifier])
+        xi = _driver(args, "pam", args.seed, None)
+        area = pam_renormalized_area(xi, _first_eps(args, _PAM_EPS),
+                                     MOLLIFIERS[args.mollifier])
         save_field(out / "area.field", area)
         sups = block_sups(area)
     rows = [(j, float(s)) for j, s in enumerate(sups, -1)]
@@ -182,7 +175,7 @@ def cmd_area(args) -> int:
 
 def cmd_solve_rde(args) -> int:
     out = _outdir(args)
-    E = _rde_enhanced(args, args.seed, args.eps[0] if args.eps else None)
+    E = _rde_enhanced(_driver(args, "rde", args.seed, _first_eps(args)))
     F = _tanh_function(args.amplitude * args.lam ** args.alpha)
     cfg = SolverConfig(alpha=args.alpha, damping=args.damping)
     u, usharp, rep = solve_rde(args.u0, E, F, cfg, args.support)
@@ -195,7 +188,7 @@ def cmd_solve_rde(args) -> int:
 
 def cmd_solve_burgers(args) -> int:
     out = _outdir(args)
-    theta = _burgers_theta(args)
+    theta = _driver(args, "burgers", args.seed, _first_eps(args))
     E = EnhancedNoise("burgers", None, theta, burgers_area(theta))
     G = _cos_function(args.amplitude * args.lam ** args.alpha)
     u0 = SpectralField.zero(theta.grid)
@@ -211,10 +204,10 @@ def cmd_solve_burgers(args) -> int:
 
 def cmd_solve_pam(args) -> int:
     out = _outdir(args)
-    grid = TorusGrid(2, args.n)
     psi = MOLLIFIERS[args.mollifier]
-    eps = args.eps[0] if args.eps else 0.25
-    noise = spatial_white_noise(grid, args.seed)
+    eps = _first_eps(args, _PAM_EPS)
+    noise = _driver(args, "pam", args.seed, None)
+    grid = noise.grid
     xi = mollify(noise, eps, psi)
     c = pam_c_eps(eps, psi, grid)
     u0 = SpectralField.constant(grid, args.u0)
@@ -255,13 +248,11 @@ def cmd_solve_pam(args) -> int:
 # -- convergence studies ----------------------------------------------
 
 def _study_rde(args, lam: float, seed: int, eps_list):
-    sols = []
     F = _tanh_function(args.amplitude * lam ** args.alpha)
-    for eps in eps_list:
-        E = _rde_enhanced(args, seed, eps)
-        cfg = SolverConfig(alpha=args.alpha, fp_tol=1e-8, fp_max=120,
-                           damping=args.damping)
-        sols.append(solve_rde(args.u0, E, F, cfg, args.support)[0])
+    theta, psi = _driver(args, "rde", seed, None), MOLLIFIERS[args.mollifier]
+    cfg = SolverConfig(alpha=args.alpha, fp_tol=1e-8, fp_max=120, damping=args.damping)
+    sols = [solve_rde(args.u0, _rde_enhanced(mollify(theta, eps, psi)), F, cfg,
+                      args.support)[0] for eps in eps_list]
     return [besov_norm(a - b, args.alpha) for a, b in zip(sols, sols[1:])]
 
 
@@ -270,8 +261,8 @@ def _study_burgers(args, lam: float, seed: int, eps_list):
     # u = theta_eps + w, one eps per channel of one march: with
     # fp_tol = math.inf each step makes one corrector, so the channels
     # never wait on each other's fixed point
-    grid = TorusGrid(1, args.n)
-    theta = burgers_theta_path(grid, args.sigma, args.horizon, args.time_steps, 1, seed)
+    theta = _driver(args, "burgers", seed, None)
+    grid = theta.grid
     cfg = SolverConfig(alpha=args.alpha, sigma=args.sigma, T=args.horizon,
                        M=args.time_steps, fp_tol=math.inf, damping=1.0)
     psi = MOLLIFIERS[args.mollifier]
@@ -290,9 +281,8 @@ def _study_burgers(args, lam: float, seed: int, eps_list):
 
 
 def _study_pam(args, lam: float, seed: int, eps_list):
-    grid = TorusGrid(2, args.n)
-    psi = MOLLIFIERS[args.mollifier]
-    xi = spatial_white_noise(grid, seed)
+    xi = _driver(args, "pam", seed, None)
+    grid, psi = xi.grid, MOLLIFIERS[args.mollifier]
     F = _tanh_function(args.amplitude * lam ** args.alpha)
     u0 = SpectralField.constant(grid, args.u0)
     sols = []
@@ -348,6 +338,7 @@ def cmd_study(args) -> int:
 
 # -- argument plumbing ------------------------------------------------
 
+_PAM_EPS = 0.25  # the PAM area's and solve's scale when no --eps is given
 _RDE_N = 256  # 64 points leave one dyadic block on the --embedding times longer torus
 
 # every flag once, by dest; a subcommand adds only the flags its handler reads

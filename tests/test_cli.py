@@ -87,13 +87,26 @@ class TestParsing:
         (["noise", "--kind", "pam", "--n", "16", "--eps", "inf"], "noise.field"),
         (["renorm", "--n", "32", "--eps", "nan", "--seeds", "2"], "renorm.csv"),
         (["study", "--equation", "pam", "--n", "16", "--eps", "0.5", "nan", "--seeds", "1",
-          "--time-steps", "4"], "study.csv")],
-        ids=["noise-nan", "noise-inf", "renorm-nan", "study-nan"])
+          "--time-steps", "4"], "study.csv"),
+        (["noise", "--kind", "rde", "--eps", "0"], "noise.field"),
+        (["solve-rde", "--eps", "0"], "solution.field"),
+        (["study", "--equation", "rde", "--eps", "0.5", "0", "--seeds", "1"], "study.csv"),
+        (["noise", "--kind", "pam", "--n", "16", "--eps", "0"], "noise.field"),
+        (["area", "--kind", "pam", "--n", "16", "--eps", "0"], "area.field"),
+        (["area", "--kind", "burgers", "--n", "16", "--eps", "0"], "area.field"),
+        (["solve-burgers", "--n", "16", "--eps", "0"], "solution.field"),
+        (["solve-pam", "--n", "16", "--eps", "0"], "solution.field"),
+        (["renorm", "--n", "16", "--eps", "0", "--seeds", "2"], "renorm.csv")],
+        ids=["noise-nan", "noise-inf", "renorm-nan", "study-nan", "noise-rde-zero",
+             "solve-rde-zero", "study-rde-zero", "noise-pam-zero", "area-pam-zero",
+             "area-burgers-zero", "solve-burgers-zero", "solve-pam-zero", "renorm-zero"])
     def test_a_nan_or_infinite_eps_exits_one(self, tmp_path, capsys, argv, written):
-        # eps <= 0 is false for NaN, which would run on into a NaN field
+        # eps <= 0 is false for NaN, which would run on into a NaN field;
+        # 0 used to run the rough ODE's driver unmollified
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
         assert not (out / written).exists()
 
     @pytest.mark.parametrize("support", ["0", "-1", "nan", "inf"])
@@ -153,17 +166,29 @@ class TestParsing:
         assert meta["n"] == 32 and meta["eps"] == [0.25]
         assert load_field(out / "noise.field").grid.n == 32
 
-    @pytest.mark.parametrize("bad", [{"seed": 1.5}, {"n": True}, {"eps": 0.25},
-                                     {"mollifier": "box"}, [1]])
-    def test_bad_config_value_exits_one(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("bad, message", [
+        ({"seed": 1.5}, "invalid value 1.5"), ({"n": True}, "invalid value True"),
+        ({"eps": 0.25}, "expected a list"), ({"mollifier": "box"}, "is not one of"),
+        ([1], "expected a JSON object"), ({"gauge_check": "yes"}, "expected true or false")],
+        ids=["seed-float", "n-bool", "eps-scalar", "mollifier-choice", "not-an-object",
+             "store-true-string"])
+    def test_bad_config_value_exits_one(self, tmp_path, capsys, bad, message):
+        # solve-pam takes every key above, so each fails on its value
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(bad))
         out = tmp_path / "o"
-        rc = main(["noise", "--kind", "pam", "--config", str(cfgfile),
-                   "--out", str(out)])
+        rc = main(["solve-pam", "--n", "16", "--config", str(cfgfile), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert not (out / "noise.field").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_a_store_true_config_key_sets_its_flag(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"gauge_check": True}))
+        assert main(["solve-pam", "--n", "32", "--time-steps", "8", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert abs(observed_order(capsys.readouterr().out) - 2.0) < 0.1
 
     def test_runtime_errors_exit_one(self, tmp_path):
         # 48 is not a power of two, so grid construction fails cleanly
@@ -348,6 +373,16 @@ class TestRenorm:
         assert main(["renorm", "--n", "32", "--eps", "0.5", "0.25", "0.125", "--seeds", "3",
                      "--out", str(tmp_path / "o")]) == 0
         assert calls == ["spatial_white_noise", "pam_theta"] * 3
+
+    def test_a_shifted_constant_fails_the_se_check(self, tmp_path, monkeypatch, capsys):
+        # c_eps one unit off the Monte Carlo mean; two eps leave the fit out
+        monkeypatch.setattr(cli, "pam_c_eps", lambda *a: pam_c_eps(*a) + 1.0)
+        out = tmp_path / "o"
+        assert main(["renorm", "--n", "32", "--eps", "0.5", "0.25", "--seeds", "5",
+                     "--out", str(out)]) == 2
+        assert "renorm: SE CHECK FAILED" in capsys.readouterr().out.splitlines()
+        _, rows = read_csv(out / "renorm.csv")
+        assert len(rows) == 2
 
     def test_bitwise_reproducible_across_thread_settings(self, tmp_path):
         argv = ["renorm", "--n", "32", "--eps", "0.5", "0.25", "--seeds", "5"]
