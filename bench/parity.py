@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Parity check of the CLI's outputs against another source tree.
 
-Runs a fixed list of 19 small CLI runs in one process, each into its own
+Runs a fixed list of 20 small CLI runs in one process, each into its own
 directory under `--out`, and writes `manifest.json` there: per run the
 argv, the exit code, stdout without its `wrote ...` lines (they name the
 output directory), stderr, the `report.json` iteration count and the
@@ -53,6 +53,8 @@ RUNS = {
     "solve-burgers-diverges": ["solve-burgers", "--n", "64", "--sigma", "0.9",
                                "--time-steps", "8", "--amplitude", "200"],
     "solve-pam": ["solve-pam", "--n", "32"],
+    # a step of 1/32 leaves block 3 of N = 64 unmollified, so no ptt is held
+    "solve-pam-n64": ["solve-pam", "--n", "64", "--time-steps", "8"],
     "gauge-check": ["solve-pam", "--gauge-check", "--n", "32", "--time-steps", "8"],
     "study-rde": ["study", "--equation", "rde", "--eps", "0.5", "0.25", "--seeds", "1"],
     "study-burgers": ["study", "--equation", "burgers", "--n", "64", "--sigma", "0.9",

@@ -13,16 +13,16 @@ N = 256.  At the 2-d sizes it also times the construction of a
 `paraproducts.CausalAverage` on the 257 nodes of [0, 1] (M = 256), which
 builds the causal time-average kernel of every scale and transforms
 nothing, and `partition.make_dyadic_partition` of the grid.  And it
-times one later-node call
-of the time-mollified paraproduct
+times one node-0 call of the time-mollified paraproduct
 `paraproducts.CausalAverage.paraproduct` with its second factor held
 warm, one later-node `solvers.pam_drift_sharp` call with its fixed
 holders warm, and one drift evaluation of the classical
 `solvers.solve_pam_regularized` (c_eps != 0, xi_eps held); these three
 rows record the inverse and forward oversampled transform calls that one
 evaluation makes and the channels they transform (j_max inverse and one
-forward for the paraproduct; the transform counts per drift evaluation
-of the two 2-d solvers).  Step rows time whole marches per time step
+forward for the paraproduct, which node 0 always builds; for the drift,
+a revision of a node whose paraproduct is held; the classical drift's
+count).  Step rows time whole marches per time step
 and count their drift evaluations and transform calls and channels
 per step, set-up included: `solve_pam_regularized` at the PAM study's
 config (N = 64, 32 steps, fp_tol 1e-10, damping 1), `solve_pam` at
@@ -127,21 +127,23 @@ def all_blocks(f, part) -> list:
     return [fb.block(j) for j in part.blocks]
 
 
-def later_paraproduct_call(grid, part, rng):
-    """A `CausalAverage.paraproduct` call at node 2 with the second factor
-    held and the two earlier nodes recorded; repeated calls revise node 2."""
+def first_paraproduct_call(grid, part, rng):
+    """A `CausalAverage.paraproduct` call at node 0 with the second factor
+    held.  Node 0 has weight 1 in every scale's average, so no paraproduct
+    is held there and each repeated call, a revision of node 0, builds it:
+    the work of a node's first call at any node."""
     f = SpectralField.from_values(grid, rng.standard_normal(grid.shape))
     gb = Blocks(SpectralField.from_values(grid, rng.standard_normal(grid.shape)), part)
     avg = CausalAverage(part, np.arange(9) / 512.0)
-    for n in (0, 1):
-        avg.paraproduct(n, f, gb)
-    return lambda: avg.paraproduct(2, f, gb)
+    return lambda: avg.paraproduct(0, f, gb)
 
 
 def later_drift_call(grid, part, rng):
     """A `pam_drift_sharp` call at node 2 of a solve with its fixed holders
     and the two earlier nodes in place; repeated calls revise node 2, as
-    the solver's fixed point does."""
+    the solver's fixed point does.  A step of 1/512 resolves every scale,
+    so node 2 has weight 0 in its own average and the revisions reuse the
+    paraproduct held there."""
     xi = remove_mean(SpectralField.from_values(grid, rng.standard_normal(grid.shape)))[0]
     theta = pam_theta(xi)
     held = [Blocks(f, part) for f in (theta, xi, xi)]  # xi stands in for the area
@@ -272,7 +274,7 @@ def sweep() -> list:
             rows.append({"layer": "partition.make_dyadic_partition", "dim": dim, "n": n,
                          **per_call_us(lambda: make_dyadic_partition(grid))})
             drifts = {"paraproducts.CausalAverage.paraproduct":
-                      later_paraproduct_call(grid, part, np.random.default_rng(n + 1)),
+                      first_paraproduct_call(grid, part, np.random.default_rng(n + 1)),
                       "solvers.pam_drift_sharp": later_drift_call(grid, part, rng),
                       "solvers.solve_pam_regularized.drift":
                       later_regularized_drift(grid, np.random.default_rng(n))}

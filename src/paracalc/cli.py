@@ -299,8 +299,11 @@ def _study_pam(args, lam: float, seed: int, eps_list):
 
 def cmd_study(args) -> int:
     eps_list = list(args.eps or [])
-    if len(eps_list) < 2 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("study needs a strictly decreasing --eps ladder")
+    # 0 < e < inf is false for NaN; checked before a runner solves any eps
+    if len(eps_list) < 2 or not all(0 < e < math.inf for e in eps_list) \
+            or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("study needs a strictly decreasing --eps ladder of positive "
+                         "finite scales")
     if args.seeds < 1:
         raise ValueError("study needs at least one seed")
     if args.n is None:

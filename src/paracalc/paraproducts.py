@@ -292,6 +292,12 @@ class CausalAverage:
     earlier nodes' share, contracted once per node, plus the weight times
     node n.  Node n may be recorded again (a solver revises it inside its
     fixed point); moving on to node n + 1 freezes node n.
+
+    The causal bump vanishes at lag 0, so from node 1 on a resolved scale
+    gives node n itself the weight 0.0.  Where every scale does, the
+    paraproduct at node n does not depend on f there: `paraproduct` builds
+    it once per node and second factor, matched by identity, and returns
+    that value to every revision of the node.
     """
 
     def __init__(self, part: DyadicPartition, times: np.ndarray):
@@ -306,13 +312,14 @@ class CausalAverage:
         self.hist = None
         self.node = None
         self.share = []     # per scale at `node`: the earlier nodes' share, node's weight
+        self.held = []      # (g, paraproduct) built at `node`, when no scale weighs it
 
     def at(self, n: int, f: SpectralField) -> list[np.ndarray]:
         if self.hist is None:
             self.hist = np.zeros((len(self.times),) + f.coeffs.shape, dtype=np.complex128)
         if n != self.node:
             self.node = n
-            self.share = []
+            self.share, self.held = [], []
             for k in self.kernels:
                 w = _node_weights(k, n, len(self.times))
                 nz = np.nonzero(w[:n])[0]
@@ -323,11 +330,18 @@ class CausalAverage:
     def paraproduct(self, n: int, f: SpectralField, g: Blocks) -> SpectralField:
         """Record f at node n, as `at` does, and return the time-mollified
         paraproduct there, sum over i of S_(i-1)(Q_i f) * Delta_i g: one
-        inverse transform per scale and one forward for the sum."""
-        acc = 0.0
-        for i, q in enumerate(self.at(n, f), start=1):
-            acc = acc + oversampled_values(SpectralField(f.grid, q)) * g.block(i)
-        return field_from_oversampled(f.grid, acc)
+        inverse transform per scale and one forward for the sum, or none
+        when it is held for this g at a node that no scale weighs."""
+        qs = self.at(n, f)
+        out = next((p for h, p in self.held if h is g), None)
+        if out is None:
+            acc = 0.0
+            for i, q in enumerate(qs, start=1):
+                acc = acc + oversampled_values(SpectralField(f.grid, q)) * g.block(i)
+            out = field_from_oversampled(f.grid, acc)
+            if all(wn == 0.0 for _, wn in self.share):
+                self.held.append((g, out))
+        return out
 
 
 def _para_lt_times(fpath: FieldPath, gpaths: list[FieldPath]) -> list[FieldPath]:

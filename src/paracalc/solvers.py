@@ -233,8 +233,8 @@ def pam_drift_sharp(avg: CausalAverage, n: int, u: SpectralField,
     L ptt is |k|^2 ptt plus the BDF2 difference of ptt's node values from
     node 2 on, the first-order one at node 1 and none at the initial node,
     where the clamped history is constant.  ptt is `avg.paraproduct`, one
-    inverse transform per scale; the products are summed in real space
-    before one forward transform."""
+    inverse transform per scale and one forward, none where `avg` holds it;
+    the products are summed in real space before one forward transform."""
     grid, part = u.grid, theta.part
     ub = Blocks(u, part)
     fb, db = Blocks(F(ub), part), Blocks(F.deriv(ub), part)
@@ -258,11 +258,15 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
 
     Marches the remainder with the exact per-mode exponential rule and
     rebuilds u = ptt + usharp, ptt = F(u) << theta, through a damped inner
-    fixed point at each node, started from 2 u_n - u_(n-1) from node 2 on.
-    The node keeps the drift and ptt of the fixed point's last evaluation,
-    within fp_tol of the accepted value, so no drift is evaluated at an
-    accepted node; the last two ptt are kept for the time difference in
-    the heat defect of `pam_drift_sharp`.
+    fixed point at each node.  Node 1 starts from the march's first step,
+    ptt_0 + usharp_0 decay + N_0 A; from node 2 on the fixed point starts
+    from the march's predictor, 2 ptt_n - ptt_(n-1) + base + (2 N_n - N_(n-1)) B,
+    N the drift.  The node keeps the drift and ptt of the fixed point's
+    last evaluation, within fp_tol of the accepted value, so no drift is
+    evaluated at an accepted node; the last two ptt are kept for the time
+    difference in the heat defect of `pam_drift_sharp`.  Where the causal
+    average gives node n + 1 no weight, ptt there is built once and held
+    for the node's later iterations (`CausalAverage.paraproduct`).
     """
     if E.kind != "pam":
         raise ValueError("solve_pam expects 2-d static enhanced data")
@@ -291,15 +295,19 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     worst_it = 0
     for n in range(cfg.M):
         base = usharp.coeffs * decay + drift.coeffs * (A - B)
+        if n:
+            start = (2.0 * past[0] - past[1]) + base + (2.0 * drift.coeffs - d_prev) * B
+        else:
+            start = past[0] + base + drift.coeffs * B
+        d_prev = drift.coeffs
 
         def step(v: SpectralField) -> SpectralField:
             nonlocal drift, ptt
             drift, ptt = pam_drift_sharp(avg, n + 1, v, *held, past, F)
             return ptt + SpectralField(grid, base + drift.coeffs * B)
 
-        start = u * 2.0 - u_fields[-2] if n else u
-        _, k, res = damped_fixed_point(step, start, cfg.fp_tol, cfg.fp_max, cfg.damping,
-                                       f"node {n + 1}")
+        _, k, res = damped_fixed_point(step, SpectralField(grid, start), cfg.fp_tol,
+                                       cfg.fp_max, cfg.damping, f"node {n + 1}")
         past = (ptt.coeffs, past[0])
         usharp = SpectralField(grid, base + drift.coeffs * B)
         u = ptt + usharp

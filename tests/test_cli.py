@@ -91,6 +91,8 @@ class TestParsing:
         (["noise", "--kind", "rde", "--eps", "0"], "noise.field"),
         (["solve-rde", "--eps", "0"], "solution.field"),
         (["study", "--equation", "rde", "--eps", "0.5", "0", "--seeds", "1"], "study.csv"),
+        (["study", "--equation", "burgers", "--n", "16", "--eps", "inf", "0.5", "--seeds", "1"],
+         "study.csv"),
         (["noise", "--kind", "pam", "--n", "16", "--eps", "0"], "noise.field"),
         (["area", "--kind", "pam", "--n", "16", "--eps", "0"], "area.field"),
         (["area", "--kind", "burgers", "--n", "16", "--eps", "0"], "area.field"),
@@ -98,16 +100,23 @@ class TestParsing:
         (["solve-pam", "--n", "16", "--eps", "0"], "solution.field"),
         (["renorm", "--n", "16", "--eps", "0", "--seeds", "2"], "renorm.csv")],
         ids=["noise-nan", "noise-inf", "renorm-nan", "study-nan", "noise-rde-zero",
-             "solve-rde-zero", "study-rde-zero", "noise-pam-zero", "area-pam-zero",
-             "area-burgers-zero", "solve-burgers-zero", "solve-pam-zero", "renorm-zero"])
-    def test_a_nan_or_infinite_eps_exits_one(self, tmp_path, capsys, argv, written):
+             "solve-rde-zero", "study-rde-zero", "study-burgers-inf", "noise-pam-zero",
+             "area-pam-zero", "area-burgers-zero", "solve-burgers-zero", "solve-pam-zero",
+             "renorm-zero"])
+    def test_a_nan_or_infinite_eps_exits_one(self, tmp_path, capsys, monkeypatch, argv,
+                                             written):
         # eps <= 0 is false for NaN, which would run on into a NaN field;
-        # 0 used to run the rough ODE's driver unmollified
+        # 0 used to run the rough ODE's driver unmollified; a study checks
+        # its whole ladder before it solves the coarser scales
+        runs = []
+        for name in ("_study_rde", "_study_burgers", "_study_pam"):
+            monkeypatch.setattr(cli, name, lambda *a: runs.append(a))
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (out / written).exists()
+        assert runs == []
 
     @pytest.mark.parametrize("support", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("argv, written", [

@@ -347,6 +347,20 @@ class TestTimeMollified:
         assert max((h - r).sup_norm() for h, r in zip(out.fields, rule.fields)) \
             <= 1e-12 * ref.sup_norm()
 
+    def test_heat_commutator_pairs_each_factor_with_its_own_paraproduct(self, grid2d):
+        # a step of 1/512 resolves every scale, so from node 1 on the node
+        # has weight 0 in its own average and CausalAverage holds the
+        # paraproduct it built there; the two paraproducts of the
+        # commutator share one average, and each must keep its own factor
+        times = np.arange(5) / 512
+        upath, vpath = (FieldPath(times, [rough_field(grid2d, a, s + n) for n in range(5)])
+                        for a, s in ((0.5, 35), (-0.5, 45)))
+        out = heat_para_commutator(upath, vpath)
+        ref = apply_L(para_lt_time(upath, vpath), 1.0) \
+            - para_lt_time(upath, apply_L(vpath, 1.0))
+        for h, r in zip(out.fields, ref.fields):
+            assert np.array_equal(h.coeffs, r.coeffs)
+
     def test_heat_commutator_averages_u_once(self, caplog):
         # both paraproducts of the commutator read one CausalAverage of u, so
         # a step of 1/16 is reported once per commutator; it is as wide as

@@ -756,6 +756,33 @@ class TestPam:
         for got, w in zip(ptt, want.fields):
             assert np.array_equal(got.coeffs, w.coeffs)
 
+    def test_drift_ptt_follows_revisions_where_a_block_is_unresolved(self, caplog):
+        # at 2-d N = 64 a step of 1/32 leaves block 3 unmollified: that scale
+        # weighs every node by itself, so nothing is held, a revision of F(u)
+        # moves ptt (theta keeps its block 3), and ptt is still para_lt_time
+        # of the final values
+        grid = TorusGrid(2, 64)
+        part = default_partition(grid)
+        E = self._enhanced(grid, part, band=32)
+        held = [Blocks(f, part) for f in (E.theta, E.xi, E.eta)]
+        held.append(Blocks(resonant(held[0], held[1], part), part))
+        times = np.arange(5) / 32.0
+        with caplog.at_level(logging.WARNING, logger="paracalc.paraproducts"):
+            avg, F = CausalAverage(part, times), tanh_fn(0.4)
+        assert "below block 3" in caplog.text
+        fu, ptt, past = [], [], ()
+        for n in range(len(times)):
+            first = pam_drift_sharp(avg, n, rough_field(grid, 0.9, 10 * n), *held, past, F)[1]
+            u = rough_field(grid, 0.9, 10 * n + 1)
+            out = pam_drift_sharp(avg, n, u, *held, past, F)[1]
+            assert not np.array_equal(first.coeffs, out.coeffs)
+            fu.append(F(u))
+            ptt.append(out)
+            past = (out.coeffs,) + past[:1]
+        want = para_lt_time(FieldPath(times, fu), FieldPath(times, [E.theta] * len(times)))
+        for got, w in zip(ptt, want.fields):
+            assert np.array_equal(got.coeffs, w.coeffs)
+
     @pytest.mark.parametrize("n, T, M, step, block", [
         pytest.param(32, 0.5, 4, "0.125", 2, id="4-1"),
         pytest.param(32, 0.5, 16, None, None, id="16-0"),
@@ -825,16 +852,19 @@ class TestPam:
 
     def test_drift_transform_counts(self, monkeypatch):
         # criterion 5's 2-d config: once the first call has transformed the
-        # fixed blocks, a drift makes at most 8 inverse and 6 forward
-        # transforms (the product-rule heat defect made 17 and 6, the
-        # term-by-term expansion 53 and 23)
+        # fixed blocks, a node's first drift makes at most 8 inverse and 6
+        # forward transforms (the product-rule heat defect made 17 and 6,
+        # the term-by-term expansion 53 and 23); dt = 1/256 resolves every
+        # scale, so node n >= 1 has weight 0 in its own average and each
+        # revision reuses the node's ptt: 3 inverse and 1 forward fewer
         calls = count_transforms(monkeypatch)
         per_call = []
 
         def counted(*args, **kwargs):
             calls.update(dict.fromkeys(calls, 0))
             out = pam_drift_sharp(*args, **kwargs)
-            per_call.append((calls["oversampled_values"], calls["field_from_oversampled"]))
+            per_call.append((args[1], calls["oversampled_values"],
+                             calls["field_from_oversampled"]))
             return out
 
         monkeypatch.setattr(paracalc.solvers, "pam_drift_sharp", counted)
@@ -847,14 +877,23 @@ class TestPam:
         cfg = SolverConfig(alpha=0.45, sigma=1.0, T=2 * 0.25 / 128, M=2, fp_tol=1e-11,
                            damping=1.0)
         solve_pam(SpectralField.constant(grid, 0.3), E, tanh_fn(0.4), cfg, part=part)
-        assert len(per_call) > 2
-        for inverse, forward in per_call[1:]:
-            assert inverse <= 8 and forward <= 6
+        nodes = [n for n, _, _ in per_call]
+        assert nodes[0] == 0 and all(nodes.count(n) > 1 for n in (1, 2))
+        for k, (n, inverse, forward) in enumerate(per_call[1:], start=1):
+            if nodes[k - 1] != n:
+                assert inverse <= 8 and forward <= 6
+            else:
+                assert (inverse, forward) == (5, 5)
 
-    def test_one_drift_evaluation_per_inner_iteration(self, monkeypatch):
-        # criterion 5's 2-d config: node 0's drift, then one evaluation per
-        # inner iteration of each node's fixed point, none again at the
-        # accepted node (49 calls at the pam2d config made 34)
+    @pytest.mark.parametrize("T, M, most", [(0.25, 128, None), (8 / 512, 8, 26)],
+                             ids=["criterion-5", "pam2d"])
+    def test_one_drift_evaluation_per_inner_iteration(self, monkeypatch, T, M, most):
+        # criterion 5's 2-d config and perfbench's pam2d steps: node 0's
+        # drift, then one evaluation per inner iteration of each node's
+        # fixed point, none again at the accepted node; the march's
+        # predictor starts each node (49 calls at the pam2d config made
+        # 34, a start from 2 u_n - u_(n-1) and ptt rebuilt at every
+        # iteration; 26 now)
         calls, its = [], []
         fixed_point = paracalc.solvers.damped_fixed_point
 
@@ -875,12 +914,12 @@ class TestPam:
         xi = SpectralField(grid, xi.coeffs * (grid.k_abs() <= 8)) * 3.0
         theta = pam_theta(xi)
         E = EnhancedNoise("pam", xi, theta, resonant(theta, xi, part) - 0.2, 0.2)
-        cfg = SolverConfig(alpha=0.45, sigma=1.0, T=0.25, M=128, fp_tol=1e-11,
-                           damping=1.0)
+        cfg = SolverConfig(alpha=0.45, sigma=1.0, T=T, M=M, fp_tol=1e-11, damping=1.0)
         solve_pam(SpectralField.constant(grid, 0.3), E, tanh_fn(0.4), cfg, part=part)
-        assert len(its) == 128
+        assert len(its) == M
         assert len(calls) == 1 + sum(its)
         assert calls == [0] + [n + 1 for n, k in enumerate(its) for _ in range(k)]
+        assert most is None or len(calls) <= most
 
     def test_non_finite_residual_stops_the_solve_at_once(self, monkeypatch):
         calls = []
