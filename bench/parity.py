@@ -19,10 +19,10 @@ coefficients of a field snapshot, relative to their largest modulus, or
 of the numbers of a CSV or JSON file, each relative to its own size.  A
 `report.json`'s fixed-point `residual` is left out of that difference and
 printed apart as "residual a -> b": it sits at the tolerance level, where
-a move of 1e-9 is a relative difference of order 1.  The script also names
-every changed exit code, stdout, stderr and iteration count, and exits 1
-if anything differs.  The check informs a review; it gates
-nothing.
+a move of 1e-9 is a relative difference of order 1.  Its `iterations` is
+left out too, as the count is named apart.  The script also names every
+changed exit code, stdout, stderr and iteration count, and exits 1 if
+anything differs.  The check informs a review; it gates nothing.
 """
 
 import argparse
@@ -92,8 +92,8 @@ def run_all(out: Path) -> dict:
 
 def _numbers(path: Path):
     """The numbers of a field snapshot's coefficients, or of a CSV or JSON
-    file (but for a report's residual), as a flat complex array, and
-    whether they are coefficients."""
+    file (but for a report's residual and iteration count), as a flat
+    complex array, and whether they are coefficients."""
     from paracalc import FieldPath, load_field
     if path.suffix == ".field":
         f = load_field(path)
@@ -103,7 +103,7 @@ def _numbers(path: Path):
 
         def walk(x):
             if isinstance(x, dict):
-                for k in sorted(set(x) - {"residual"}):
+                for k in sorted(set(x) - {"residual", "iterations"}):
                     walk(x[k])
             elif isinstance(x, list):
                 for v in x:

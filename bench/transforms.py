@@ -2,11 +2,15 @@
 """Layer sweep of the oversampled transforms and the block layer on them.
 
 Times `grid.oversampled_values`, `grid.field_from_oversampled`,
-`grid.dealiased_product`, a fresh `paraproducts.Blocks` holder with the
-values of all its blocks, `paraproducts.para_lt` and
-`paraproducts.resonant` on two plain fields and `paraproducts.commutator_C`
-on three, all on one-channel fields at 1-d N = 256, 1024 and 2-d N = 32,
-64, 128.  It times `grid.SpectralField.eval_at` at one point, as the
+`grid.band_limit`, `grid.dealiased_product`, a fresh
+`paraproducts.Blocks` holder with the values of all its blocks,
+`paraproducts.para_lt` and `paraproducts.resonant` on two plain fields
+and `paraproducts.commutator_C` on three, all on one-channel fields at
+1-d N = 256, 1024 and 2-d N = 32, 64, 128.  At the 1-d sizes it times
+the Burgers areas of 16 nodes of a path: `enhanced.burgers_area` on
+them, stacked as one chunk, against `enhanced.pair_resonant` node by
+node (`.per_node`), each row with its transform counts.  It times
+`grid.SpectralField.eval_at` at one point, as the
 rough ODE's classical check calls it, at 1-d N = 512 and 2-d N = 32, 64,
 and at the 64 N + 1 points of `enhanced.rough_area_check` at 1-d
 N = 256.  At the 2-d sizes it also times the construction of a
@@ -73,23 +77,25 @@ import paracalc.evolution  # noqa: E402
 import paracalc.grid  # noqa: E402
 import paracalc.solvers  # noqa: E402
 from paracalc.grid import (FieldPath, SpectralField, TorusGrid,  # noqa: E402
-                           dealiased_product, field_from_oversampled, oversampled_values)
-from paracalc.enhanced import pam_c_eps  # noqa: E402
+                           band_limit, dealiased_product, field_from_oversampled,
+                           oversampled_values)
+from paracalc.enhanced import burgers_area, pair_resonant, pam_c_eps  # noqa: E402
 from paracalc.evolution import duhamel  # noqa: E402
-from paracalc.noise import (BUMP_MOLLIFIER, mollify, pam_theta,  # noqa: E402
-                            spatial_white_noise)
+from paracalc.noise import (BUMP_MOLLIFIER, burgers_theta_path, mollify,  # noqa: E402
+                            pam_theta, spatial_white_noise)
 from paracalc.paraproducts import (Blocks, CausalAverage, commutator_C,  # noqa: E402
                                    para_lt, poly_function, resonant)
 from paracalc.partition import make_dyadic_partition  # noqa: E402
 from paracalc.solvers import (SolverConfig, pam_drift_sharp, solve_pam,  # noqa: E402
                               solve_pam_regularized)
-from paracalc.spectral import default_partition, remove_mean  # noqa: E402
+from paracalc.spectral import default_partition, derivative, remove_mean  # noqa: E402
 import workloads  # noqa: E402  (perfbench's)
 
 SIZES = [(1, 256), (1, 1024), (2, 32), (2, 64), (2, 128)]
 # (dim, n, points) of the point-evaluation rows
 EVAL_SIZES = [(1, 512, 1), (1, 256, 64 * 256 + 1), (2, 32, 1), (2, 64, 1)]
 DUHAMEL_STEPS = 16
+AREA_NODES = 16  # one chunk of solve_burgers' areas
 REPEATS = 7
 REPEAT_S = 0.1
 REGRESSION = 0.10  # a row regresses when its median grows by this share or more
@@ -255,6 +261,7 @@ def sweep() -> list:
         layers = {
             "grid.oversampled_values": lambda: oversampled_values(f),
             "grid.field_from_oversampled": lambda: field_from_oversampled(grid, fine),
+            "grid.band_limit": lambda: band_limit(grid, fine),
             "grid.dealiased_product": lambda: dealiased_product(f, g),
             "paraproducts.Blocks": lambda: all_blocks(f, part),
             "paraproducts.para_lt": lambda: para_lt(f, g),
@@ -263,6 +270,14 @@ def sweep() -> list:
         }
         for name, fn in layers.items():
             rows.append({"layer": name, "dim": dim, "n": n, **per_call_us(fn)})
+        if dim == 1:
+            path = burgers_theta_path(grid, 0.9, 0.25, AREA_NODES - 1, 1, n)
+            areas = {"enhanced.burgers_area": lambda: burgers_area(path, part),
+                     "enhanced.burgers_area.per_node": lambda: [
+                         pair_resonant(th, derivative(th, 0), part) for th in path.fields]}
+            for name, fn in areas.items():
+                rows.append({"layer": name, "dim": dim, "n": n, "nodes": AREA_NODES,
+                             **per_call_us(fn), **transform_counts(fn)})
         if dim == 2:
             # at N = 128 a step of 1/256 leaves block 4 unmollified, and
             # each build would log that warning

@@ -25,7 +25,8 @@ import numpy as np
 from .enhanced import (EnhancedNoise, burgers_area, pam_c_eps,
                        pam_renormalized_area, rde_area)
 from .evolution import NonConvergence, trapezoid_exponential_path
-from .grid import SpectralField, TorusGrid, apply_pointwise, dealiased_product, save_field
+from .grid import (_NODE_CHUNK, SpectralField, TorusGrid, apply_pointwise, dealiased_product,
+                   save_field)
 from .noise import (MOLLIFIERS, burgers_theta_path, mollify, pam_theta,
                     rde_driver, sample_line_path, spatial_white_noise)
 from .paraproducts import NonlinearFunction, resonant, poly_function
@@ -275,9 +276,15 @@ def _study_burgers(args, lam: float, seed: int, eps_list):
                                            dth[n] + derivative(w, 0))
     sol = trapezoid_exponential_path(cfg.sigma, SpectralField.zero(grid, len(eps_list)), drift,
                                      cfg.T, cfg.M, fp_tol=cfg.fp_tol, damping=cfg.damping)[0]
-    return [max(besov_norm(u.channel(k) - u.channel(k + 1), cfg.alpha)
-                for u in sol.fields)
-            for k in range(len(eps_list) - 1)]
+    # each pair's distance is a sup over nodes and scales, and besov_norm's
+    # sup runs over channels too: one norm per chunk of nodes and pair
+    per_chunk = []
+    for i in range(0, len(sol), _NODE_CHUNK):
+        c = np.stack([u.coeffs for u in sol.fields[i:i + _NODE_CHUNK]])
+        d = c[:, :-1] - c[:, 1:]
+        per_chunk.append([besov_norm(SpectralField(grid, d[:, k]), cfg.alpha)
+                          for k in range(d.shape[1])])
+    return [max(norms) for norms in zip(*per_chunk)]
 
 
 def _study_pam(args, lam: float, seed: int, eps_list):

@@ -16,11 +16,11 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .evolution import heat_apply
-from .grid import FieldPath, SpectralField, TorusGrid, TWO_PI
+from .grid import _NODE_CHUNK, FieldPath, SpectralField, TorusGrid, TWO_PI
 from .noise import Mollifier, mollify, pam_theta
 from .partition import DyadicPartition
 from .spectral import _symbol, antiderivative, derivative
-from .paraproducts import Blocks, para_lt, para_gt, resonant
+from .paraproducts import para_lt, para_gt, resonant
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,23 @@ class EnhancedNoise:
 
 # -- matrix-channel helpers -------------------------------------------
 
+def _pairs(a: SpectralField, b: SpectralField, nodes: int):
+    """The operands of every channel-pair product of each node: a and b
+    stack `nodes` groups of channels, one group per node, and the two
+    fields returned stack each node's pairs in row-major (k, l) layout, so
+    one `resonant` call on them transforms and multiplies each pair on its
+    own."""
+    grid = a.grid
+    ca, cb = a.channels // nodes, b.channels // nodes
+    rows = np.repeat(a.coeffs.reshape((nodes, ca) + grid.shape), cb, axis=1)  # k, once per l
+    cols = np.tile(b.coeffs.reshape((nodes, cb) + grid.shape), (1, ca) + (1,) * grid.dim)
+    return tuple(SpectralField(grid, x.reshape((-1,) + grid.shape)) for x in (rows, cols))
+
+
 def pair_resonant(a: SpectralField, b: SpectralField,
                   part: DyadicPartition | None = None) -> SpectralField:
     """All channel-pair resonant products, row-major (k, l) layout."""
-    held = [Blocks(b.channel(l), part) for l in range(b.channels)]
-    out = []
-    for k in range(a.channels):
-        ak = Blocks(a.channel(k), part)
-        for bl in held:
-            out.append(resonant(ak, bl).coeffs[0])
-    return SpectralField(a.grid, np.stack(out))
+    return resonant(*_pairs(a, b, 1), part)
 
 
 def sym_antisym_split(eta: SpectralField):
@@ -69,8 +76,15 @@ def sym_antisym_split(eta: SpectralField):
 def burgers_area(theta_path: FieldPath,
                  part: DyadicPartition | None = None) -> FieldPath:
     """Matrix-valued area of the stochastic convolution: per node,
-    resonant products of each component with each spatial derivative."""
-    return theta_path.map(lambda th: pair_resonant(th, derivative(th, 0), part))
+    resonant products of each component with each spatial derivative,
+    computed for 16 nodes at a time as the channels of one field."""
+    grid, fields = theta_path.grid, []
+    for i in range(0, len(theta_path), _NODE_CHUNK):
+        nodes = theta_path.fields[i:i + _NODE_CHUNK]
+        th = SpectralField(grid, np.concatenate([f.coeffs for f in nodes]))
+        area = resonant(*_pairs(th, derivative(th, 0), len(nodes)), part)
+        fields += [SpectralField(grid, c) for c in np.split(area.coeffs, len(nodes))]
+    return FieldPath(theta_path.times, fields)
 
 
 # -- renormalization constants ----------------------------------------

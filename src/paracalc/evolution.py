@@ -115,9 +115,9 @@ def damped_fixed_point(step, x: SpectralField, fp_tol: float, fp_max: int,
         raise ValueError(f"fp_max must be at least 1, got {fp_max}")
     least = math.inf
     for k in range(1, fp_max + 1):
-        cand = step(x)
-        res = float(np.max(np.abs(cand.coeffs - x.coeffs)))
-        x = x + (cand - x) * damping
+        diff = step(x).coeffs - x.coeffs
+        res = float(np.max(np.abs(diff)))
+        x = SpectralField(x.grid, x.coeffs + diff * damping)
         if math.isfinite(res) and res <= fp_tol * (1.0 + np.max(np.abs(x.coeffs))):
             return x, k, res
         if not math.isfinite(res) or res > max(4.0 * least, 1.0):
@@ -151,6 +151,7 @@ def trapezoid_exponential_path(sigma: float, u0: SpectralField, drift, T: float,
     grid = u0.grid
     dt = T / M
     decay, A, B = SemigroupSpec(sigma, grid).step_weights(dt)
+    left = A - B  # the weight of a step's left drift
     implicit = math.isfinite(fp_tol)
     fields = [u0]
     u = u0
@@ -160,7 +161,7 @@ def trapezoid_exponential_path(sigma: float, u0: SpectralField, drift, T: float,
         if n:
             d_prev = d0
         d0 = drift(n, u).coeffs if n and not implicit else d1
-        base = u.coeffs * decay + d0 * (A - B)
+        base = u.coeffs * decay + d0 * left
         start = (base + (2.0 * d0 - d_prev) * B if n and implicit
                  else u.coeffs * decay + d0 * A)
 

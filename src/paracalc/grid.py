@@ -217,7 +217,8 @@ def _check_same_grid(f: SpectralField, g: SpectralField):
 
 # -- dealiased pointwise algebra --------------------------------------
 
-# Calls and channels of the two transforms below; never reset, so read differences.
+# Calls and channels of the transforms below (`band_limit` adds one of
+# each); never reset, so read differences.
 tally = dict.fromkeys(("inverse", "inverse_channels", "forward", "forward_channels"), 0)
 
 
@@ -226,37 +227,18 @@ def _negate_rows(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[..., :1, :], x[..., :0:-1, :]), axis=-2)
 
 
-def oversampled_values(f: SpectralField) -> np.ndarray:
-    """Exact real-space samples on a twice finer grid; counted in `tally`.
-
-    The coefficients are first projected onto their Hermitian part
-    (c(k) + conj c(-k)) / 2, which is what the real part of the complex
-    inverse transform keeps; a real inverse transform alone would read only
-    half the spectrum and so change the values of non-Hermitian inputs,
-    such as the Nyquist modes left by `derivative`.  The Nyquist
-    coefficient (index n/2, frequency -n/2) of each axis is then split
-    evenly between the +n/2 and -n/2 slots of the fine lattice, the exact
-    interpolation for real fields.
-
-    Pruned row-column transform: in 2-d only the last axis' columns 0..n/2,
-    the non-zero ones, are transformed along the first axis; the real
-    inverse transform along the last axis zero-pads them to the fine grid.
-    """
-    n, d = f.grid.n, f.grid.dim
+def _fine_values(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Counted inverse transform to the fine grid of the last axis' columns
+    0..n/2, their Nyquist column split already (in 2-d the Nyquist row is
+    split here).  Pruned row-column transform: in 2-d only these columns
+    are transformed along the first axis, and the real inverse transform
+    along the last axis zero-pads them."""
+    n, d = grid.n, grid.dim
     m, h = 2 * n, n // 2
-    c = f.coeffs
     tally["inverse"] += 1
-    tally["inverse_channels"] += c.shape[0]
-    # Hermitian part on the half spectrum of the last axis, c(-k) read by
-    # reversed slices; its Nyquist column is split, the -n/2 half being
-    # implied by the real transform
-    mirror = np.concatenate((c[..., :1], c[..., :h - 1:-1]), axis=-1)
+    tally["inverse_channels"] += half.shape[0]
     if d == 2:
-        mirror = _negate_rows(mirror)
-    half = 0.5 * (c[..., : h + 1] + np.conj(mirror))
-    half[..., h] *= 0.5
-    if d == 2:
-        cols = np.zeros(c.shape[:-2] + (m, h + 1), dtype=np.complex128)
+        cols = np.zeros(half.shape[:-2] + (m, h + 1), dtype=np.complex128)
         cols[..., :h, :] = half[..., :h, :]
         cols[..., h, :] = 0.5 * half[..., h, :]
         cols[..., m - h, :] = cols[..., h, :]
@@ -265,18 +247,13 @@ def oversampled_values(f: SpectralField) -> np.ndarray:
     return np.fft.irfft(half, n=m, norm="forward")
 
 
-def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField:
-    """Project real fine-grid samples onto the grid's spectrum; counted in `tally`.
-
-    The adjoint of the padding in `oversampled_values`: the fine +n/2 and
-    -n/2 slots of each axis fold into the coarse Nyquist coefficient, and
-    the negative half of the last axis is rebuilt by Hermitian symmetry.
-
-    Pruned row-column transform: of the real transform along the last axis
-    only columns 0..n/2 are kept, and in 2-d transformed along the first.
-    Raises ValueError unless `values` has shape (2n,)*d or
-    (channels,) + (2n,)*d.
-    """
+def _coarse_half(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Counted forward transform of real fine-grid samples to the last
+    axis' columns 0..n/2 of the coarse spectrum, before the Hermitian fold
+    (in 2-d the fine +-n/2 rows fold into the Nyquist row).  Pruned: of the
+    real transform along the last axis only these columns are kept, and in
+    2-d transformed along the first.  Raises ValueError unless `values`
+    has shape (2n,)*d or (channels,) + (2n,)*d."""
     n, d = grid.n, grid.dim
     m, h = 2 * n, n // 2
     if values.shape[-d:] != (m,) * d or not d <= values.ndim <= d + 1:
@@ -292,6 +269,53 @@ def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField
         t[..., :h, :] = v[..., :h, :]
         t[..., h, :] = v[..., h, :] + v[..., m - h, :]
         t[..., h + 1:, :] = v[..., m - h + 1:, :]
+    return t
+
+
+def _conj_neg(x: np.ndarray, dim: int) -> np.ndarray:
+    """conj x at the negated row, for columns of the last axis (2-d) or
+    values (1-d) that are their own mirror image: columns 0 and n/2."""
+    return np.conj(_negate_rows(x) if dim == 2 else x)
+
+
+def oversampled_values(f: SpectralField) -> np.ndarray:
+    """Exact real-space samples on a twice finer grid; counted in `tally`.
+
+    The coefficients are first projected onto their Hermitian part
+    (c(k) + conj c(-k)) / 2, which is what the real part of the complex
+    inverse transform keeps; a real inverse transform alone would read only
+    half the spectrum and so change the values of non-Hermitian inputs,
+    such as the Nyquist modes left by `derivative`.  The Nyquist
+    coefficient (index n/2, frequency -n/2) of each axis is then split
+    evenly between the +n/2 and -n/2 slots of the fine lattice, the exact
+    interpolation for real fields.
+    """
+    n, d = f.grid.n, f.grid.dim
+    h = n // 2
+    c = f.coeffs
+    # Hermitian part on the half spectrum of the last axis, c(-k) read by
+    # reversed slices; its Nyquist column is split, the -n/2 half being
+    # implied by the real transform
+    mirror = np.concatenate((c[..., :1], c[..., :h - 1:-1]), axis=-1)
+    if d == 2:
+        mirror = _negate_rows(mirror)
+    half = 0.5 * (c[..., : h + 1] + np.conj(mirror))
+    half[..., h] *= 0.5
+    return _fine_values(f.grid, half)
+
+
+def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField:
+    """Project real fine-grid samples onto the grid's spectrum; counted in `tally`.
+
+    The adjoint of the padding in `oversampled_values`: the fine +n/2 and
+    -n/2 slots of each axis fold into the coarse Nyquist coefficient, and
+    the negative half of the last axis is rebuilt by Hermitian symmetry.
+    Raises ValueError unless `values` has shape (2n,)*d or
+    (channels,) + (2n,)*d.
+    """
+    n, d = grid.n, grid.dim
+    h = n // 2
+    t = _coarse_half(grid, values)
     # conj t(-k) for the last axis' columns n/2, n/2 + 1, ..., n - 1
     mirrored = np.conj(t[..., h:0:-1])
     if d == 2:
@@ -301,6 +325,23 @@ def field_from_oversampled(grid: TorusGrid, values: np.ndarray) -> SpectralField
     c[..., h] = t[..., h] + mirrored[..., 0]
     c[..., h + 1:] = mirrored[..., 1:]
     return SpectralField(grid, c)
+
+
+def band_limit(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """`oversampled_values(field_from_oversampled(grid, values))` bit for
+    bit, in one forward and one inverse transform counted in `tally`.
+
+    The round trip's Hermitian fold and re-projection leave the last axis'
+    columns 1..n/2-1 as the forward transform gave them (0.5 (t + t) = t),
+    so only columns 0 and n/2, their own mirror images, are symmetrized as
+    the round trip does, and the coarse spectrum is never formed.  Raises
+    ValueError as `field_from_oversampled`."""
+    d, h = grid.dim, grid.n // 2
+    t = _coarse_half(grid, values)
+    zero, nyquist = t[..., :1], t[..., h:] + _conj_neg(t[..., h:], d)  # the folded column n/2
+    t[..., :1] = 0.5 * (zero + _conj_neg(zero, d))
+    t[..., h:] = 0.5 * (nyquist + _conj_neg(nyquist, d)) * 0.5  # split as in the round trip
+    return _fine_values(grid, t)
 
 
 def _oversampled(f) -> np.ndarray:
@@ -326,6 +367,11 @@ def apply_pointwise(fn, f) -> SpectralField:
 
 
 # -- time-indexed paths -----------------------------------------------
+
+# Time nodes stacked as the channels of one transform call: a chunk, not a
+# whole path, so the memory held is bounded by this count, not by M.
+_NODE_CHUNK = 16
+
 
 class FieldPath:
     """A field per node of a uniform time grid 0 = t_0 < ... < t_M = T."""

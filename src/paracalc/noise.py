@@ -91,9 +91,9 @@ def mollify(f, eps: float, psi: Mollifier = GAUSS_MOLLIFIER):
     """Convolve with the rescaled kernel: multiply mode k by profile(eps|k|)."""
     if not 0 < eps < math.inf:  # also rejects NaN
         raise ValueError(f"mollification scale must be positive and finite, got {eps}")
+    m = psi(eps * _symbol(f.grid, None, 1.0))  # once per path, not per node
     if isinstance(f, FieldPath):
-        return f.map(lambda g: mollify(g, eps, psi))
-    m = psi(eps * _symbol(f.grid, None, 1.0))
+        return f.map(lambda g: SpectralField(g.grid, g.coeffs * m))
     return SpectralField(f.grid, f.coeffs * m)
 
 

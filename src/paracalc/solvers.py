@@ -18,8 +18,8 @@ import numpy as np
 from .enhanced import EnhancedNoise
 from .evolution import (SemigroupSpec, SolverReport, damped_fixed_point,
                         trapezoid_exponential_path)
-from .grid import (FieldPath, SpectralField, TorusGrid, dealiased_product,
-                   field_from_oversampled, oversampled_values)
+from .grid import (_NODE_CHUNK, FieldPath, SpectralField, TorusGrid, band_limit,
+                   dealiased_product, field_from_oversampled, oversampled_values)
 from .noise import centered_time, time_cutoff
 from .paraproducts import Blocks, CausalAverage, NonlinearFunction, para_gt, para_lt, resonant
 from .partition import DyadicPartition, radial_cutoff
@@ -150,25 +150,25 @@ def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
 
 # -- fractional Burgers -----------------------------------------------
 
-def burgers_drift(w: SpectralField, theta: SpectralField, area: Blocks,
+def burgers_drift(w: SpectralField, theta: SpectralField, area: np.ndarray,
                   G: NonlinearFunction) -> SpectralField:
     """Paracontrolled drift G(v) d_x v at one node, v = theta + w.
 
     Its Bony expansion, with the singular resonant part routed through the
     supplied area eta = theta @ d_x theta, telescopes to the renormalized
-    product G(v) d_x v + G'(v) (eta - theta @ d_x theta); `area` holds
-    eta - theta @ d_x theta at the node.
+    product G(v) d_x v + G'(v) (eta - theta @ d_x theta); `area` holds the
+    oversampled values of eta - theta @ d_x theta at the node.
 
-    Four transform calls, each on stacked channels: one inverse for v and
-    d_x v, one forward and one inverse for G(v) and G'(v), one forward for
-    the sum (4 inverse and 3 forward channel transforms)."""
+    Three calls, each on stacked channels: one inverse transform for v and
+    d_x v, one `band_limit` for G(v) and G'(v), one forward transform for
+    the sum (4 inverse and 3 forward channel transforms, as `grid.tally`
+    counts them)."""
     v = theta + w
     grid, c = v.grid, v.channels
     both = np.concatenate((v.coeffs, derivative(v, 0).coeffs))
     vals = oversampled_values(SpectralField(grid, both))
-    gs = np.concatenate((G.f(vals[:c]), G.d1(vals[:c])))
-    g = oversampled_values(field_from_oversampled(grid, gs))
-    return field_from_oversampled(grid, g[:c] * vals[c:] + g[c:] * area.values())
+    g = band_limit(grid, np.concatenate((G.f(vals[:c]), G.d1(vals[:c]))))
+    return field_from_oversampled(grid, g[:c] * vals[c:] + g[c:] * area)
 
 
 def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
@@ -178,9 +178,12 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
 
     Each step applies the trapezoid-exponential rule with a damped inner
     fixed point for the implicit endpoint of the drift.  A drift
-    evaluation (`burgers_drift`) makes 4 transform calls; the area
-    eta - theta @ d_x theta is held per node.  cfg.T and cfg.M must match
-    the driver path's horizon and step count, or ValueError is raised.
+    evaluation (`burgers_drift`) makes 3 transform calls.  The areas
+    eta - theta @ d_x theta are built for 16 nodes at a time, stacked as
+    the channels of one field (one `resonant` and one inverse transform
+    per chunk), and only the chunk the march is in is held.  cfg.T and
+    cfg.M must match the driver path's horizon and step count, or
+    ValueError is raised.
     """
     if E.kind != "burgers":
         raise ValueError("solve_burgers expects path enhanced data")
@@ -192,17 +195,24 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
     if cfg.M != M or not math.isclose(cfg.T, theta_path.times[-1]):
         raise ValueError(f"config has T = {cfg.T}, M = {cfg.M}; the driver path "
                          f"has T = {theta_path.times[-1]}, M = {M}")
+    grid = theta_path.grid
     theta = [f.channel(0) for f in theta_path.fields]
     eta = [f.channel(0) for f in eta_path.fields]
 
-    # the march asks for nodes n and n + 1 in turn; keep only their areas
-    @functools.lru_cache(maxsize=2)
-    def held(n):
-        return Blocks(eta[n] - resonant(theta[n], derivative(theta[n], 0), part), part)
+    # the march asks for the nodes in order; keep only the current chunk
+    @functools.lru_cache(maxsize=1)
+    def chunk(k):
+        nodes = slice(k * _NODE_CHUNK, (k + 1) * _NODE_CHUNK)
+        th, et = (SpectralField(grid, np.concatenate([f.coeffs for f in fs[nodes]]))
+                  for fs in (theta, eta))
+        return Blocks(et - resonant(th, derivative(th, 0), part), part).values()
+
+    def drift(n, w):
+        k, i = divmod(n, _NODE_CHUNK)
+        return burgers_drift(w, theta[n], chunk(k)[i:i + 1], G)
 
     w_path, worst_it, worst_res = trapezoid_exponential_path(
-        cfg.sigma, u0, lambda n, w: burgers_drift(w, theta[n], held(n), G),
-        M * theta_path.dt, M, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
+        cfg.sigma, u0, drift, M * theta_path.dt, M, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
         damping=cfg.damping)
     u_path = FieldPath(theta_path.times, [a + b for a, b in zip(theta, w_path.fields)])
     norms = {
@@ -333,15 +343,16 @@ def solve_pam_regularized(u0: SpectralField, xi_eps: SpectralField, c_eps: float
     L u = F(u) xi_eps - c_eps F'(u) F(u), by the implicit
     trapezoid-exponential rule (each step iterated to convergence, blow-up bound 1e6).
 
-    xi_eps is held for the whole solve.  A drift evaluation makes 4 transform
-    calls: u inverse, F(u) and F'(u) forward and inverse as two channels (F(u)
-    alone for c_eps = 0), and F(u) xi_eps - c_eps (F'(u) F(u)) forward."""
+    xi_eps is held for the whole solve.  A drift evaluation makes 3 transform
+    calls: u inverse, one `band_limit` of F(u) and F'(u) as two channels (F(u)
+    alone for c_eps = 0), and F(u) xi_eps - c_eps (F'(u) F(u)) forward; by
+    `grid.tally`, 2 inverse and 2 forward transforms."""
     fns = (F.f, F.d1) if c_eps else (F.f,)
     xi_values = oversampled_values(xi_eps)
 
     def drift(n: int, u: SpectralField) -> SpectralField:
         v = oversampled_values(u)
-        g = oversampled_values(field_from_oversampled(u.grid, np.concatenate([f(v) for f in fns])))
+        g = band_limit(u.grid, np.concatenate([f(v) for f in fns]))
         out = g[:1] * xi_values
         return field_from_oversampled(u.grid, out - c_eps * (g[1:] * g[:1]) if c_eps else out)
 

@@ -94,6 +94,21 @@ class TestBurgersArea:
             rhs = derivative(resonant(th, th, part), 0) * 0.5
             assert (lhs - rhs).sup_norm() < 1e-10
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_chunked_area_equals_a_per_node_loop(self, channels):
+        # 21 nodes: a chunk of 16 and a short one; each pair of each node is
+        # a channel of one resonant call, transformed on its own
+        grid = TorusGrid(1, 64)
+        part = default_partition(grid)
+        path = burgers_theta_path(grid, 0.9, 0.25, 20, channels, 8)
+        area = burgers_area(path, part)
+        for n, th in enumerate(path.fields):
+            dth = derivative(th, 0)
+            want = [resonant(th.channel(k), dth.channel(l), part).coeffs[0]
+                    for k in range(channels) for l in range(channels)]
+            assert area[n].coeffs.tobytes() == np.stack(want).tobytes()
+            assert pair_resonant(th, dth, part).coeffs.tobytes() == area[n].coeffs.tobytes()
+
     def test_matrix_layout_of_pair_resonant(self, grid1d, part1d):
         a = rough_field(grid1d, 0.5, 4, channels=2)
         b = rough_field(grid1d, -0.5, 5, channels=2)

@@ -118,7 +118,7 @@ def test_perfbench_calls_bind():
 
 # a grid has one partition: `part` stays on the two holders a given
 # partition enters through, the six functions perfbench passes one, and
-# `pair_resonant`, through which `rde_area` and `burgers_area` pass theirs
+# `pair_resonant`, through which `rde_area` passes its own
 TAKE_PART = {"paraproducts.Blocks.__init__", "paraproducts.CausalAverage.__init__",
              "paraproducts.resonant", "enhanced.pair_resonant", "enhanced.rde_area",
              "enhanced.burgers_area", "solvers.solve_rde", "solvers.solve_burgers",

@@ -226,7 +226,7 @@ def test_drifts_equal_the_term_by_term_expansion(dim, n, seed, a):
 
     w = rough_field(grid, 0.9, seed + 20)
     dtheta = derivative(theta, 0)
-    area = Blocks(eta - resonant(theta, dtheta, part), part)
+    area = Blocks(eta - resonant(theta, dtheta, part), part).values()
     assert_close(burgers_drift(w, theta, area, F),
                  burgers_drift_by_terms(w, *(Blocks(f, part) for f in (theta, dtheta, eta)),
                                         F, part))
@@ -256,12 +256,13 @@ def test_heat_defect_equals_the_product_rule_for_the_lift(dim, n):
 
 
 def burgers_drift_one_field_per_call(w, theta, area, G, part):
-    """`burgers_drift` with one transform call per field: 7 calls where the
-    stacked body makes 4."""
+    """`burgers_drift` with one transform call per field and the round trip
+    of G(v) and G'(v) through the coarse spectrum: 7 calls where the
+    stacked body makes 3."""
     v = theta + w
     vb = Blocks(v, part)
     out = oversampled_values(G(vb)) * oversampled_values(derivative(v, 0))
-    out = out + oversampled_values(G.deriv(vb)) * area.values()
+    out = out + oversampled_values(G.deriv(vb)) * area
     return field_from_oversampled(v.grid, out)
 
 
@@ -270,26 +271,31 @@ def burgers_drift_one_field_per_call(w, theta, area, G, part):
 @given(seed=st.integers(0, 10_000), a=st.floats(0.1, 2.0), alpha=st.floats(-0.5, 1.0))
 def test_burgers_drift_equals_one_field_per_call(n, seed, a, alpha):
     # stacking v with d_x v, and G(v) with G'(v), as the channels of one
-    # call transforms each channel on its own: the drift is bit-identical,
-    # also on non-Hermitian input (derivative's Nyquist content)
+    # call transforms each channel on its own, and `band_limit` is the
+    # round trip: the drift is bit-identical, also on non-Hermitian input
+    # (derivative's Nyquist content), and the tally counts the transforms
+    # of the round trip
     grid = TorusGrid(1, n)
     part = default_partition(grid)
     theta, eta = rough_field(grid, 0.9, seed), rough_field(grid, -0.2, seed + 1)
     w = derivative(rough_field(grid, alpha, seed + 2), 0)
     w = w * (1.0 / w.sup_norm())
-    area = Blocks(eta - resonant(theta, derivative(theta, 0), part), part)
+    area = Blocks(eta - resonant(theta, derivative(theta, 0), part), part).values()
     G = tanh_fn(a)
     want = burgers_drift_one_field_per_call(w, theta, area, G, part)
+    got = []
     with pytest.MonkeyPatch.context() as mp:
         calls = count_transforms(mp)
-        got = burgers_drift(w, theta, area, G)
-    assert np.array_equal(got.coeffs, want.coeffs)
-    assert calls == {"oversampled_values": 2, "field_from_oversampled": 2}
+        work = tally_difference(lambda: got.append(burgers_drift(w, theta, area, G)))
+    assert np.array_equal(got[0].coeffs, want.coeffs)
+    assert calls == {"oversampled_values": 1, "field_from_oversampled": 1, "band_limit": 1}
+    assert work == {"inverse": 2, "inverse_channels": 4, "forward": 2, "forward_channels": 3}
 
 
 def count_transforms(monkeypatch) -> dict:
-    """Count oversampled transforms made anywhere in paracalc from here on."""
-    calls = {"oversampled_values": 0, "field_from_oversampled": 0}
+    """Count oversampled transforms and band limits made anywhere in
+    paracalc from here on."""
+    calls = {"oversampled_values": 0, "field_from_oversampled": 0, "band_limit": 0}
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
@@ -481,6 +487,37 @@ class TestBurgers:
         assert max((w_path[n] - ref[n]).sup_norm() for n in range(M + 1)) < 1e-13
         assert max((u_path[n] - w_path[n]).sup_norm() for n in range(M + 1)) < 1e-14
 
+    @pytest.mark.parametrize("M", [37, 64])
+    def test_chunked_areas_equal_a_per_node_loop(self, M, monkeypatch):
+        # the areas are built 16 nodes at a time and G(v), G'(v) band-limited
+        # in one call; the solve equals the march whose drift builds each
+        # node's area on its own and takes G(v), G'(v) through the coarse
+        # spectrum, bit for bit, and builds each chunk once (38 and 65
+        # nodes, neither a multiple of 16)
+        grid = TorusGrid(1, 64)
+        part = default_partition(grid)
+        theta = burgers_theta_path(grid, 0.9, 0.25, M, 1, 6)
+        eta = FieldPath(theta.times, [rough_field(grid, -0.2, 100 + n) for n in range(M + 1)])
+        E = EnhancedNoise("burgers", None, theta, eta)
+        G = tanh_fn(0.8)
+        u0 = SpectralField.from_function(grid, lambda x: 0.3 * np.sin(x))
+        cfg = SolverConfig(alpha=0.45, sigma=0.9, T=0.25, M=M, fp_tol=1e-12, damping=0.8)
+
+        def drift(n, w):
+            th = theta[n]
+            area = Blocks(eta[n] - resonant(th, derivative(th, 0), part), part)
+            return burgers_drift_one_field_per_call(w, th, area.values(), G, part)
+
+        want = trapezoid_exponential_path(cfg.sigma, u0, drift, M * theta.dt, M,
+                                          fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
+                                          damping=cfg.damping)[0]
+        chunks = []
+        monkeypatch.setattr(paracalc.solvers, "resonant",
+                            lambda *a: chunks.append(a[0].channels) or resonant(*a))
+        got = solve_burgers(u0, E, G, cfg, part=part)[0]
+        assert got.coeff_array().tobytes() == want.coeff_array().tobytes()
+        assert chunks == [16] * (M // 16) + [(M + 1) % 16]
+
     def test_rejects_subcritical_sigma(self):
         grid = TorusGrid(1, 64)
         times = np.linspace(0.0, 0.25, 5)
@@ -615,15 +652,17 @@ def tally_difference(fn) -> dict:
 
 
 class TestTransformTally:
-    @pytest.mark.parametrize("setup", [criterion_5_pam_solve, rde_solve], ids=["pam", "rde"])
+    @pytest.mark.parametrize("setup", [criterion_5_pam_solve, rde_solve, burgers_solve],
+                             ids=["pam", "rde", "burgers"])
     def test_solves_count_as_the_rebinding_does(self, setup, monkeypatch):
         # the transforms count themselves through any wrapper put around
-        # them, so the tally and the rebinding count see the same calls
+        # them, so the tally and the rebinding count see the same calls; a
+        # band limit is one transform each way
         _, solve = setup()
         calls = count_transforms(monkeypatch)
         work = tally_difference(lambda: solve(None))
-        assert work["inverse"] == calls["oversampled_values"] > 0
-        assert work["forward"] == calls["field_from_oversampled"] > 0
+        assert work["inverse"] == calls["oversampled_values"] + calls["band_limit"] > 0
+        assert work["forward"] == calls["field_from_oversampled"] + calls["band_limit"] > 0
 
     def test_channels_of_known_calls(self):
         grid = TorusGrid(2, 32)
@@ -828,11 +867,12 @@ class TestPam:
         out = solve_pam_regularized(u0, xi, c_eps, F, cfg)
         assert np.array_equal(out.coeff_array(), ref.coeff_array())
 
-    @pytest.mark.parametrize("c_eps, counts", [(0.7, (2, 2)), (0.0, (2, 2))])
-    def test_regularized_drift_transform_counts(self, monkeypatch, c_eps, counts):
+    @pytest.mark.parametrize("c_eps, channels", [(0.7, (3, 3)), (0.0, (2, 2))])
+    def test_regularized_drift_transform_counts(self, monkeypatch, c_eps, channels):
         # xi_eps is transformed once, before the march; each drift evaluation
-        # transforms u once, F(u) and, for c_eps != 0, F'(u) once each way as
-        # channels of one call, and the summed products once
+        # transforms u once, band-limits F(u) and, for c_eps != 0, F'(u) as
+        # channels of one call, one transform each way, and transforms the
+        # summed products once
         drifts = []
         monkeypatch.setattr(paracalc.solvers, "trapezoid_exponential_path",
                             lambda sigma, u0, drift, *a, **k:
@@ -843,12 +883,15 @@ class TestPam:
         calls = count_transforms(monkeypatch)
         solve_pam_regularized(u, xi, c_eps, tanh_fn(0.4),
                               SolverConfig(alpha=0.45, T=0.05, M=8))
-        assert calls == {"oversampled_values": 1, "field_from_oversampled": 0}
+        assert calls == {"oversampled_values": 1, "field_from_oversampled": 0, "band_limit": 0}
         (drift,) = drifts
         for n in (0, 1):
             calls.update(dict.fromkeys(calls, 0))
-            drift(n, u)
-            assert (calls["oversampled_values"], calls["field_from_oversampled"]) == counts
+            work = tally_difference(lambda: drift(n, u))
+            assert calls == {"oversampled_values": 1, "field_from_oversampled": 1,
+                             "band_limit": 1}
+            assert work == {"inverse": 2, "inverse_channels": channels[0],
+                            "forward": 2, "forward_channels": channels[1]}
 
     def test_drift_transform_counts(self, monkeypatch):
         # criterion 5's 2-d config: once the first call has transformed the
@@ -1119,6 +1162,26 @@ class TestReferenceIntegrators:
         with pytest.raises(ValueError, match="fp_max"):
             trapezoid_exponential_path(1.0, u0, lambda n, u: u * -1.0, 1.0, 4,
                                        fp_max=fp_max)
+
+    @pytest.mark.parametrize("damping", [0.5, 0.8, 1.0])
+    def test_fixed_point_update_on_arrays_equals_the_field_update(self, damping):
+        # step(x) - x is formed once on the coefficients and serves both the
+        # residual and the update; a + (b * -1.0) is a - b in IEEE
+        # arithmetic, so every iterate equals that of x + (step(x) - x) * damping
+        grid = TorusGrid(1, 64)
+        c = rough_field(grid, 0.5, 3)
+        c = c * (0.5 / c.sup_norm())
+        step = lambda x: dealiased_product(x, x) * 0.2 + c
+        x, want = SpectralField.zero(grid), None
+        for k in range(1, 81):
+            cand = step(x)
+            res = float(np.max(np.abs(cand.coeffs - x.coeffs)))
+            x = x + (cand - x) * damping
+            if res <= 1e-12 * (1.0 + np.max(np.abs(x.coeffs))):
+                want = (x.coeffs.tobytes(), k, res)
+                break
+        got = damped_fixed_point(step, SpectralField.zero(grid), 1e-12, 80, damping, "test")
+        assert (got[0].coeffs.tobytes(), *got[1:]) == want
 
     def test_blowup_raises_non_convergence(self):
         grid = TorusGrid(1, 32)

@@ -13,7 +13,8 @@ from paracalc import (SpectralField, TorusGrid, antiderivative, besov_norm,
                       fractional_laplacian, load_field, lp_block,
                       make_dyadic_partition, radial_cutoff, remove_mean,
                       save_field, smoothstep)
-from paracalc.grid import (FieldPath, _negate_rows, apply_pointwise,
+import paracalc.grid
+from paracalc.grid import (FieldPath, _negate_rows, apply_pointwise, band_limit,
                           field_from_oversampled, oversampled_values)
 from paracalc.noise import centered_time, time_cutoff
 
@@ -371,8 +372,9 @@ def test_pruned_transforms_equal_the_full_spectrum_ones(dim, n, seed, channels, 
 @pytest.mark.parametrize("dim, shape", [(1, (16,)), (2, (32, 16)), (2, (16, 16)),
                                         (2, (32,)), (1, (2, 3, 32))])
 def test_field_from_oversampled_rejects_samples_off_the_fine_grid(dim, shape):
-    with pytest.raises(ValueError, match="not on the 32"):
-        field_from_oversampled(TorusGrid(dim, 16), np.ones(shape))
+    for project in (field_from_oversampled, band_limit):
+        with pytest.raises(ValueError, match="not on the 32"):
+            project(TorusGrid(dim, 16), np.ones(shape))
 
 
 def test_field_from_oversampled_accepts_stacked_channels():
@@ -381,6 +383,32 @@ def test_field_from_oversampled_accepts_stacked_channels():
     f = field_from_oversampled(grid, values)
     assert f.channels == 3
     assert np.array_equal(f.channel(1).coeffs, field_from_oversampled(grid, values[1]).coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.one_of(st.tuples(st.just(1), st.sampled_from([16, 32, 64, 128, 256, 512])),
+                      st.tuples(st.just(2), st.sampled_from([16, 32, 64]))),
+       seed=st.integers(0, 10_000), channels=st.integers(1, 3), alpha=st.floats(-1.0, 1.0))
+def test_band_limit_is_the_round_trip(size, seed, channels, alpha):
+    # the fold and re-projection of the round trip through the coarse
+    # spectrum leave every column of the last axis but 0 and n/2 as the
+    # forward transform gave it; samples of a function of a non-Hermitian
+    # field (derivative's Nyquist content and a general part) plus noise
+    # off the band
+    dim, n = size
+    grid = TorusGrid(dim, n)
+    rng = np.random.default_rng(seed)
+    shape = (channels,) + grid.shape
+    f = derivative(rough_field(grid, alpha, seed, channels), seed % dim) \
+        + SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert not f.is_hermitian()
+    values = np.tanh(oversampled_values(f)) + rng.standard_normal((channels,) + (2 * n,) * dim)
+    want = oversampled_values(field_from_oversampled(grid, values))
+    before = dict(paracalc.grid.tally)
+    got = band_limit(grid, values)
+    assert got.tobytes() == want.tobytes()
+    assert {k: v - before[k] for k, v in paracalc.grid.tally.items()} == {
+        "inverse": 1, "inverse_channels": channels, "forward": 1, "forward_channels": channels}
 
 
 @pytest.mark.parametrize("dim, n", _TRANSFORM_SIZES)
