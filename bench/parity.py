@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Parity check of the CLI's outputs against another source tree.
 
-Runs a fixed list of 20 small CLI runs in one process, each into its own
+Runs a fixed list of 21 small CLI runs in one process, each into its own
 directory under `--out`, and writes `manifest.json` there: per run the
 argv, the exit code, stdout without its `wrote ...` lines (they name the
 output directory), stderr, the `report.json` iteration count and the
@@ -61,6 +61,9 @@ RUNS = {
                       "--time-steps", "32", "--eps", "0.5", "0.25", "0.125", "--seeds", "2"],
     "study-pam": ["study", "--equation", "pam", "--n", "32", "--time-steps", "8",
                   "--eps", "0.5", "0.25", "--seeds", "2"],
+    # long enough for the march's predictor to go past the linear order
+    "study-pam-n64": ["study", "--equation", "pam", "--n", "64", "--time-steps", "32",
+                      "--eps", "0.25", "0.125", "--seeds", "1"],
 }
 
 

@@ -6,8 +6,9 @@ mode-by-mode, which makes the semigroup exact and lets the Duhamel map
 use an exponential integrator whose only error is the piecewise-linear
 interpolation of the integrand in time.  `trapezoid_exponential_path` is
 the one exponential march; `duhamel` is its case of a drift that does not
-depend on the solution.  `damped_fixed_point` is the one Picard iteration
-and `NonConvergence` the one way a solve fails.
+depend on the solution.  `damped_fixed_point` is the one Picard iteration,
+`Predictor` the one start of an implicit step, and `NonConvergence` the one
+way a solve fails.
 """
 
 from __future__ import annotations
@@ -126,6 +127,41 @@ def damped_fixed_point(step, x: SpectralField, fp_tol: float, fp_max: int,
     raise NonConvergence(f"{where}: fixed point stalled at residual {res:.3g}", k, res)
 
 
+_MAX_DIFFERENCE = 5  # the highest backward difference a `Predictor` holds
+
+
+class Predictor:
+    """Variable-order extrapolation of a node history x_0, x_1, ... to the
+    next node, by its Newton backward-difference series
+    x_(n+1) = x_n + del x_n + del^2 x_n + ...  (exact on polynomials).
+
+    `push(x)` records the next node; `diffs` holds x_n, del x_n, ... newest
+    first, up to del^5 x_n.  `next()` always keeps the linear term and stops
+    before the first difference whose sup is not below the sup of the one
+    before it, the order rule of variable-order multistep codes (Shampine &
+    Gordon 1975): a smooth history gets a high order, a rough one
+    2 x_n - x_(n-1), and a single node is its own prediction.
+    """
+
+    def __init__(self):
+        self.diffs = []
+
+    def push(self, x: np.ndarray):
+        new = [x]
+        for d in self.diffs[:_MAX_DIFFERENCE]:
+            new.append(new[-1] - d)
+        self.diffs = new
+
+    def next(self) -> np.ndarray:
+        out, last = self.diffs[0], math.inf
+        for k, d in enumerate(self.diffs[1:]):
+            size = np.max(np.abs(d))
+            if k and not size < last:
+                break
+            out, last = out + d, size
+        return out
+
+
 def trapezoid_exponential_path(sigma: float, u0: SpectralField, drift, T: float, M: int,
                                fp_tol: float = 1e-12, fp_max: int = 50,
                                damping: float = 1.0, blowup: float = 1e8):
@@ -136,9 +172,11 @@ def trapezoid_exponential_path(sigma: float, u0: SpectralField, drift, T: float,
     solves for its implicit endpoint by `damped_fixed_point`; fp_tol =
     math.inf keeps the first corrector from the explicit predictor, which
     is explicit ETD2 (Cox & Matthews 2002).  A finite fp_tol starts step
-    n >= 1 from the extrapolated drift 2 N_n - N_(n-1), and the drift the
-    corrector last computed, within fp_tol of the accepted node, is the
-    next step's left drift: no drift is evaluated at an accepted node.
+    n >= 1 from the drift the `Predictor` extrapolates from N_0 .. N_n (of
+    order 1, 2 N_n - N_(n-1), on a rough drift, up to 5 on a smooth one),
+    and the drift the corrector last computed, within fp_tol of the
+    accepted node, is the next step's left drift: no drift is evaluated at
+    an accepted node.
 
     Returns (path on u0's grid, worst inner iteration count, worst final
     residual).  Raises NonConvergence when a step's fixed point fails or the
@@ -153,16 +191,17 @@ def trapezoid_exponential_path(sigma: float, u0: SpectralField, drift, T: float,
     decay, A, B = SemigroupSpec(sigma, grid).step_weights(dt)
     left = A - B  # the weight of a step's left drift
     implicit = math.isfinite(fp_tol)
+    drifts = Predictor()
     fields = [u0]
     u = u0
     d1 = drift(0, u0).coeffs  # the latest drift: node 0's, then each corrector's
     worst_it, worst_res = 0, 0.0
     for n in range(M):
-        if n:
-            d_prev = d0
         d0 = drift(n, u).coeffs if n and not implicit else d1
         base = u.coeffs * decay + d0 * left
-        start = (base + (2.0 * d0 - d_prev) * B if n and implicit
+        if implicit:
+            drifts.push(d0)
+        start = (base + drifts.next() * B if n and implicit
                  else u.coeffs * decay + d0 * A)
 
         def corrector(v: SpectralField) -> SpectralField:

@@ -331,10 +331,13 @@ class CausalAverage:
         """Record f at node n, as `at` does, and return the time-mollified
         paraproduct there, sum over i of S_(i-1)(Q_i f) * Delta_i g: one
         inverse transform per scale and one forward for the sum, or none
-        when it is held for this g at a node that no scale weighs."""
-        qs = self.at(n, f)
-        out = next((p for h, p in self.held if h is g), None)
-        if out is None:
+        when it is held for this g at a node that no scale weighs (then f is
+        only recorded, and no average is formed)."""
+        out = next((p for h, p in self.held if h is g), None) if n == self.node else None
+        if out is not None:
+            self.hist[n] = f.coeffs
+        else:
+            qs = self.at(n, f)
             acc = 0.0
             for i, q in enumerate(qs, start=1):
                 acc = acc + oversampled_values(SpectralField(f.grid, q)) * g.block(i)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enhanced import EnhancedNoise
-from .evolution import (SemigroupSpec, SolverReport, damped_fixed_point,
+from .evolution import (Predictor, SemigroupSpec, SolverReport, damped_fixed_point,
                         trapezoid_exponential_path)
 from .grid import (_NODE_CHUNK, FieldPath, SpectralField, TorusGrid, band_limit,
                    dealiased_product, field_from_oversampled, oversampled_values)
@@ -268,10 +268,12 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
 
     Marches the remainder with the exact per-mode exponential rule and
     rebuilds u = ptt + usharp, ptt = F(u) << theta, through a damped inner
-    fixed point at each node.  Node 1 starts from the march's first step,
-    ptt_0 + usharp_0 decay + N_0 A; from node 2 on the fixed point starts
-    from the march's predictor, 2 ptt_n - ptt_(n-1) + base + (2 N_n - N_(n-1)) B,
-    N the drift.  The node keeps the drift and ptt of the fixed point's
+    fixed point at each node.  The fixed point starts from the march's
+    predictor, ptt' + base + N' B, where ptt' and N' (N the drift) are
+    extrapolated from the earlier nodes by one `evolution.Predictor` each:
+    at node 1 they are ptt_0 and N_0, the march's first step, and from node
+    2 on they are of order 1 on a rough history and up to 5 on a smooth
+    one.  The node keeps the drift and ptt of the fixed point's
     last evaluation, within fp_tol of the accepted value, so no drift is
     evaluated at an accepted node; the last two ptt are kept for the time
     difference in the heat defect of `pam_drift_sharp`.  Where the causal
@@ -299,17 +301,16 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     drift, ptt = pam_drift_sharp(avg, 0, u, *held, (), F)
     usharp = u0 - ptt
     past = (ptt.coeffs,)
+    ptts, drifts = Predictor(), Predictor()
     u_fields = [u]
     sharp_fields = [usharp]
     worst_res = 0.0
     worst_it = 0
     for n in range(cfg.M):
         base = usharp.coeffs * decay + drift.coeffs * (A - B)
-        if n:
-            start = (2.0 * past[0] - past[1]) + base + (2.0 * drift.coeffs - d_prev) * B
-        else:
-            start = past[0] + base + drift.coeffs * B
-        d_prev = drift.coeffs
+        ptts.push(past[0])
+        drifts.push(drift.coeffs)
+        start = ptts.next() + base + drifts.next() * B
 
         def step(v: SpectralField) -> SpectralField:
             nonlocal drift, ptt

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from paracalc import SemigroupSpec, SpectralField, TorusGrid, duhamel, heat_apply
-from paracalc.evolution import _duhamel_weights, apply_L
+from paracalc.evolution import Predictor, _duhamel_weights, apply_L
 from paracalc.grid import FieldPath
 
 from conftest import rough_field
@@ -122,6 +122,55 @@ class TestDuhamel:
         out = duhamel(FieldPath.from_coeff_array(times, grid2d, arr), spec.sigma)
         assert np.array_equal(out.times, times)
         assert np.max(np.abs(out.coeff_array() - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def predicted(history) -> np.ndarray:
+    pred = Predictor()
+    for x in history:
+        pred.push(np.asarray(x, dtype=float))
+    return pred.next()
+
+
+class TestPredictor:
+    @pytest.mark.parametrize("degree", range(6))
+    @pytest.mark.parametrize("nodes", [7, 12])
+    def test_exact_on_polynomials_up_to_the_fifth_difference(self, degree, nodes):
+        # x_n = p(n h) entrywise, with positive coefficients, so every
+        # difference up to the degree shrinks with the next; the backward
+        # series through del^degree is exact, where the linear start misses
+        # by about h^2 p''
+        rng = np.random.default_rng(degree)
+        coeffs = rng.uniform(1.0, 2.0, (degree + 1, 4))
+        h = 0.01
+        p = lambda t: np.polynomial.polynomial.polyval(t, coeffs)
+        got = predicted([p(n * h) for n in range(nodes)])
+        np.testing.assert_allclose(got, p(nodes * h), rtol=1e-12, atol=0.0)
+
+    def test_a_rough_history_gets_the_linear_start(self):
+        # alternating values: each difference doubles the one before, so
+        # the series stops after the linear term
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0.5, 1.0, 8)
+        history = [(-1) ** n * x for n in range(7)]
+        np.testing.assert_allclose(predicted(history), 2.0 * history[-1] - history[-2],
+                                   rtol=1e-15, atol=0.0)
+
+    def test_one_node_predicts_itself_and_two_the_linear_start(self):
+        assert predicted([[1.0, 2.0]]).tolist() == [1.0, 2.0]
+        assert predicted([[1.0, 2.0], [3.0, 1.0]]).tolist() == [5.0, 0.0]
+
+    def test_a_constant_history_predicts_itself(self):
+        x = np.array([0.3, -1.0, 2.5])
+        assert predicted([x] * 9).tolist() == x.tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_history_raises_nothing(self, bad):
+        # a non-finite difference is never below the one before it, so a
+        # bad node behind the last two leaves the linear start
+        history = [np.full(3, v) for v in (1.0, 2.0, bad, 4.0, 5.0)]
+        with np.errstate(invalid="ignore"):
+            assert predicted(history).tolist() == [6.0] * 3
+            assert not np.any(np.isfinite(predicted(history + [np.full(3, bad)])))
 
 
 class TestApplyL:

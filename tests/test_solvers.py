@@ -928,15 +928,15 @@ class TestPam:
             else:
                 assert (inverse, forward) == (5, 5)
 
-    @pytest.mark.parametrize("T, M, most", [(0.25, 128, None), (8 / 512, 8, 26)],
+    @pytest.mark.parametrize("T, M, most", [(0.25, 128, None), (8 / 512, 8, 25)],
                              ids=["criterion-5", "pam2d"])
     def test_one_drift_evaluation_per_inner_iteration(self, monkeypatch, T, M, most):
         # criterion 5's 2-d config and perfbench's pam2d steps: node 0's
         # drift, then one evaluation per inner iteration of each node's
         # fixed point, none again at the accepted node; the march's
-        # predictor starts each node (49 calls at the pam2d config made
-        # 34, a start from 2 u_n - u_(n-1) and ptt rebuilt at every
-        # iteration; 26 now)
+        # variable-order predictor starts each node (25 calls at the pam2d
+        # config on this noise, 24 on perfbench's seed 1, 26 from a linear
+        # start)
         calls, its = [], []
         fixed_point = paracalc.solvers.damped_fixed_point
 
@@ -1098,6 +1098,50 @@ class TestReferenceIntegrators:
         trapezoid_exponential_path(1.0, u0, drift, 0.5, 8, fp_tol=1e-12)
         assert len(its) == 8 and min(its) >= 2
         assert nodes == [0] + [n + 1 for n, k in enumerate(its) for _ in range(k)]
+
+    @staticmethod
+    def corrector_evaluations(monkeypatch, solve, linear=False) -> int:
+        """The drift evaluations inside the march's correctors during
+        `solve()`, with the march's start made linear when asked."""
+        its = []
+        fixed_point = paracalc.evolution.damped_fixed_point
+        with monkeypatch.context() as m:
+            m.setattr(paracalc.evolution, "damped_fixed_point",
+                      lambda *a: its.append(fixed_point(*a)) or its[-1])
+            if linear:
+                m.setattr(paracalc.evolution, "_MAX_DIFFERENCE", 1)
+            solve()
+        return sum(k for _, k, _ in its)
+
+    def test_a_smooth_drift_starts_above_the_linear_order(self, monkeypatch):
+        # the classical PAM march on mollified noise: the drift is smooth in
+        # time, so the start keeps high differences and most steps converge
+        # in two correctors or fewer; the linear start 2 N_n - N_(n-1)
+        # takes three (29 against 48 here)
+        grid = TorusGrid(2, 32)
+        xi = mollify(spatial_white_noise(grid, 3), 0.25, BUMP_MOLLIFIER)
+        cfg = SolverConfig(alpha=0.45, T=0.25, M=16, fp_tol=1e-10, damping=1.0)
+        solve = lambda: solve_pam_regularized(SpectralField.constant(grid, 0.3), xi, 0.7,
+                                              tanh_fn(0.4), cfg)
+        most = 2 * cfg.M
+        assert self.corrector_evaluations(monkeypatch, solve) <= most
+        assert self.corrector_evaluations(monkeypatch, solve, linear=True) > most
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_a_rough_drift_keeps_the_linear_start(self, monkeypatch, seed):
+        # perfbench's line1d Burgers inputs: space-time white noise makes
+        # the drift rough in time, the differences grow, and the march does
+        # exactly the corrector work of the linear start (318 to 320 per seed)
+        grid = TorusGrid(1, 128)
+        part = default_partition(grid)
+        raw = burgers_theta_path(grid, 0.9, 0.25, 64, 1, seed)
+        theta = raw.map(lambda f: SpectralField(grid, f.coeffs * (grid.k_abs() <= 10)))
+        E = EnhancedNoise("burgers", None, theta, burgers_area(theta, part))
+        cfg = SolverConfig(alpha=0.45, sigma=0.9, T=0.25, M=64, fp_tol=1e-12, damping=1.0)
+        u0 = SpectralField.from_function(grid, lambda x: 0.3 * np.sin(x))
+        solve = lambda: solve_burgers(u0, E, tanh_fn(0.5), cfg, part=part)
+        assert (self.corrector_evaluations(monkeypatch, solve)
+                == self.corrector_evaluations(monkeypatch, solve, linear=True))
 
     def test_implicit_march_agrees_with_a_tight_solve(self):
         # the extrapolated start and the reused corrector drift move the
