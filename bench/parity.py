@@ -21,8 +21,9 @@ of the numbers of a CSV or JSON file, each relative to its own size.  A
 printed apart as "residual a -> b": it sits at the tolerance level, where
 a move of 1e-9 is a relative difference of order 1.  Its `iterations` is
 left out too, as the count is named apart.  The script also names every
-changed exit code, stdout, stderr and iteration count, and exits 1 if
-anything differs.  The check informs a review; it gates nothing.
+changed exit code, stderr, iteration count and stdout, this last without
+the report a `solve-*` run prints (it is diffed as `report.json`), and
+exits 1 if anything differs.  The check informs a review; it gates nothing.
 """
 
 import argparse
@@ -149,6 +150,12 @@ def residual(path: Path):
     return json.loads(path.read_text()).get("residual") if path.name == "report.json" else None
 
 
+def beside_report(stdout: str, where: Path) -> str:
+    """A run's stdout without the text of its `report.json`, if it has one."""
+    report = where / "report.json"
+    return stdout.replace(report.read_text() + "\n", "") if report.exists() else stdout
+
+
 def compare(out: Path, mine: dict, against: Path) -> int:
     theirs = json.loads(against.read_text())
     base = against.parent
@@ -160,8 +167,11 @@ def compare(out: Path, mine: dict, against: Path) -> int:
             changed += 1
             continue
         for key in ("exit", "stdout", "stderr", "iterations"):
-            if run[key] != other[key]:
-                print(f"{name}: {key} {other[key]!r} -> {run[key]!r}")
+            there, here = other[key], run[key]
+            if key == "stdout":
+                there, here = beside_report(there, base / name), beside_report(here, out / name)
+            if here != there:
+                print(f"{name}: {key} {there!r} -> {here!r}")
                 changed += 1
         for fname in sorted(set(run["files"]) | set(other["files"])):
             if fname not in run["files"] or fname not in other["files"]:

@@ -202,9 +202,10 @@ def pam2d_solve():
 
 
 def solve_work(solve) -> dict:
-    """Drift evaluations of one solve (its `pam_drift_sharp` calls and its
-    calls of the drift it hands `trapezoid_exponential_path`) and its
-    `transform_counts`."""
+    """Drift evaluations of one solve (its calls of the drift it hands
+    `trapezoid_exponential_path`; `solve_pam`'s returns node 0's
+    `pam_drift_sharp`, made before the march, so they count its
+    `pam_drift_sharp` calls too) and its `transform_counts`."""
     count = [0]
 
     def counted(fn):
@@ -216,15 +217,12 @@ def solve_work(solve) -> dict:
     def marching(sigma, u0, fn, *args, **kwargs):
         return march(sigma, u0, counted(fn), *args, **kwargs)
 
-    drift = paracalc.solvers.pam_drift_sharp
     march = paracalc.evolution.trapezoid_exponential_path
-    paracalc.solvers.pam_drift_sharp = counted(drift)
     paracalc.solvers.trapezoid_exponential_path = marching
     paracalc.evolution.trapezoid_exponential_path = marching  # duhamel's march
     try:
         work = transform_counts(solve)
     finally:
-        paracalc.solvers.pam_drift_sharp = drift
         paracalc.solvers.trapezoid_exponential_path = march
         paracalc.evolution.trapezoid_exponential_path = march
     return {"drift_evals": count[0], **work}

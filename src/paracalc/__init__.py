@@ -15,11 +15,11 @@ from .noise import (BUMP_MOLLIFIER, DIRAC_MOLLIFIER, GAUSS_MOLLIFIER, MOLLIFIERS
                     fbm_path, mollify, pam_theta, rde_driver, sample_line_path,
                     spatial_white_noise)
 from .enhanced import (EnhancedNoise, burgers_area, enhanced_translate,
-                       pam_area_by_time_integral, pam_c_eps, pam_gt, pam_renormalized_area,
+                       pam_c_eps, pam_gt, pam_renormalized_area,
                        pair_resonant, rde_area, rough_area_check, sym_antisym_split)
 from .evolution import (NonConvergence, SemigroupSpec, apply_L, damped_fixed_point, duhamel,
                         heat_apply, trapezoid_exponential_path)
 from .solvers import (SolverConfig, SolverReport, solve_burgers, solve_pam,
-                      solve_pam_regularized, solve_rde, solve_rde_resonant_fp)
+                      solve_pam_regularized, solve_rde)
 
 __version__ = "0.1.0"

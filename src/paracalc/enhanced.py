@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .evolution import heat_apply
 from .grid import _NODE_CHUNK, FieldPath, SpectralField, TorusGrid, TWO_PI
 from .noise import Mollifier, mollify, pam_theta
 from .partition import DyadicPartition
@@ -117,25 +116,6 @@ def pam_renormalized_area(xi: SpectralField, eps: float, psi: Mollifier) -> Spec
     area = resonant(theta_eps, xi_eps)
     return area - SpectralField.constant(xi.grid, pam_c_eps(eps, psi, xi.grid),
                                          area.channels)
-
-
-def pam_area_by_time_integral(xi: SpectralField) -> SpectralField:
-    """Cross-check constructor of the renormalized area as the time integral
-    of (P_t xi @ xi - g_t), by Simpson quadrature on 257 log-spaced t in [1e-5, 80].
-
-    The grid truncation makes both the integrand and its subtracted mean
-    finite, so the integral converges as t -> 0 like the resolved
-    ultraviolet tail; used for diagnostics, not as the primary object.
-    """
-    grid = xi.grid
-    ts = np.exp(np.linspace(math.log(1e-5), math.log(80.0), 257))
-    samples = []
-    for t in ts:
-        f = resonant(heat_apply(xi, t, 1.0), xi) - SpectralField.constant(grid, pam_gt(t, grid))
-        samples.append(f.coeffs)
-    vals = np.stack(samples)  # integrate each coefficient over t
-    out = simpson(vals, x=ts, axis=0)
-    return SpectralField(grid, out)
 
 
 # -- RDE enhancement and the translation group ------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enhanced import EnhancedNoise
-from .evolution import (Predictor, SemigroupSpec, SolverReport, damped_fixed_point,
+from .evolution import (NonConvergence, Predictor, SolverReport, damped_fixed_point,
                         trapezoid_exponential_path)
 from .grid import (_NODE_CHUNK, FieldPath, SpectralField, TorusGrid, band_limit,
                    dealiased_product, field_from_oversampled, oversampled_values)
@@ -124,28 +124,6 @@ def solve_rde(u0: float, E: EnhancedNoise, F: NonlinearFunction,
         "eta_2alpha_minus_1": besov_norm(Blocks(eta, part), 2 * cfg.alpha - 1),
     }
     return u, usharp, SolverReport(True, it, residual, norms)
-
-
-def solve_rde_resonant_fp(u: SpectralField, E: EnhancedNoise,
-                          F: NonlinearFunction, cfg: SolverConfig) -> SpectralField:
-    """Resolve the resonant product u @ xi directly from the implicit
-    relation it satisfies along solutions, by damped fixed point:
-
-        y = Phi - (F'(u) y) @ theta,
-        Phi = d/dt(u @ theta) - (F(u) xi - F'(u) (u @ xi)) @ theta.
-
-    Phi is the telescoped form of the expansion
-    d/dt(u @ theta) - F(u)(xi @ theta) - C(F(u), xi, theta)
-    - Pi_F(u, xi) @ theta - (F(u) above xi) @ theta.
-    """
-    xi, theta, u = (Blocks(f) for f in (E.xi, E.theta, u))
-    dFu = Blocks(F.deriv(u))
-    Phi = derivative(resonant(u, theta), 0)
-    Phi = Phi - resonant(dealiased_product(F(u), xi)
-                         - dealiased_product(dFu, resonant(u, xi)), theta)
-
-    return damped_fixed_point(lambda y: Phi - resonant(dealiased_product(dFu, y), theta),
-                              Phi, cfg.fp_tol, cfg.fp_max, cfg.damping, "resonant relation")[0]
 
 
 # -- fractional Burgers -----------------------------------------------
@@ -266,19 +244,19 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     """Paracontrolled solver for the 2-d multiplicative-noise heat equation
     with stationary lifted noise.
 
-    Marches the remainder with the exact per-mode exponential rule and
-    rebuilds u = ptt + usharp, ptt = F(u) << theta, through a damped inner
-    fixed point at each node.  The fixed point starts from the march's
-    predictor, ptt' + base + N' B, where ptt' and N' (N the drift) are
-    extrapolated from the earlier nodes by one `evolution.Predictor` each:
-    at node 1 they are ptt_0 and N_0, the march's first step, and from node
-    2 on they are of order 1 on a rough history and up to 5 on a smooth
-    one.  The node keeps the drift and ptt of the fixed point's
-    last evaluation, within fp_tol of the accepted value, so no drift is
-    evaluated at an accepted node; the last two ptt are kept for the time
-    difference in the heat defect of `pam_drift_sharp`.  Where the causal
-    average gives node n + 1 no weight, ptt there is built once and held
-    for the node's later iterations (`CausalAverage.paraproduct`).
+    `trapezoid_exponential_path` marches the remainder usharp from
+    u0 - ptt_0, ptt = F(u) << theta, and u = ptt + usharp at each node.
+    The march's drift holds each node's latest ptt: entering node n it
+    freezes node n - 1's, for the BDF2 heat term of `pam_drift_sharp` and
+    for the u path, and starts node n from the ptt a `Predictor`
+    extrapolates from the frozen ones; each evaluation is `pam_drift_sharp`
+    at u = ptt + usharp, whose ptt it keeps.  At damping 1 this is the
+    fixed point on u, iterate for iterate.  Where the causal average gives
+    node n no weight, ptt there is built once and held for the node's later
+    iterations (`CausalAverage.paraproduct`); where a block is unresolved,
+    ptt lags one iteration behind u, with the same fixed point.  Node 0's
+    drift is evaluated once, before the march, and a non-finite ptt_0 (NaN
+    noise) raises NonConvergence there.
     """
     if E.kind != "pam":
         raise ValueError("solve_pam expects 2-d static enhanced data")
@@ -286,52 +264,36 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
         raise ValueError("the 2-d solver is specific to sigma = 1")
     if not np.all(np.isfinite(u0.coeffs)):
         raise ValueError("the initial value must be finite")
-    xi, theta, eta = E.xi, E.theta, E.eta
-    grid = xi.grid
+    grid = E.xi.grid
     part = part or default_partition(grid)
-    dt = cfg.T / cfg.M
-    times = np.arange(cfg.M + 1) * dt
-    decay, A, B = SemigroupSpec(1.0, grid).step_weights(dt)
-
-    held = [Blocks(f, part) for f in (theta, xi, eta)]
+    held = [Blocks(f, part) for f in (E.theta, E.xi, E.eta)]
     held.append(Blocks(resonant(held[0], held[1]), part))
-    avg = CausalAverage(part, times)
+    avg = CausalAverage(part, np.arange(cfg.M + 1) * (cfg.T / cfg.M))
 
-    u = u0
-    drift, ptt = pam_drift_sharp(avg, 0, u, *held, (), F)
-    usharp = u0 - ptt
-    past = (ptt.coeffs,)
-    ptts, drifts = Predictor(), Predictor()
-    u_fields = [u]
-    sharp_fields = [usharp]
-    worst_res = 0.0
-    worst_it = 0
-    for n in range(cfg.M):
-        base = usharp.coeffs * decay + drift.coeffs * (A - B)
-        ptts.push(past[0])
-        drifts.push(drift.coeffs)
-        start = ptts.next() + base + drifts.next() * B
+    drift0, ptt0 = pam_drift_sharp(avg, 0, u0, *held, (), F)
+    if not np.all(np.isfinite(ptt0.coeffs)):
+        raise NonConvergence("step 0: the paraproduct of the initial value is not finite",
+                             0, math.nan)
+    ptts, history, past = [ptt0], Predictor(), ()
 
-        def step(v: SpectralField) -> SpectralField:
-            nonlocal drift, ptt
-            drift, ptt = pam_drift_sharp(avg, n + 1, v, *held, past, F)
-            return ptt + SpectralField(grid, base + drift.coeffs * B)
+    def drift(n: int, usharp: SpectralField) -> SpectralField:
+        nonlocal past
+        if n == 0:
+            return drift0
+        if n == len(ptts):  # the march has accepted node n - 1
+            past = (ptts[-1].coeffs,) + past[:1]
+            history.push(past[0])
+            ptts.append(SpectralField(grid, history.next()))
+        out, ptts[n] = pam_drift_sharp(avg, n, ptts[n] + usharp, *held, past, F)
+        return out
 
-        _, k, res = damped_fixed_point(step, SpectralField(grid, start), cfg.fp_tol,
-                                       cfg.fp_max, cfg.damping, f"node {n + 1}")
-        past = (ptt.coeffs, past[0])
-        usharp = SpectralField(grid, base + drift.coeffs * B)
-        u = ptt + usharp
-        u_fields.append(u)
-        sharp_fields.append(usharp)
-        worst_res = max(worst_res, res)
-        worst_it = max(worst_it, k)
-
-    u_path = FieldPath(times, u_fields)
-    sharp_path = FieldPath(times, sharp_fields)
+    sharp_path, worst_it, worst_res = trapezoid_exponential_path(
+        1.0, u0 - ptt0, drift, cfg.T, cfg.M, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
+        damping=cfg.damping, blowup=math.inf)
+    u_path = FieldPath(sharp_path.times, [p + s for p, s in zip(ptts, sharp_path.fields)])
     norms = {
-        "u_final_alpha": besov_norm(Blocks(u, part), cfg.alpha),
-        "usharp_final_2alpha": besov_norm(Blocks(usharp, part), 2 * cfg.alpha),
+        "u_final_alpha": besov_norm(Blocks(u_path[-1], part), cfg.alpha),
+        "usharp_final_2alpha": besov_norm(Blocks(sharp_path[-1], part), 2 * cfg.alpha),
         "xi_alpha_minus_2": besov_norm(held[1], cfg.alpha - 2),
         "theta_alpha": besov_norm(held[0], cfg.alpha),
     }

@@ -30,7 +30,7 @@ from conftest import rough_field
 from paracalc.evolution import SolverReport
 from paracalc.grid import FieldPath, field_from_oversampled, oversampled_values
 from paracalc.paraproducts import CausalAverage, _node_weights
-from paracalc.solvers import burgers_drift, pam_drift_sharp, solve_rde_resonant_fp
+from paracalc.solvers import burgers_drift, pam_drift_sharp
 from paracalc.spectral import antiderivative, block_sups, default_partition
 from paracalc.partition import radial_cutoff
 
@@ -142,6 +142,27 @@ def burgers_drift_by_terms(w, theta, dtheta, eta, G, part):
     drift = drift + commutator_C(dGv, theta, dtheta)
     drift = drift + dealiased_product(dGv, eta)
     return drift + dealiased_product(Gv, derivative(w, 0))
+
+
+def solve_rde_resonant_fp(u, E, F, cfg):
+    """Resolve the resonant product u @ xi directly from the implicit
+    relation it satisfies along solutions, by damped fixed point:
+
+        y = Phi - (F'(u) y) @ theta,
+        Phi = d/dt(u @ theta) - (F(u) xi - F'(u) (u @ xi)) @ theta.
+
+    Phi is the telescoped form of the expansion
+    d/dt(u @ theta) - F(u)(xi @ theta) - C(F(u), xi, theta)
+    - Pi_F(u, xi) @ theta - (F(u) above xi) @ theta.
+    """
+    xi, theta, u = (Blocks(f) for f in (E.xi, E.theta, u))
+    dFu = Blocks(F.deriv(u))
+    Phi = derivative(resonant(u, theta), 0)
+    Phi = Phi - resonant(dealiased_product(F(u), xi)
+                         - dealiased_product(dFu, resonant(u, xi)), theta)
+
+    return damped_fixed_point(lambda y: Phi - resonant(dealiased_product(dFu, y), theta),
+                              Phi, cfg.fp_tol, cfg.fp_max, cfg.damping, "resonant relation")[0]
 
 
 def resonant_fp_by_terms(u, E, F, cfg, part):
@@ -822,6 +843,43 @@ class TestPam:
         for got, w in zip(ptt, want.fields):
             assert np.array_equal(got.coeffs, w.coeffs)
 
+    @pytest.mark.parametrize("M, unresolved", [(32, False), (8, True)],
+                             ids=["resolved", "block-3-unresolved"])
+    def test_the_solution_is_ptt_plus_usharp_of_its_own_path(self, caplog, M, unresolved):
+        # at 2-d N = 64 and T = 1/4, 8 steps leave block 3 unmollified (as
+        # parity's solve-pam-n64) and 32 resolve every scale; to the fp_tol
+        # level u - usharp is para_lt_time of F(u) along the returned path,
+        # each usharp step is the trapezoid-exponential step of the drifts
+        # rebuilt from that path (a BDF2 history one node late moves a step
+        # by 3e-6 or more), and the damped solve finds the same fixed point
+        grid = TorusGrid(2, 64)
+        part = default_partition(grid)
+        E = self._enhanced(grid, part, band=32)
+        held = [Blocks(f, part) for f in (E.theta, E.xi, E.eta)]
+        held.append(Blocks(resonant(held[0], held[1], part), part))
+        F, u0 = tanh_fn(0.4), SpectralField.constant(grid, 0.3)
+        decay, A, B = SemigroupSpec(1.0, grid).step_weights(0.25 / M)
+        paths = []
+        for damping in (1.0, 0.7):
+            cfg = SolverConfig(alpha=0.45, sigma=1.0, T=0.25, M=M, fp_tol=1e-9,
+                               damping=damping)
+            with caplog.at_level(logging.WARNING, logger="paracalc.paraproducts"):
+                u, s, _ = solve_pam(u0, E, F, cfg, part=part)
+            assert ("below block 3" in caplog.text) == unresolved
+            tol = 10 * cfg.fp_tol
+            ptt = [(a - b).coeffs for a, b in zip(u.fields, s.fields)]
+            want = para_lt_time(u.map(F), FieldPath(u.times, [E.theta] * (M + 1)))
+            assert max(np.max(np.abs(p - w.coeffs)) for p, w in zip(ptt, want.fields)) < tol
+            avg = CausalAverage(part, u.times)
+            N = [pam_drift_sharp(avg, n, u[n], *held,
+                                 tuple(ptt[m] for m in (n - 1, n - 2) if m >= 0), F)[0].coeffs
+                 for n in range(M + 1)]
+            for n in range(M):
+                step = s[n].coeffs * decay + N[n] * (A - B) + N[n + 1] * B
+                assert np.max(np.abs(s[n + 1].coeffs - step)) < tol
+            paths.append(u.coeff_array())
+        assert np.max(np.abs(paths[0] - paths[1])) < tol
+
     @pytest.mark.parametrize("n, T, M, step, block", [
         pytest.param(32, 0.5, 4, "0.125", 2, id="4-1"),
         pytest.param(32, 0.5, 16, None, None, id="16-0"),
@@ -938,7 +996,7 @@ class TestPam:
         # config on this noise, 24 on perfbench's seed 1, 26 from a linear
         # start)
         calls, its = [], []
-        fixed_point = paracalc.solvers.damped_fixed_point
+        fixed_point = paracalc.evolution.damped_fixed_point
 
         def counted_drift(*args, **kwargs):
             calls.append(args[1])
@@ -950,7 +1008,7 @@ class TestPam:
             return out
 
         monkeypatch.setattr(paracalc.solvers, "pam_drift_sharp", counted_drift)
-        monkeypatch.setattr(paracalc.solvers, "damped_fixed_point", counted_fixed_point)
+        monkeypatch.setattr(paracalc.evolution, "damped_fixed_point", counted_fixed_point)
         grid = TorusGrid(2, 64)
         part = default_partition(grid)
         xi = spatial_white_noise(grid, 5)
