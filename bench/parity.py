@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Parity check of the CLI's outputs against another source tree.
+"""Parity check of the CLI's outputs and the benchmark's solves against
+another source tree.
 
 Runs a fixed list of 21 small CLI runs in one process, each into its own
 directory under `--out`, and writes `manifest.json` there: per run the
 argv, the exit code, stdout without its `wrote ...` lines (they name the
 output directory), stderr, the `report.json` iteration count and the
-sha256 of every output file.
+sha256 of every output file.  It then runs the operations of perfbench's
+pam2d and line1d workloads on the inputs of benchmark seed 1, importing
+`perfbench/workloads.py` as it is, and records per input key the
+solution hashes, the oracle error and the failed count.
 
     python3 bench/parity.py --out out/parity-change
     python3 bench/parity.py --src ../parent/src --out out/parity-parent
@@ -19,11 +23,14 @@ coefficients of a field snapshot, relative to their largest modulus, or
 of the numbers of a CSV or JSON file, each relative to its own size.  A
 `report.json`'s fixed-point `residual` is left out of that difference and
 printed apart as "residual a -> b": it sits at the tolerance level, where
-a move of 1e-9 is a relative difference of order 1.  Its `iterations` is
+a move of 1e-9 is a relative difference of order 1.  A JSON null, which a
+report writes for a non-finite number, reads as NaN.  Its `iterations` is
 left out too, as the count is named apart.  The script also names every
 changed exit code, stderr, iteration count and stdout, this last without
 the report a `solve-*` run prints (it is diffed as `report.json`), and
-exits 1 if anything differs.  The check informs a review; it gates nothing.
+exits 1 if anything differs.  The perfbench operations are compared on
+their hashes, oracle error and failed count, each of which must be equal.
+The check informs a review; it gates nothing.
 """
 
 import argparse
@@ -67,6 +74,9 @@ RUNS = {
                       "--eps", "0.25", "0.125", "--seeds", "1"],
 }
 
+LEG_SEED = 1  # the benchmark seed of the perfbench operations
+LEG_KEYS = ("hashes", "oracle_err", "failed")
+
 
 def run_all(out: Path) -> dict:
     from paracalc.cli import main
@@ -94,6 +104,21 @@ def run_all(out: Path) -> dict:
     return manifest
 
 
+def run_legs() -> dict:
+    """perfbench's pam2d and line1d operations for benchmark seed 1, one
+    manifest entry per input key."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    manifest = {}
+    for leg in (workloads.Pam2d(), workloads.Line1d()):
+        inputs = leg.build(LEG_SEED)
+        for key in inputs:
+            res = leg.run(inputs, key)
+            manifest[f"perfbench-{leg.name}-{key}"] = {
+                "hashes": res.hashes, "oracle_err": res.oracle_err, "failed": res.failed}
+    return manifest
+
+
 def _numbers(path: Path):
     """The numbers of a field snapshot's coefficients, or of a CSV or JSON
     file (but for a report's residual and iteration count), as a flat
@@ -114,6 +139,8 @@ def _numbers(path: Path):
                     walk(v)
             elif isinstance(x, (int, float)) and not isinstance(x, bool):
                 vals.append(x)
+            elif x is None:
+                vals.append(math.nan)
 
         walk(json.loads(path.read_text()))
         return np.asarray(vals, dtype=complex), False
@@ -145,9 +172,10 @@ def relative_difference(a: Path, b: Path) -> float:
     return float(np.max(diff / np.maximum(np.abs(y), 1e-300)))
 
 
-def residual(path: Path):
-    """The fixed-point residual of a `report.json`, or None."""
-    return json.loads(path.read_text()).get("residual") if path.name == "report.json" else None
+def residual(path: Path) -> float:
+    """The fixed-point residual of a `report.json`, NaN where it is null."""
+    value = json.loads(path.read_text()).get("residual")
+    return math.nan if value is None else value
 
 
 def beside_report(stdout: str, where: Path) -> str:
@@ -166,6 +194,16 @@ def compare(out: Path, mine: dict, against: Path) -> int:
             print(f"{name}: not in {against}")
             changed += 1
             continue
+        if "hashes" in run:  # a perfbench operation
+            diffs = [key for key in LEG_KEYS
+                     if json.dumps(run[key], sort_keys=True)  # NaN equal to NaN
+                     != json.dumps(other[key], sort_keys=True)]
+            for key in diffs:
+                print(f"{name}: {key} {other[key]!r} -> {run[key]!r}")
+            if not diffs:
+                print(f"{name}: {', '.join(LEG_KEYS)} identical")
+            changed += len(diffs)
+            continue
         for key in ("exit", "stdout", "stderr", "iterations"):
             there, here = other[key], run[key]
             if key == "stdout":
@@ -183,11 +221,11 @@ def compare(out: Path, mine: dict, against: Path) -> int:
             else:
                 here, there = out / name / fname, base / name / fname
                 d = relative_difference(here, there)
-                was, now = residual(there), residual(here)
-                but = "" if was is None else " but for the residual"
+                report = fname == "report.json"
+                but = " but for the residual" if report else ""
                 print(f"{name}/{fname}: differs, max relative difference {d:.3g}{but}")
-                if was is not None:
-                    print(f"{name}/{fname}: residual {was!r} -> {now!r}")
+                if report:
+                    print(f"{name}/{fname}: residual {residual(there)!r} -> {residual(here)!r}")
                 changed += 1
     print(f"parity: {'all byte-identical' if not changed else f'{changed} differences'}")
     return 1 if changed else 0
@@ -208,9 +246,12 @@ def main(argv=None) -> int:
         raise SystemExit(f"parity: imported paracalc from {paracalc.__file__}, not {src}")
     out = Path(args.out)
     manifest = run_all(out)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    print(f"parity: {len(manifest)} runs, manifest in {out / 'manifest.json'}")
-    return compare(out, manifest, Path(args.against)) if args.against else 0
+    legs = run_legs()
+    (out / "manifest.json").write_text(json.dumps({**manifest, **legs}, indent=1,
+                                                  sort_keys=True))
+    print(f"parity: {len(manifest)} runs and {len(legs)} perfbench operations, "
+          f"manifest in {out / 'manifest.json'}")
+    return compare(out, {**manifest, **legs}, Path(args.against)) if args.against else 0
 
 
 if __name__ == "__main__":

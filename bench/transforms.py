@@ -95,7 +95,7 @@ SIZES = [(1, 256), (1, 1024), (2, 32), (2, 64), (2, 128)]
 # (dim, n, points) of the point-evaluation rows
 EVAL_SIZES = [(1, 512, 1), (1, 256, 64 * 256 + 1), (2, 32, 1), (2, 64, 1)]
 DUHAMEL_STEPS = 16
-AREA_NODES = 16  # one chunk of solve_burgers' areas
+AREA_NODES = paracalc.grid._NODE_CHUNK  # one chunk of solve_burgers' areas
 REPEATS = 7
 REPEAT_S = 0.1
 REGRESSION = 0.10  # a row regresses when its median grows by this share or more

@@ -25,7 +25,7 @@ import numpy as np
 from .enhanced import (EnhancedNoise, burgers_area, pam_c_eps,
                        pam_renormalized_area, rde_area)
 from .evolution import NonConvergence, trapezoid_exponential_path
-from .grid import (_NODE_CHUNK, SpectralField, TorusGrid, apply_pointwise, dealiased_product,
+from .grid import (FieldPath, SpectralField, TorusGrid, apply_pointwise, dealiased_product,
                    save_field)
 from .noise import (MOLLIFIERS, burgers_theta_path, mollify, pam_theta,
                     rde_driver, sample_line_path, spatial_white_noise)
@@ -268,9 +268,8 @@ def _study_burgers(args, lam: float, seed: int, eps_list):
                        M=args.time_steps, fp_tol=math.inf, damping=1.0)
     psi = MOLLIFIERS[args.mollifier]
     G = _cos_function(args.amplitude * lam ** cfg.alpha)
-    paths = [mollify(theta, eps, psi).fields for eps in eps_list]
-    thc = [SpectralField(grid, np.concatenate([p[n].coeffs[:1] for p in paths]))
-           for n in range(len(paths[0]))]
+    ladder = np.concatenate([mollify(theta, eps, psi).coeffs[:, :1] for eps in eps_list], axis=1)
+    thc = FieldPath.from_coeff_array(theta.times, grid, ladder).fields
     dth = [derivative(f, 0) for f in thc]
     drift = lambda n, w: dealiased_product(apply_pointwise(G.f, thc[n] + w),
                                            dth[n] + derivative(w, 0))
@@ -278,13 +277,9 @@ def _study_burgers(args, lam: float, seed: int, eps_list):
                                      cfg.T, cfg.M, fp_tol=cfg.fp_tol, damping=cfg.damping)[0]
     # each pair's distance is a sup over nodes and scales, and besov_norm's
     # sup runs over channels too: one norm per chunk of nodes and pair
-    per_chunk = []
-    for i in range(0, len(sol), _NODE_CHUNK):
-        c = np.stack([u.coeffs for u in sol.fields[i:i + _NODE_CHUNK]])
-        d = c[:, :-1] - c[:, 1:]
-        per_chunk.append([besov_norm(SpectralField(grid, d[:, k]), cfg.alpha)
-                          for k in range(d.shape[1])])
-    return [max(norms) for norms in zip(*per_chunk)]
+    d = sol.coeffs[:, :-1] - sol.coeffs[:, 1:]
+    pairs = [FieldPath.from_coeff_array(sol.times, grid, d[:, k:k + 1]) for k in range(d.shape[1])]
+    return [max(besov_norm(c, cfg.alpha) for c in p.chunks()) for p in pairs]
 
 
 def _study_pam(args, lam: float, seed: int, eps_list):

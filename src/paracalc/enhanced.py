@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .grid import _NODE_CHUNK, FieldPath, SpectralField, TorusGrid, TWO_PI
+from .grid import FieldPath, SpectralField, TorusGrid, TWO_PI
 from .noise import Mollifier, mollify, pam_theta
 from .partition import DyadicPartition
 from .spectral import _symbol, antiderivative, derivative
@@ -76,13 +76,12 @@ def burgers_area(theta_path: FieldPath,
                  part: DyadicPartition | None = None) -> FieldPath:
     """Matrix-valued area of the stochastic convolution: per node,
     resonant products of each component with each spatial derivative,
-    computed for 16 nodes at a time as the channels of one field."""
-    grid, fields = theta_path.grid, []
-    for i in range(0, len(theta_path), _NODE_CHUNK):
-        nodes = theta_path.fields[i:i + _NODE_CHUNK]
-        th = SpectralField(grid, np.concatenate([f.coeffs for f in nodes]))
-        area = resonant(*_pairs(th, derivative(th, 0), len(nodes)), part)
-        fields += [SpectralField(grid, c) for c in np.split(area.coeffs, len(nodes))]
+    computed for a chunk of nodes at a time (`FieldPath.chunks`) as the
+    channels of one field."""
+    grid, c, fields = theta_path.grid, theta_path.channels, []
+    for th in theta_path.chunks():
+        area = resonant(*_pairs(th, derivative(th, 0), th.channels // c), part)
+        fields += [SpectralField(grid, a) for a in area.coeffs.reshape((-1, c * c) + grid.shape)]
     return FieldPath(theta_path.times, fields)
 
 

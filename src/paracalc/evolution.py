@@ -84,11 +84,13 @@ class SolverReport:
         return "" if self.converged else _ADVICE
 
     def to_json(self) -> str:
+        """The report as RFC 8259 JSON: a non-finite number is written null."""
+        number = lambda x: float(x) if math.isfinite(x) else None
         return json.dumps({"converged": bool(self.converged),
                            "iterations": int(self.iterations),
-                           "residual": float(self.residual),
-                           "norms": {k: float(v) for k, v in self.norms.items()},
-                           "advice": self.advice}, indent=2, sort_keys=True)
+                           "residual": number(self.residual),
+                           "norms": {k: number(v) for k, v in self.norms.items()},
+                           "advice": self.advice}, indent=2, sort_keys=True, allow_nan=False)
 
 
 class NonConvergence(RuntimeError):
@@ -192,7 +194,8 @@ def trapezoid_exponential_path(sigma: float, u0: SpectralField, drift, T: float,
     left = A - B  # the weight of a step's left drift
     implicit = math.isfinite(fp_tol)
     drifts = Predictor()
-    fields = [u0]
+    path = np.empty((M + 1,) + u0.coeffs.shape, dtype=np.complex128)
+    path[0] = u0.coeffs
     u = u0
     d1 = drift(0, u0).coeffs  # the latest drift: node 0's, then each corrector's
     worst_it, worst_res = 0, 0.0
@@ -215,8 +218,8 @@ def trapezoid_exponential_path(sigma: float, u0: SpectralField, drift, T: float,
             raise NonConvergence(f"step {n}: solution exceeded the blow-up bound "
                                  f"{blowup:.3g}", k, res)
         worst_it, worst_res = max(worst_it, k), max(worst_res, res)
-        fields.append(u)
-    return FieldPath(np.arange(M + 1) * dt, fields), worst_it, worst_res
+        path[n + 1] = u.coeffs
+    return FieldPath.from_coeff_array(np.arange(M + 1) * dt, grid, path), worst_it, worst_res
 
 
 def duhamel(v_path: FieldPath, sigma: float) -> FieldPath:
@@ -226,13 +229,12 @@ def duhamel(v_path: FieldPath, sigma: float) -> FieldPath:
     path, _, _ = trapezoid_exponential_path(
         sigma, SpectralField.zero(v_path.grid, v_path.channels),
         lambda n, _: v_path[n], M * v_path.dt, M, fp_tol=math.inf, blowup=math.inf)
-    return FieldPath(v_path.times, path.fields)
+    return FieldPath.from_coeff_array(v_path.times, v_path.grid, path.coeffs)
 
 
 def path_time_derivative(path: FieldPath) -> FieldPath:
     """Second-order finite-difference time derivative along a path."""
-    arr = path.coeff_array()
-    dt = path.dt
+    arr, dt = path.coeffs, path.dt
     out = np.empty_like(arr)
     out[1:-1] = (arr[2:] - arr[:-2]) / (2 * dt)
     out[0] = (-3 * arr[0] + 4 * arr[1] - arr[2]) / (2 * dt)
@@ -246,4 +248,5 @@ def apply_L(path: FieldPath, sigma: float) -> FieldPath:
     if len(path) < 3:
         raise ValueError("need at least three time nodes for second-order differences")
     mu = SemigroupSpec(sigma, path.grid).symbol()
-    return path_time_derivative(path) + path.map(lambda f: SpectralField(f.grid, f.coeffs * mu))
+    return path_time_derivative(path) + FieldPath.from_coeff_array(path.times, path.grid,
+                                                                   path.coeffs * mu)

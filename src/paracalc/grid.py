@@ -73,17 +73,16 @@ class TorusGrid:
         return (x[:, None], x[None, :])
 
 
-def _conj_index(n: int) -> np.ndarray:
-    """Index map i -> (-i) mod n along one FFT axis."""
-    return (-np.arange(n)) % n
+def _negate_rows(x: np.ndarray) -> np.ndarray:
+    """x at row -i mod n for each row i, on the second-to-last axis: k -> -k
+    along one axis, for `hermitian_conjugate` and the transforms below."""
+    return np.concatenate((x[..., :1, :], x[..., :0:-1, :]), axis=-2)
 
 
 def hermitian_conjugate(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """conj(c(-k)) with lattice wrap-around, acting on the last `dim` axes."""
-    out = np.conj(coeffs)
-    for ax in range(-dim, 0):
-        out = np.take(out, _conj_index(out.shape[ax]), axis=ax)
-    return out
+    out = _negate_rows(np.conj(coeffs)[..., None])[..., 0]  # the last axis as rows
+    return _negate_rows(out) if dim == 2 else out
 
 
 @functools.lru_cache(maxsize=64)
@@ -220,11 +219,6 @@ def _check_same_grid(f: SpectralField, g: SpectralField):
 # Calls and channels of the transforms below (`band_limit` adds one of
 # each); never reset, so read differences.
 tally = dict.fromkeys(("inverse", "inverse_channels", "forward", "forward_channels"), 0)
-
-
-def _negate_rows(x: np.ndarray) -> np.ndarray:
-    """x at row -i mod n for each row i, on the second-to-last axis."""
-    return np.concatenate((x[..., :1, :], x[..., :0:-1, :]), axis=-2)
 
 
 def _fine_values(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
@@ -373,68 +367,86 @@ def apply_pointwise(fn, f) -> SpectralField:
 _NODE_CHUNK = 16
 
 
-class FieldPath:
-    """A field per node of a uniform time grid 0 = t_0 < ... < t_M = T."""
+def _uniform_times(times, nodes: int) -> np.ndarray:
+    """`times` as floats, checked to be a uniform grid of `nodes` >= 2 nodes."""
+    times = np.asarray(times, dtype=np.float64)
+    if len(times) != nodes:
+        raise ValueError("times and fields length mismatch")
+    if nodes < 2:
+        raise ValueError("a path needs at least two time nodes")
+    dt = np.diff(times)
+    if np.any(dt <= 0) or np.max(np.abs(dt - dt[0])) > 1e-10 * dt[0]:
+        raise ValueError("times must be strictly increasing and uniform")
+    return times
 
-    __slots__ = ("times", "fields")
+
+class FieldPath:
+    """A field per node of a uniform time grid 0 = t_0 < ... < t_M = T, held
+    as one array `coeffs` of shape (M + 1, channels) + grid.shape; `path[n]`
+    and `fields` are views of it, `chunks()` reshapes, all immutable."""
+
+    __slots__ = ("times", "grid", "coeffs")
 
     def __init__(self, times: np.ndarray, fields):
-        times = np.asarray(times, dtype=np.float64)
         fields = list(fields)
-        if len(times) != len(fields):
-            raise ValueError("times and fields length mismatch")
-        if len(times) < 2:
-            raise ValueError("a path needs at least two time nodes")
-        dt = np.diff(times)
-        if np.any(dt <= 0) or np.max(np.abs(dt - dt[0])) > 1e-10 * dt[0]:
-            raise ValueError("times must be strictly increasing and uniform")
-        g = fields[0].grid
-        ch = fields[0].channels
-        for f in fields[1:]:
-            if f.grid != g or f.channels != ch:
-                raise ValueError("all fields of a path must share grid and channels")
-        self.times = times
-        self.fields = fields
+        if any(f.grid != fields[0].grid or f.channels != fields[0].channels for f in fields):
+            raise ValueError("all fields of a path must share grid and channels")
+        self.times, self.grid = _uniform_times(times, len(fields)), fields[0].grid
+        self.coeffs = np.stack([f.coeffs for f in fields])
 
-    @property
-    def grid(self) -> TorusGrid:
-        return self.fields[0].grid
+    @classmethod
+    def from_coeff_array(cls, times, grid: TorusGrid, arr: np.ndarray) -> "FieldPath":
+        """The path that holds `arr`, of shape (M + 1, channels) + grid.shape."""
+        arr = np.asarray(arr, dtype=np.complex128)
+        if arr.shape[2:] != grid.shape:
+            raise ValueError(f"coefficient shape {arr.shape} does not match grid {grid.shape}")
+        path = cls.__new__(cls)
+        path.times, path.grid, path.coeffs = _uniform_times(times, len(arr)), grid, arr
+        return path
 
     @property
     def channels(self) -> int:
-        return self.fields[0].channels
+        return self.coeffs.shape[1]
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
     def __len__(self):
-        return len(self.fields)
+        return len(self.coeffs)
 
-    def __getitem__(self, i) -> SpectralField:
-        return self.fields[i]
+    def __getitem__(self, n) -> SpectralField:
+        return SpectralField(self.grid, self.coeffs[n])
+
+    @property
+    def fields(self) -> list[SpectralField]:
+        """The node fields, a new list on each access: loops index the path."""
+        return [self[n] for n in range(len(self))]
+
+    def chunks(self) -> list[SpectralField]:
+        """The nodes 16 at a time, chunk k holding nodes 16k .. 16k + 15 (the
+        last one those that exist), each stacked node-major as the channels
+        of one field."""
+        shape = (-1,) + self.grid.shape
+        return [SpectralField(self.grid, self.coeffs[i:i + _NODE_CHUNK].reshape(shape))
+                for i in range(0, len(self), _NODE_CHUNK)]
 
     def map(self, fn) -> "FieldPath":
         return FieldPath(self.times, [fn(f) for f in self.fields])
 
-    def zip_map(self, fn, other: "FieldPath") -> "FieldPath":
+    def __add__(self, other: "FieldPath") -> "FieldPath":
+        _check_same_grid(self, other)
         if not np.allclose(self.times, other.times):
             raise ValueError("paths live on different time grids")
-        return FieldPath(self.times, [fn(a, b) for a, b in zip(self.fields, other.fields)])
+        return FieldPath.from_coeff_array(self.times, self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "FieldPath") -> "FieldPath":
-        return self.zip_map(lambda a, b: a - b, other)
-
-    def __add__(self, other: "FieldPath") -> "FieldPath":
-        return self.zip_map(lambda a, b: a + b, other)
+        # as a field's a - b, bit for bit (signed zeros included)
+        return self + FieldPath.from_coeff_array(other.times, other.grid, other.coeffs * -1.0)
 
     def coeff_array(self) -> np.ndarray:
-        """Stacked coefficients, shape (M+1, channels) + grid.shape."""
-        return np.stack([f.coeffs for f in self.fields])
-
-    @classmethod
-    def from_coeff_array(cls, times, grid: TorusGrid, arr: np.ndarray) -> "FieldPath":
-        return cls(times, [SpectralField(grid, a) for a in arr])
+        """The held coefficients, shape (M+1, channels) + grid.shape."""
+        return self.coeffs
 
 
 # -- snapshot format --------------------------------------------------
@@ -450,13 +462,10 @@ def save_field(path, f: SpectralField | FieldPath):
               "channels": f.channels}
     if isinstance(f, FieldPath):
         header["times"] = list(map(float, f.times))
-        data = f.coeff_array()
-    else:
-        data = f.coeffs
     with open(path, "wb") as fh:
         fh.write(_HEADER_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(data.astype("<c16")).tobytes())
+        fh.write(np.ascontiguousarray(f.coeffs.astype("<c16")).tobytes())
 
 
 def load_field(path):
@@ -468,8 +477,7 @@ def load_field(path):
         raw = fh.read()
     grid = TorusGrid(header["dim"], header["N"], header["period"])
     arr = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+    shape = (header["channels"],) + grid.shape
     if "times" in header:
-        times = np.asarray(header["times"])
-        arr = arr.reshape((len(times), header["channels"]) + grid.shape)
-        return FieldPath.from_coeff_array(times, grid, arr)
-    return SpectralField(grid, arr.reshape((header["channels"],) + grid.shape))
+        return FieldPath.from_coeff_array(header["times"], grid, arr.reshape((-1,) + shape))
+    return SpectralField(grid, arr.reshape(shape))

@@ -93,7 +93,7 @@ def mollify(f, eps: float, psi: Mollifier = GAUSS_MOLLIFIER):
         raise ValueError(f"mollification scale must be positive and finite, got {eps}")
     m = psi(eps * _symbol(f.grid, None, 1.0))  # once per path, not per node
     if isinstance(f, FieldPath):
-        return f.map(lambda g: SpectralField(g.grid, g.coeffs * m))
+        return FieldPath.from_coeff_array(f.times, f.grid, f.coeffs * m)
     return SpectralField(f.grid, f.coeffs * m)
 
 
@@ -153,14 +153,10 @@ def burgers_theta_path(grid: TorusGrid, sigma: float, T: float, M: int,
     var[~nz] = dt / TWO_PI
     std = np.sqrt(var)
 
-    times = np.arange(M + 1) * dt
-    c = np.zeros((channels,) + grid.shape, dtype=np.complex128)
-    fields = [SpectralField(grid, c.copy())]
-    for _ in range(M):
-        inc = hermitian_gaussian(grid, std, rng, channels)
-        c = c * decay + inc
-        fields.append(SpectralField(grid, c.copy()))
-    return FieldPath(times, fields)
+    c = np.zeros((M + 1, channels) + grid.shape, dtype=np.complex128)
+    for n in range(M):
+        c[n + 1] = c[n] * decay + hermitian_gaussian(grid, std, rng, channels)
+    return FieldPath.from_coeff_array(np.arange(M + 1) * dt, grid, c)
 
 
 # -- fractional Brownian motion and the localized line driver ---------

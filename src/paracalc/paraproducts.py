@@ -354,7 +354,7 @@ def _para_lt_times(fpath: FieldPath, gpaths: list[FieldPath]) -> list[FieldPath]
         raise ValueError("paths live on different time grids")
     part = default_partition(fpath.grid)
     avg = CausalAverage(part, fpath.times)
-    nodes = [[avg.paraproduct(n, f, Blocks(g.fields[n], part)) for g in gpaths]
+    nodes = [[avg.paraproduct(n, f, Blocks(g[n], part)) for g in gpaths]
              for n, f in enumerate(fpath.fields)]
     return [FieldPath(fpath.times, list(fields)) for fields in zip(*nodes)]
 

@@ -18,7 +18,7 @@ import numpy as np
 from .enhanced import EnhancedNoise
 from .evolution import (NonConvergence, Predictor, SolverReport, damped_fixed_point,
                         trapezoid_exponential_path)
-from .grid import (_NODE_CHUNK, FieldPath, SpectralField, TorusGrid, band_limit,
+from .grid import (FieldPath, SpectralField, TorusGrid, band_limit,
                    dealiased_product, field_from_oversampled, oversampled_values)
 from .noise import centered_time, time_cutoff
 from .paraproducts import Blocks, CausalAverage, NonlinearFunction, para_gt, para_lt, resonant
@@ -157,42 +157,38 @@ def solve_burgers(u0: SpectralField, E: EnhancedNoise, G: NonlinearFunction,
     Each step applies the trapezoid-exponential rule with a damped inner
     fixed point for the implicit endpoint of the drift.  A drift
     evaluation (`burgers_drift`) makes 3 transform calls.  The areas
-    eta - theta @ d_x theta are built for 16 nodes at a time, stacked as
-    the channels of one field (one `resonant` and one inverse transform
-    per chunk), and only the chunk the march is in is held.  cfg.T and
+    eta - theta @ d_x theta are built for a chunk of nodes at a time
+    (`FieldPath.chunks`: one `resonant` and one inverse transform per
+    chunk), and only the chunk the march is in is held.  cfg.T and
     cfg.M must match the driver path's horizon and step count, or
     ValueError is raised.
     """
     if E.kind != "burgers":
         raise ValueError("solve_burgers expects path enhanced data")
-    theta_path: FieldPath = E.theta
-    eta_path: FieldPath = E.eta
     if not (cfg.sigma > 5.0 / 6.0):
         raise ValueError("need sigma > 5/6")
-    M = len(theta_path) - 1
-    if cfg.M != M or not math.isclose(cfg.T, theta_path.times[-1]):
+    theta, eta = (FieldPath.from_coeff_array(p.times, p.grid, p.coeffs[:, :1])
+                  for p in (E.theta, E.eta))  # channel 0
+    M = len(theta) - 1
+    if cfg.M != M or not math.isclose(cfg.T, theta.times[-1]):
         raise ValueError(f"config has T = {cfg.T}, M = {cfg.M}; the driver path "
-                         f"has T = {theta_path.times[-1]}, M = {M}")
-    grid = theta_path.grid
-    theta = [f.channel(0) for f in theta_path.fields]
-    eta = [f.channel(0) for f in eta_path.fields]
+                         f"has T = {theta.times[-1]}, M = {M}")
+    chunks = list(zip(theta.chunks(), eta.chunks()))
 
     # the march asks for the nodes in order; keep only the current chunk
     @functools.lru_cache(maxsize=1)
-    def chunk(k):
-        nodes = slice(k * _NODE_CHUNK, (k + 1) * _NODE_CHUNK)
-        th, et = (SpectralField(grid, np.concatenate([f.coeffs for f in fs[nodes]]))
-                  for fs in (theta, eta))
+    def areas(k):
+        th, et = chunks[k]
         return Blocks(et - resonant(th, derivative(th, 0), part), part).values()
 
     def drift(n, w):
-        k, i = divmod(n, _NODE_CHUNK)
-        return burgers_drift(w, theta[n], chunk(k)[i:i + 1], G)
+        k, i = divmod(n, chunks[0][0].channels)  # a full chunk's node count
+        return burgers_drift(w, theta[n], areas(k)[i:i + 1], G)
 
     w_path, worst_it, worst_res = trapezoid_exponential_path(
-        cfg.sigma, u0, drift, M * theta_path.dt, M, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
+        cfg.sigma, u0, drift, M * theta.dt, M, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
         damping=cfg.damping)
-    u_path = FieldPath(theta_path.times, [a + b for a, b in zip(theta, w_path.fields)])
+    u_path = theta + w_path
     norms = {
         "theta_alpha_final": besov_norm(Blocks(theta[-1], part), cfg.alpha),
         "w_final_sup": w_path[-1].sup_norm(),
@@ -290,7 +286,7 @@ def solve_pam(u0: SpectralField, E: EnhancedNoise, F: NonlinearFunction,
     sharp_path, worst_it, worst_res = trapezoid_exponential_path(
         1.0, u0 - ptt0, drift, cfg.T, cfg.M, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max,
         damping=cfg.damping, blowup=math.inf)
-    u_path = FieldPath(sharp_path.times, [p + s for p, s in zip(ptts, sharp_path.fields)])
+    u_path = FieldPath(sharp_path.times, ptts) + sharp_path
     norms = {
         "u_final_alpha": besov_norm(Blocks(u_path[-1], part), cfg.alpha),
         "usharp_final_2alpha": besov_norm(Blocks(sharp_path[-1], part), 2 * cfg.alpha),

@@ -499,6 +499,19 @@ class TestSolves:
         assert rep["converged"] is False and "halve lambda" in rep["advice"]
         assert 1 <= rep["iterations"] <= max_iterations
 
+    def test_a_non_finite_residual_is_written_null(self, tmp_path, capsys):
+        # RFC 8259 has no NaN or Infinity; the report used to hold a bare NaN
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        out = tmp_path / "o"
+        argv = ["solve-burgers", "--n", "32", "--time-steps", "4", "--amplitude", "1e300"]
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--out", str(out)]) == 2
+        assert "residual nan" in capsys.readouterr().err
+        rep = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert rep["residual"] is None and rep["converged"] is False
+
     @pytest.mark.parametrize("argv", BAD_INPUTS,
                              ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
     def test_a_complex_or_non_finite_input_exits_one(self, tmp_path, capsys, argv):

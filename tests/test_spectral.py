@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -98,6 +99,94 @@ class TestGrid:
         q = load_field(tmp_path / "p.field")
         assert np.array_equal(q.times, p.times)
         assert np.array_equal(q.fields[2].coeffs, p.fields[2].coeffs)
+
+
+class TestFieldPath:
+    # a path's contract, in its list form and its array form alike
+
+    @staticmethod
+    def nodes(grid, count, channels=1):
+        return [rough_field(grid, 0.5, s, channels) for s in range(count)]
+
+    @staticmethod
+    def as_array(fields, grid):
+        """The nodes' coefficients stacked, shape (len(fields), channels) + grid.shape."""
+        return np.stack([f.coeffs for f in fields]) if fields \
+            else np.zeros((0, 1) + grid.shape, dtype=complex)
+
+    @pytest.mark.parametrize("odd", [TorusGrid(1, 128), TorusGrid(1, 256, 4 * math.pi), 2],
+                             ids=["size", "period", "channels"])
+    def test_rejects_nodes_on_another_grid_or_channel_count(self, grid1d, odd):
+        last = (rough_field(grid1d, 0.5, 9, channels=odd) if odd == 2
+                else rough_field(odd, 0.5, 9))
+        with pytest.raises(ValueError, match="share grid and channels"):
+            FieldPath(np.linspace(0, 1, 3), self.nodes(grid1d, 2) + [last])
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_needs_two_nodes(self, grid1d, count):
+        times, fields = np.arange(count) * 0.1, self.nodes(grid1d, count)
+        with pytest.raises(ValueError, match="at least two time nodes"):
+            FieldPath(times, fields)
+        with pytest.raises(ValueError, match="at least two time nodes"):
+            FieldPath.from_coeff_array(times, grid1d, self.as_array(fields, grid1d))
+
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.3], [0.0, 0.2, 0.1], [0.0, 0.0, 0.0]],
+                             ids=["uneven", "decreasing", "constant"])
+    def test_times_must_be_uniform_and_increasing(self, grid1d, times):
+        fields = self.nodes(grid1d, 3)
+        with pytest.raises(ValueError, match="strictly increasing and uniform"):
+            FieldPath(times, fields)
+        with pytest.raises(ValueError, match="strictly increasing and uniform"):
+            FieldPath.from_coeff_array(times, grid1d, self.as_array(fields, grid1d))
+
+    def test_times_and_nodes_must_match_in_number(self, grid1d):
+        times, fields = np.linspace(0, 1, 4), self.nodes(grid1d, 3)
+        with pytest.raises(ValueError, match="length mismatch"):
+            FieldPath(times, fields)
+        with pytest.raises(ValueError, match="length mismatch"):
+            FieldPath.from_coeff_array(times, grid1d, self.as_array(fields, grid1d))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_sum_and_difference_need_one_time_grid(self, grid1d, op):
+        fields = self.nodes(grid1d, 3)
+        a, b = FieldPath(np.linspace(0, 1, 3), fields), FieldPath(np.linspace(0, 2, 3), fields)
+        with pytest.raises(ValueError, match="different time grids"):
+            op(a, b)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_sum_and_difference_are_those_of_the_nodes(self, grid2d, op):
+        # bit for bit, signed zeros too: a field's a - b is a + b * -1.0,
+        # whose zeros' signs np.subtract does not keep
+        times = np.linspace(0, 1, 5)
+        shape = (2,) + grid2d.shape
+        a = FieldPath(times, self.nodes(grid2d, 4, channels=2)
+                      + [SpectralField(grid2d, np.full(shape, complex(-0.0, -0.0)))])
+        b = FieldPath(times, [rough_field(grid2d, -0.5, 10 + s, 2) for s in range(4)]
+                      + [SpectralField(grid2d, np.zeros(shape, dtype=complex))])
+        out = op(a, b)
+        assert np.array_equal(out.times, times)
+        for n in range(5):
+            assert out[n].coeffs.tobytes() == op(a[n], b[n]).coeffs.tobytes()
+
+    def test_array_form_holds_the_nodes_in_order(self, grid2d):
+        fields = self.nodes(grid2d, 5, channels=2)
+        arr = self.as_array(fields, grid2d)
+        p = FieldPath.from_coeff_array(np.arange(5) / 8, grid2d, arr)
+        assert (len(p), p.channels, p.grid, p.dt) == (5, 2, grid2d, 0.125)
+        assert np.array_equal(p.coeff_array(), arr)
+        assert all(np.array_equal(f.coeffs, g.coeffs) and np.array_equal(p[n].coeffs, g.coeffs)
+                   for n, (f, g) in enumerate(zip(p.fields, fields)))
+
+    @pytest.mark.parametrize("count", [5, 16, 35])
+    def test_chunks_stack_the_nodes_node_major(self, grid1d, count):
+        # 35 nodes are two full chunks and a short one of 3
+        size = paracalc.grid._NODE_CHUNK
+        fields = self.nodes(grid1d, count, channels=2)
+        chunks = FieldPath(np.arange(count) / 8, fields).chunks()
+        assert len(chunks) == -(-count // size)
+        for k, chunk in enumerate(chunks):
+            want = np.concatenate([f.coeffs for f in fields[k * size:(k + 1) * size]])
+            assert chunk.grid == grid1d and chunk.coeffs.tobytes() == want.tobytes()
 
 
 class TestPartition:
